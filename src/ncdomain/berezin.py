@@ -11,8 +11,8 @@ computed in two independent forms:
                   truncation.
 
 On the common truncation both are the same finite sum, so their
-agreement is a genuine cross-check of two different code paths (column
-maps and reversal permutations versus dense solves).  Tensor factors
+agreement is a genuine cross-check of two different code paths (monomial
+adjoints versus forward substitution on right shifts).  Tensor factors
 are ordered Fock slot first, coefficient space second, throughout.
 """
 
@@ -22,18 +22,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .cp_maps import (
     OperatorTuple,
     as_operator_tuple,
     defect_sequence,
     membership,
+    monomial_product,
     spectral_radius_estimate,
 )
 from .defaults import EIGENVALUE_TOL
-from .fock_model import TruncatedModel, build_model, model_monomial
-from .linalg import hermitian_part, psd_root
+from .fock_model import TruncatedModel, build_model
+from .linalg import psd_root
 from .series import FreeSeries, PositiveRegularFunction, evaluate, reverse_series
 from .weights import WeightTable, weights_direct
 from .words import WordIndex, enumerate_words
@@ -114,6 +114,19 @@ def _all_monomial_adjoints(
     return out
 
 
+def _defect_root(
+    f: PositiveRegularFunction, m: int, t: OperatorTuple, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta, Delta^2) from the order-m defect; ValueError off the domain."""
+    defect = defect_sequence(f, m, t).deltas[m]
+    try:
+        return psd_root(defect, tol)
+    except ValueError as exc:
+        raise ValueError(
+            f"tuple lies outside the order-{m} domain: {exc}"
+        ) from exc
+
+
 def berezin_kernel(
     f: PositiveRegularFunction,
     m: int,
@@ -137,13 +150,7 @@ def berezin_kernel(
         weight_table = weights_direct(f, m, N, cap=cap)
     elif weight_table.N < N or weight_table.m != m or weight_table.f != f:
         raise ValueError("weight table does not cover this kernel")
-    defect = defect_sequence(f, m, t).deltas[m]
-    try:
-        root, clipped = psd_root(defect, tol)
-    except ValueError as exc:
-        raise ValueError(
-            f"tuple lies outside the order-{m} domain: {exc}"
-        ) from exc
+    root, clipped = _defect_root(f, m, t, tol)
     b = np.asarray(weight_table.aligned_values(index), dtype=float)
     adjoints = _all_monomial_adjoints(t, index)
     blocks = np.sqrt(b)[:, None, None] * (root @ adjoints)
@@ -198,26 +205,10 @@ def right_creation_operators(
 
 @dataclass(frozen=True)
 class ResolventDiagnostics:
-    """Conditioning and spectral-radius evidence for a resolvent solve."""
+    """Growth and spectral-radius evidence for a resolvent solve."""
 
-    condition_estimate: float
+    growth_estimate: float  # largest |entry| of R; >= 1, its vacuum block is I_d
     radius_estimate: float
-
-
-def _condition_estimate(b_mat: np.ndarray, lu: np.ndarray) -> float:
-    anorm = float(np.linalg.norm(b_mat, 1))
-    try:
-        from scipy.linalg.lapack import zgecon
-
-        rcond, info = zgecon(lu, anorm)
-        if info == 0 and rcond > 0:
-            return 1.0 / float(rcond)
-    except Exception:
-        pass
-    du = np.abs(np.diag(lu))
-    if du.min() == 0:
-        return float("inf")
-    return float(du.max() / du.min())
 
 
 def berezin_transform_resolvent(
@@ -233,10 +224,11 @@ def berezin_transform_resolvent(
 ):
     """Transform of g at T in resolvent form.
 
-    Solves (I - sum_w a_w Lam_{w~} (x) T_w^*)^m R = e_unit (x) I_d by LU
-    factorization, then compresses R^* (g (x) Delta^2) R back to the
-    coefficient space.  Requires the estimated joint spectral radius of
-    T to be below 1.
+    The right shifts raise word length, so (I - sum_w a_w Lam_{w~} (x)
+    T_w^*)^m R = e_unit (x) I_d is unit block-lower-triangular and is
+    solved by forward substitution, grade by grade; R^* (g (x) Delta^2) R
+    is then compressed back to the coefficient space.  Requires T in the
+    domain with estimated joint spectral radius below 1.
     """
     t = as_operator_tuple(t)
     if t.n != f.n:
@@ -256,38 +248,34 @@ def berezin_transform_resolvent(
         raise ValueError(
             f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
         )
-    defect = defect_sequence(f, m, t).deltas[m]
-    try:
-        _, delta_sq = psd_root(defect, tol)
-    except ValueError:
-        # outside the domain the sandwich is still defined; use the raw defect
-        delta_sq = defect
+    _, delta_sq = _defect_root(f, m, t, tol)
     perm = _reversal_permutation(index)
-    big = dim * d
-    b_mat = np.eye(big, dtype=complex)
+    steps = []
     for word, a in f.items():
-        lam = model_monomial(rm, word[::-1])[np.ix_(perm, perm)]
-        t_adj = np.eye(d, dtype=complex)
-        for i in word:
-            t_adj = t_adj @ t.mats[i - 1]
-        b_mat -= a * np.kron(lam, t_adj.conj().T)
-    lu_piv = lu_factor(b_mat)
-    cond = _condition_estimate(b_mat, lu_piv[0])
-    if not np.isfinite(cond) or cond > 1e14:
-        raise ValueError(
-            f"resolvent solve is near singular; condition estimate {cond:.3e}"
-        )
-    emb = np.zeros((big, d), dtype=complex)
-    emb[:d, :] = np.eye(d)
-    r = emb
+        # Lam_{w~} = P V~_{w~} P for the reversed model V~ and reversal P
+        t_rev, w_rev = rm.monomial_map(word[::-1])
+        t_rev = t_rev[perm]
+        targets = np.where(t_rev >= 0, perm[t_rev], -1)
+        t_adj = monomial_product(t, word).conj().T
+        steps.append((targets, a * w_rev[perm], t_adj))
+    r = np.zeros((dim, d, d), dtype=complex)
+    r[0] = np.eye(d)
     for _ in range(m):
-        r = lu_solve(lu_piv, r)
-    r3 = r.reshape(dim, d, d)
-    mixed = np.tensordot(g, r3, axes=([1], [0]))
+        for k in range(N + 1):
+            cols = np.array(index.grade(k))
+            for targets, scale, t_adj in steps:
+                c = cols[targets[cols] >= 0]
+                r[targets[c]] += scale[c, None, None] * (t_adj @ r[c])
+    growth = float(np.max(np.abs(r)))
+    if not np.isfinite(growth) or growth > 1e14:
+        raise ValueError(
+            f"resolvent solve is unstable; growth estimate {growth:.3e}"
+        )
+    mixed = np.tensordot(g, r, axes=([1], [0]))
     mixed = np.einsum("ab,vbc->vac", delta_sq, mixed)
-    out = np.einsum("vab,vac->bc", r3.conj(), mixed)
+    out = np.einsum("vab,vac->bc", r.conj(), mixed)
     if with_diagnostics:
-        return out, ResolventDiagnostics(cond, radius.final)
+        return out, ResolventDiagnostics(growth, radius.final)
     return out
 
 

@@ -102,6 +102,14 @@ def _support_monomials(
     return [(w, a, mono(w)) for w, a in f.items()]
 
 
+def _phi(monos: list[tuple[Letters, float, np.ndarray]], y: np.ndarray) -> np.ndarray:
+    """sum a_w X_w Y X_w^* over precomputed support monomials."""
+    out = np.zeros_like(y)
+    for _, a, xw in monos:
+        out += a * (xw @ y @ xw.conj().T)
+    return out
+
+
 def apply_phi(
     f: PositiveRegularFunction, x, y: np.ndarray
 ) -> np.ndarray:
@@ -112,10 +120,7 @@ def apply_phi(
     y = np.asarray(y, dtype=complex)
     if y.shape != (t.dim, t.dim):
         raise ValueError(f"argument must be {t.dim} x {t.dim}, got {y.shape}")
-    out = np.zeros_like(y)
-    for _, a, xw in _support_monomials(f, t):
-        out += a * (xw @ y @ xw.conj().T)
-    return out
+    return _phi(_support_monomials(f, t), y)
 
 
 @dataclass(frozen=True)
@@ -143,11 +148,7 @@ def defect_sequence(f: PositiveRegularFunction, m: int, x) -> DefectSequence:
     deltas = [np.eye(t.dim, dtype=complex)]
     mins = []
     for _ in range(m):
-        prev = deltas[-1]
-        nxt = prev.copy()
-        for _, a, xw in monos:
-            nxt -= a * (xw @ prev @ xw.conj().T)
-        nxt = hermitian_part(nxt)
+        nxt = hermitian_part(deltas[-1] - _phi(monos, deltas[-1]))
         deltas.append(nxt)
         mins.append(min_eigenvalue(nxt))
     return DefectSequence(tuple(deltas), tuple(mins))
@@ -215,10 +216,7 @@ def spectral_radius_estimate(
     values = []
     overflowed = False
     for k in range(1, kmax + 1):
-        nxt = np.zeros_like(y)
-        for _, a, xw in monos:
-            nxt += a * (xw @ y @ xw.conj().T)
-        y = nxt
+        y = _phi(monos, y)
         norm = operator_norm(y) if np.all(np.isfinite(y)) else float("inf")
         if not np.isfinite(norm):
             overflowed = True
@@ -255,10 +253,7 @@ def purity_diagnostics(
     prev = 1.0
     monotone = True
     for _ in range(kmax):
-        nxt = np.zeros_like(y)
-        for _, a, xw in monos:
-            nxt += a * (xw @ y @ xw.conj().T)
-        y = nxt
+        y = _phi(monos, y)
         norm = operator_norm(y)
         if norm > prev + tol:
             monotone = False
@@ -266,9 +261,8 @@ def purity_diagnostics(
         prev = norm
         if norm == 0.0:
             break
-    first_defect = hermitian_part(
-        np.eye(t.dim, dtype=complex) - apply_phi(f, t, np.eye(t.dim, dtype=complex))
-    )
+    eye = np.eye(t.dim, dtype=complex)
+    first_defect = hermitian_part(eye - _phi(monos, eye))
     rank = int(np.sum(hermitian_eigenvalues(first_defect) > tol))
     return PurityDiagnostics(tuple(norms), monotone, rank)
 
@@ -369,27 +363,19 @@ def von_neumann_gap(
     return VonNeumannGap(operator_norm(lhs_sum), operator_norm(rhs_sum))
 
 
-def sample_member(
+def _scale_into_domain(
     f: PositiveRegularFunction,
     m: int,
-    dim: int,
-    rng: np.random.Generator,
-    bisect_iters: int = 20,
-    safety: float = 0.9,
-    tol: float = EIGENVALUE_TOL,
+    base: OperatorTuple,
+    bisect_iters: int,
+    safety: float,
+    tol: float,
 ) -> OperatorTuple:
-    """Draw a random tuple and scale it into the order-m domain of f.
+    """Bisect the ray through base for the boundary, then pull inside.
 
-    A random direction is bisected along its ray to locate the boundary,
-    then pulled inside by the safety factor.  Along a ray from the
-    origin membership flips once for the starlike domains this package
-    works with, so bisection is justified.
+    Along a ray from the origin membership flips once for the starlike
+    domains this package works with, so bisection is justified.
     """
-    raw = [
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for _ in range(f.n)
-    ]
-    base = OperatorTuple(raw)
     lo, hi = 0.0, 1.0
     for _ in range(60):
         if not membership(f, m, base.scaled(hi), tol=tol).member:
@@ -405,6 +391,28 @@ def sample_member(
         else:
             hi = mid
     return base.scaled(safety * lo if lo > 0 else safety * hi)
+
+
+def sample_member(
+    f: PositiveRegularFunction,
+    m: int,
+    dim: int,
+    rng: np.random.Generator,
+    bisect_iters: int = 20,
+    safety: float = 0.9,
+    tol: float = EIGENVALUE_TOL,
+) -> OperatorTuple:
+    """Draw a random tuple and scale it into the order-m domain of f.
+
+    A random direction is bisected along its ray to locate the boundary,
+    then pulled inside by the safety factor.
+    """
+    raw = [
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for _ in range(f.n)
+    ]
+    base = OperatorTuple(raw)
+    return _scale_into_domain(f, m, base, bisect_iters, safety, tol)
 
 
 def sample_nilpotent_member(
@@ -428,18 +436,4 @@ def sample_nilpotent_member(
     base = OperatorTuple(raw)
     if all(np.max(np.abs(a)) == 0 for a in base.mats):
         raise ValueError("nilpotent sample degenerated to zero; need dim >= 2")
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if not membership(f, m, base.scaled(hi), tol=tol).member:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError("could not bracket the domain boundary")
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if membership(f, m, base.scaled(mid), tol=tol).member:
-            lo = mid
-        else:
-            hi = mid
-    return base.scaled(safety * lo if lo > 0 else safety * hi)
+    return _scale_into_domain(f, m, base, bisect_iters, safety, tol)

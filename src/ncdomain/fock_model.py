@@ -9,9 +9,10 @@ length <= N:
 
 with b the weight table of (f, m).  Every V_i has at most one nonzero
 entry per column, and so does any product V_w; the module keeps that
-column-map form alongside dense matrices and uses it for the completely
-positive map Y -> sum_w a_w V_w Y V_w^*, which is then a sum of scaled
-index scatters (batched matrix-vector action) instead of dense products.
+column-map form alongside dense matrices.  Distinct columns of V_w land
+in distinct rows, so the completely positive map
+Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
+and acts on a diagonal as a sum of scaled index scatters.
 
 The defining property of the truncation: applying (id - Phi_f)^m to the
 identity yields exactly the rank-one projection onto the vacuum vector,
@@ -20,11 +21,11 @@ up to floating-point roundoff.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_part, operator_norm
+from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
 from .weights import WeightTable, weights_direct
 from .words import Letters, WordIndex, _as_letters, enumerate_words
@@ -105,26 +106,6 @@ class TruncatedModel:
             self._maps[letters] = cached
         return cached
 
-    def apply_phi(self, y: np.ndarray) -> np.ndarray:
-        """The map Y -> sum_w a_w V_w Y V_w^* over the support of f.
-
-        Each summand scatters a scaled submatrix of Y, exploiting the
-        one-entry-per-column structure of the monomials.
-        """
-        y = np.asarray(y, dtype=complex)
-        out = np.zeros_like(y)
-        for word, a in self.f.items():
-            t, w = self.monomial_map(word)
-            cols = np.nonzero(t >= 0)[0]
-            if cols.size == 0:
-                continue
-            rows = t[cols]
-            wc = w[cols]
-            out[np.ix_(rows, rows)] += (a * wc[:, None] * wc[None, :]) * y[
-                np.ix_(cols, cols)
-            ]
-        return out
-
 
 def map_to_dense(column_map: ColumnMap, dim: int) -> np.ndarray:
     t, w = column_map
@@ -166,16 +147,34 @@ def model_monomial(model: TruncatedModel, word) -> np.ndarray:
     return map_to_dense(model.monomial_map(word), model.dim)
 
 
+def _scatter_diagonal(
+    model: TruncatedModel, terms: Iterable[tuple[Letters, float]], y: np.ndarray
+) -> np.ndarray:
+    """Diagonal of sum c_w V_w diag(y) V_w^* over the (word, c_w) terms."""
+    out = np.zeros(model.dim)
+    for word, c in terms:
+        t, w = model.monomial_map(word)
+        cols = np.nonzero(t >= 0)[0]
+        # V_w is injective on its columns, so no target repeats within a word
+        out[t[cols]] += c * w[cols] ** 2 * y[cols]
+    return out
+
+
+def defect_diagonal(model: TruncatedModel) -> np.ndarray:
+    """Diagonal of (id - Phi_f)^m applied to the identity."""
+    y = np.ones(model.dim)
+    for _ in range(model.m):
+        y = y - _scatter_diagonal(model, model.f.items(), y)
+    return y
+
+
 def model_defect(model: TruncatedModel) -> np.ndarray:
-    """(id - Phi_f)^m applied to the identity; Hermitian by construction.
+    """(id - Phi_f)^m applied to the identity, as a dense diagonal matrix.
 
     On the truncation this equals the rank-one projection onto the
     vacuum basis vector exactly, which the tests assert entrywise.
     """
-    y = np.eye(model.dim, dtype=complex)
-    for _ in range(model.m):
-        y = hermitian_part(y - model.apply_phi(y))
-    return y
+    return np.diag(defect_diagonal(model).astype(complex))
 
 
 def evaluate_on_model(
@@ -239,22 +238,8 @@ def hardy_norm_estimate(
 
 
 def symbol_row_diagonal(model: TruncatedModel) -> np.ndarray:
-    """Diagonal of sum over support words of a_w V_w V_w^*.
-
-    Distinct columns of V_w map to distinct rows, so each V_w V_w^* is
-    diagonal and the sum is assembled directly on the diagonal.
-    """
-    diag = np.zeros(model.dim)
-    for word, a in model.f.items():
-        t, w = model.monomial_map(word)
-        cols = np.nonzero(t >= 0)[0]
-        np.add.at(diag, t[cols], a * w[cols] ** 2)
-    return diag
-
-
-def symbol_row_operator(model: TruncatedModel) -> np.ndarray:
-    """sum over support words of a_w V_w V_w^*, a diagonal contraction."""
-    return np.diag(symbol_row_diagonal(model).astype(complex))
+    """Diagonal of sum over support words of a_w V_w V_w^*."""
+    return _scatter_diagonal(model, model.f.items(), np.ones(model.dim))
 
 
 def grade_row_diagonal(model: TruncatedModel, k: int) -> np.ndarray:
@@ -264,16 +249,6 @@ def grade_row_diagonal(model: TruncatedModel, k: int) -> np.ndarray:
     """
     if not 0 <= k <= model.N:
         raise ValueError(f"grade {k} outside 0..{model.N}")
-    diag = np.zeros(model.dim)
-    b = model.weights
-    for flat in model.index.grade(k):
-        word = model.index.letters_of(flat)
-        t, w = model.monomial_map(word)
-        cols = np.nonzero(t >= 0)[0]
-        np.add.at(diag, t[cols], b[word] * w[cols] ** 2)
-    return diag
-
-
-def grade_row_operator(model: TruncatedModel, k: int) -> np.ndarray:
-    """sum over |w| = k of b_w V_w V_w^*, as a dense diagonal matrix."""
-    return np.diag(grade_row_diagonal(model, k).astype(complex))
+    words = [model.index.letters_of(flat) for flat in model.index.grade(k)]
+    terms = [(w, model.weights[w]) for w in words]
+    return _scatter_diagonal(model, terms, np.ones(model.dim))

@@ -2,7 +2,9 @@
 
 The two implementations share nothing past the weight table: one builds
 the kernel column by column from monomial adjoints, the other solves a
-block linear system against right-multiplication operators.
+block triangular system against right-multiplication operators by
+forward substitution.  A dense Kronecker solve is the small-N oracle for
+the latter.
 """
 
 import numpy as np
@@ -16,7 +18,12 @@ from ncdomain.berezin import (
     reversed_model,
     right_creation_operators,
 )
-from ncdomain.cp_maps import membership, monomial_product, sample_nilpotent_member
+from ncdomain.cp_maps import (
+    defect_sequence,
+    membership,
+    monomial_product,
+    sample_nilpotent_member,
+)
 from ncdomain.fock_model import build_model, model_monomial
 from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
 
@@ -120,7 +127,43 @@ def test_forms_agree_single_variable_deep():
     rv, diag = berezin_transform_resolvent(f, 1, x, g, 8, with_diagnostics=True)
     assert np.max(np.abs(kv - rv)) < 1e-10
     assert diag.radius_estimate < 1.0
-    assert diag.condition_estimate >= 1.0
+    assert diag.growth_estimate >= 1.0
+
+
+def _dense_resolvent_transform(f, m, x, g, N):
+    # B = I - sum_w a_w Lam_{w~} (x) T_w^*, solved densely m times
+    lams = right_creation_operators(f, m, N)
+    dim, d = lams[0].shape[0], x[0].shape[0]
+    b_mat = np.eye(dim * d, dtype=complex)
+    for word, a in f.items():
+        lam = np.eye(dim)
+        for i in word[::-1]:
+            lam = lam @ lams[i - 1]
+        b_mat -= a * np.kron(lam, monomial_product(x, word).conj().T)
+    r = np.zeros((dim * d, d), dtype=complex)
+    r[:d] = np.eye(d)
+    for _ in range(m):
+        r = np.linalg.solve(b_mat, r)
+    delta_sq = defect_sequence(f, m, x).deltas[m]
+    return r.conj().T @ np.kron(g, delta_sq) @ r
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_resolvent_matches_dense_oracle(m, N):
+    f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25, "211": 0.125})
+    rng = np.random.default_rng(10 * m + N)
+    x = [
+        0.15 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        for _ in range(2)
+    ]
+    assert membership(f, m, x).member
+    dim = build_model(f, m, N).dim
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = h + h.conj().T
+    want = _dense_resolvent_transform(f, m, x, g, N)
+    got = berezin_transform_resolvent(f, m, x, g, N)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_resolvent_rejects_large_radius():
@@ -134,6 +177,15 @@ def test_kernel_rejects_non_psd_defect():
     f = unit_ball_symbol(1)
     with pytest.raises(ValueError):
         berezin_kernel(f, 1, [np.array([[1.2]])], 3)
+
+
+def test_resolvent_rejects_non_member():
+    # nilpotent, so the radius estimate is 0, but the defect has eigenvalue -3
+    f = unit_ball_symbol(2)
+    x = [np.array([[0.0, 2.0], [0.0, 0.0]]), np.zeros((2, 2))]
+    dim = build_model(f, 1, 3).dim
+    with pytest.raises(ValueError, match="outside the order-1 domain"):
+        berezin_transform_resolvent(f, 1, x, np.eye(dim), 3)
 
 
 def test_right_creation_commutes_with_left():

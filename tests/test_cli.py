@@ -1,6 +1,11 @@
 """Subcommand dispatch, exit codes, and report determinism."""
 
 import json
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +164,29 @@ def test_norm_reports_monotone_values(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_readme_norm_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line = re.search(r"^\| `(norm [^`]*)` \|", readme, re.MULTILINE).group(1)
+    write_config(tmp_path, "c.json", m=1, depth=4)
+    (tmp_path / "s.json").write_text(json.dumps({
+        "n": 1, "degree": 2, "coeff_dim": 1, "coeffs": {"1": 1.0, "11": 0.5},
+    }))
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)) == 0
+    capsys.readouterr()
+
+
+def test_import_does_not_load_scipy():
+    code = (
+        "import sys, ncdomain, ncdomain.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_compose_saves_series(tmp_path, capsys):
     outer = tmp_path / "outer.json"
     outer.write_text(json.dumps({
@@ -192,10 +220,18 @@ def test_berezin_forms_agree_in_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_berezin_outside_domain_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path, m=1, depth=4)
-    point = write_tuple(tmp_path, [[[1.2]]])
-    assert main(["berezin", "--config", str(cfg), "--tuple", str(point)]) == 2
+@pytest.mark.parametrize("form", ["kernel", "resolvent", "both"])
+def test_berezin_outside_domain_exits_two(tmp_path, capsys, form):
+    # the scalar fails the radius bound; the nilpotent pair has radius 0
+    # but a defect eigenvalue of -3
+    disc = write_config(tmp_path, "disc.json", m=1, depth=4)
+    ball = write_config(tmp_path, "ball.json", n=2, m=1, depth=4,
+                        coeffs={"1": 1.0, "2": 1.0})
+    for cfg, mats in [(disc, [[[1.2]]]),
+                      (ball, [[[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])]:
+        point = write_tuple(tmp_path, mats)
+        assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
+                     "--form", form]) == 2
     capsys.readouterr()
 
 
