@@ -25,17 +25,18 @@ import numpy as np
 
 from .cp_maps import (
     OperatorTuple,
+    _monomials,
+    _support_monomials,
     as_operator_tuple,
     defect_sequence,
-    membership,
-    monomial_product,
+    require_member,
     spectral_radius_estimate,
 )
 from .defaults import EIGENVALUE_TOL
 from .fock_model import TruncatedModel, build_model
 from .linalg import psd_root
 from .series import FreeSeries, PositiveRegularFunction, evaluate, reverse_series
-from .weights import WeightTable, weights_direct
+from .weights import weights_direct
 from .words import WordIndex, enumerate_words
 
 
@@ -98,22 +99,6 @@ class BerezinKernel:
         return np.einsum("vab,vac->bc", self.blocks.conj(), mixed)
 
 
-def _all_monomial_adjoints(
-    t: OperatorTuple, index: WordIndex
-) -> np.ndarray:
-    """Array of T_w^* over the whole index, memoized over suffixes."""
-    d = t.dim
-    monos: dict = {(): np.eye(d, dtype=complex)}
-    out = np.empty((index.dim, d, d), dtype=complex)
-    for pos, w in enumerate(index.words):
-        mono = monos.get(w)
-        if mono is None:
-            mono = t.mats[w[0] - 1] @ monos[w[1:]]
-            monos[w] = mono
-        out[pos] = mono.conj().T
-    return out
-
-
 def _defect_root(
     f: PositiveRegularFunction, m: int, t: OperatorTuple, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +118,6 @@ def berezin_kernel(
     t,
     N: int,
     tol: float = EIGENVALUE_TOL,
-    weight_table: WeightTable | None = None,
-    cap: int | None = None,
 ) -> BerezinKernel:
     """Build the depth-N Berezin kernel at the tuple T.
 
@@ -145,14 +128,10 @@ def berezin_kernel(
     t = as_operator_tuple(t)
     if t.n != f.n:
         raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
-    index = enumerate_words(f.n, N, cap=cap)
-    if weight_table is None:
-        weight_table = weights_direct(f, m, N, cap=cap)
-    elif weight_table.N < N or weight_table.m != m or weight_table.f != f:
-        raise ValueError("weight table does not cover this kernel")
+    index = enumerate_words(f.n, N)
     root, clipped = _defect_root(f, m, t, tol)
-    b = np.asarray(weight_table.aligned_values(index), dtype=float)
-    adjoints = _all_monomial_adjoints(t, index)
+    b = np.asarray(weights_direct(f, m, N).aligned_values(index), dtype=float)
+    adjoints = np.array(_monomials(t, index.words)).conj().swapaxes(1, 2)
     blocks = np.sqrt(b)[:, None, None] * (root @ adjoints)
     return BerezinKernel(f, m, t, N, index, blocks, root, clipped)
 
@@ -164,21 +143,14 @@ def berezin_transform_kernel(
     g: np.ndarray,
     N: int,
     tol: float = EIGENVALUE_TOL,
-    kernel: BerezinKernel | None = None,
 ) -> np.ndarray:
     """Transform of g at T in kernel form: K^* (g (x) I) K."""
-    if kernel is None:
-        kernel = berezin_kernel(f, m, t, N, tol=tol)
-    elif kernel.N != N or kernel.f != f or kernel.m != m:
-        raise ValueError("supplied kernel does not match (f, m, N)")
-    return kernel.transform(g)
+    return berezin_kernel(f, m, t, N, tol=tol).transform(g)
 
 
-def reversed_model(
-    f: PositiveRegularFunction, m: int, N: int, cap: int | None = None
-) -> TruncatedModel:
+def reversed_model(f: PositiveRegularFunction, m: int, N: int) -> TruncatedModel:
     """Truncated model of the reversed symbol, same order and depth."""
-    return build_model(reverse_series(f), m, N, cap=cap)
+    return build_model(reverse_series(f), m, N)
 
 
 def _reversal_permutation(index: WordIndex) -> np.ndarray:
@@ -189,14 +161,14 @@ def _reversal_permutation(index: WordIndex) -> np.ndarray:
 
 
 def right_creation_operators(
-    f: PositiveRegularFunction, m: int, N: int, cap: int | None = None
+    f: PositiveRegularFunction, m: int, N: int
 ) -> tuple[np.ndarray, ...]:
     """Weighted right creation operators Lam_i e_w = sqrt(b_w/b_{wi}) e_{wi}.
 
     Realized by conjugating the reversed symbol's model with the
     word-reversal permutation of the basis.
     """
-    rm = reversed_model(f, m, N, cap=cap)
+    rm = reversed_model(f, m, N)
     perm = _reversal_permutation(rm.index)
     return tuple(
         rm.creation(i)[np.ix_(perm, perm)] for i in range(1, f.n + 1)
@@ -218,8 +190,6 @@ def berezin_transform_resolvent(
     g: np.ndarray,
     N: int,
     tol: float = EIGENVALUE_TOL,
-    radius_kmax: int = 12,
-    cap: int | None = None,
     with_diagnostics: bool = False,
 ):
     """Transform of g at T in resolvent form.
@@ -233,13 +203,13 @@ def berezin_transform_resolvent(
     t = as_operator_tuple(t)
     if t.n != f.n:
         raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
-    radius = spectral_radius_estimate(f, t, kmax=radius_kmax)
+    radius = spectral_radius_estimate(f, t)
     if radius.overflowed or radius.final >= 1.0:
         raise ValueError(
             "resolvent form needs joint spectral radius < 1; estimate "
             f"{radius.final:.6f}"
         )
-    rm = reversed_model(f, m, N, cap=cap)
+    rm = reversed_model(f, m, N)
     index = rm.index
     dim = index.dim
     d = t.dim
@@ -251,13 +221,12 @@ def berezin_transform_resolvent(
     _, delta_sq = _defect_root(f, m, t, tol)
     perm = _reversal_permutation(index)
     steps = []
-    for word, a in f.items():
+    for word, a, t_w in _support_monomials(f, t):
         # Lam_{w~} = P V~_{w~} P for the reversed model V~ and reversal P
         t_rev, w_rev = rm.monomial_map(word[::-1])
         t_rev = t_rev[perm]
         targets = np.where(t_rev >= 0, perm[t_rev], -1)
-        t_adj = monomial_product(t, word).conj().T
-        steps.append((targets, a * w_rev[perm], t_adj))
+        steps.append((targets, a * w_rev[perm], t_w.conj().T))
     r = np.zeros((dim, d, d), dtype=complex)
     r[0] = np.eye(d)
     for _ in range(m):
@@ -295,12 +264,7 @@ def radial_berezin(
     t = as_operator_tuple(t)
     if series.coeff_dim != 1:
         raise ValueError("radial evaluation needs scalar coefficients")
-    verdict = membership(f, m, t, tol=tol)
-    if not verdict.member:
-        raise ValueError(
-            "tuple is not a domain member within tolerance; worst defect "
-            f"eigenvalue {min(verdict.min_eigenvalues):.3e}"
-        )
+    require_member(f, m, t, tol)
     out = []
     for r in r_grid:
         r = float(r)

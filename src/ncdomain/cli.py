@@ -136,17 +136,19 @@ def parse_config(path) -> DomainConfig:
     if f.n != n:
         raise FormatError(f"{path}: symbol has n={f.n} but the config says n={n}")
     tolerances = dict(TOLERANCE_DEFAULTS)
-    for name, value in (data.get("tolerances") or {}).items():
+    given = data.get("tolerances") or {}
+    if not isinstance(given, dict):
+        raise FormatError(f"{path}: field 'tolerances' must be an object")
+    for name, value in given.items():
         if name not in TOLERANCE_DEFAULTS:
             raise FormatError(
                 f"{path}: unknown tolerance {name!r}; "
                 f"known: {sorted(TOLERANCE_DEFAULTS)}"
             )
-        value = float(value)
-        if value <= 0:
-            raise FormatError(f"{path}: tolerance {name!r} must be positive")
-        tolerances[name] = value
-    seed = int(data.get("seed", 0))
+        if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+            raise FormatError(f"{path}: tolerance {name!r} must be finite and > 0")
+        tolerances[name] = float(value)
+    seed = _require_int(data, "seed", path) if "seed" in data else 0
     if seed < 0:
         raise FormatError(f"{path}: seed must be nonnegative, got {seed}")
     return DomainConfig(n, m, depth, f, tolerances, seed)
@@ -337,7 +339,7 @@ def _cmd_weights(rest) -> int:
     rel = 0.0
     for word, value in direct.items():
         table["".join(map(str, word))] = value
-        ref = oracle.value(word)
+        ref = oracle[word]
         rel = max(rel, abs(value - ref) / abs(ref))
     report = Report("weights", _config_inputs(cfg), cfg.seed)
     report.results["dim"] = len(direct)

@@ -14,8 +14,8 @@ eigenvalue tolerance they were judged against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from .defaults import EIGENVALUE_TOL
 from .fock_model import TruncatedModel, build_model, model_monomial
 from .linalg import hermitian_eigenvalues, hermitian_part, min_eigenvalue, operator_norm
-from .series import PositiveRegularFunction
-from .words import Letters, _as_letters
+from .series import PositiveRegularFunction, unit_ball_symbol
+from .words import Letters, _as_letters, enumerate_words, word_products
 
 
 class OperatorTuple:
@@ -80,26 +80,21 @@ def as_operator_tuple(x) -> OperatorTuple:
 def monomial_product(x: OperatorTuple | Sequence[np.ndarray], word) -> np.ndarray:
     """X_w = X_{i1} .. X_{ik} for w = (i1, .., ik); identity for the unit."""
     t = as_operator_tuple(x)
-    letters = _as_letters(word, t.n)
-    out = np.eye(t.dim, dtype=complex)
-    for i in letters:
-        out = out @ t.mats[i - 1]
-    return out
+    return _monomials(t, [_as_letters(word, t.n)])[0]
+
+
+def _monomials(t: OperatorTuple, words) -> list[np.ndarray]:
+    """X_w for each word, built over shared suffixes."""
+    unit = {(): np.eye(t.dim, dtype=complex)}
+    return word_products(words, t.mats, np.matmul, unit)
 
 
 def _support_monomials(
     f: PositiveRegularFunction, t: OperatorTuple
 ) -> list[tuple[Letters, float, np.ndarray]]:
-    memo: dict[Letters, np.ndarray] = {(): np.eye(t.dim, dtype=complex)}
-
-    def mono(word: Letters) -> np.ndarray:
-        cached = memo.get(word)
-        if cached is None:
-            cached = t.mats[word[0] - 1] @ mono(word[1:])
-            memo[word] = cached
-        return cached
-
-    return [(w, a, mono(w)) for w, a in f.items()]
+    items = f.items()
+    monos = _monomials(t, [w for w, _ in items])
+    return [(w, a, xw) for (w, a), xw in zip(items, monos)]
 
 
 def _phi(monos: list[tuple[Letters, float, np.ndarray]], y: np.ndarray) -> np.ndarray:
@@ -191,6 +186,18 @@ def membership(
     )
 
 
+def require_member(
+    f: PositiveRegularFunction, m: int, t: OperatorTuple, tol: float
+) -> None:
+    """Raise ValueError unless T passes the order-m membership test."""
+    verdict = membership(f, m, t, tol=tol)
+    if not verdict.member:
+        raise ValueError(
+            f"tuple lies outside the order-{m} domain: not a member within "
+            f"tolerance; worst defect eigenvalue {min(verdict.min_eigenvalues):.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
     """Iterates r_k = ||Phi^k(I)||^(1/2k) and the last computed value."""
@@ -277,27 +284,23 @@ def agler_consistency(m: int, x) -> float:
     holds identically; the return value is the maximum entrywise gap
     between the iterated and the binomial-expanded sides.
     """
-    import math as _math
-
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     t = as_operator_tuple(x)
     d = t.dim
-
-    def phi(y: np.ndarray) -> np.ndarray:
-        return sum(a @ y @ a.conj().T for a in t.mats)
-
+    linear = _support_monomials(unit_ball_symbol(t.n), t)
     iterated = np.eye(d, dtype=complex)
     for _ in range(m):
-        iterated = iterated - phi(iterated)
+        iterated = iterated - _phi(linear, iterated)
 
+    index = enumerate_words(t.n, m)
+    monos = _monomials(t, index.words)
     expanded = np.zeros((d, d), dtype=complex)
     for k in range(m + 1):
         grade = np.zeros((d, d), dtype=complex)
-        for word in product(range(1, t.n + 1), repeat=k):
-            xw = monomial_product(t, word)
-            grade += xw @ xw.conj().T
-        expanded += ((-1) ** k) * _math.comb(m, k) * grade
+        for pos in index.grade(k):
+            grade += monos[pos] @ monos[pos].conj().T
+        expanded += ((-1) ** k) * math.comb(m, k) * grade
     return float(np.max(np.abs(iterated - expanded)))
 
 
@@ -316,7 +319,6 @@ def von_neumann_gap(
     terms: Sequence[tuple],
     N: int,
     tol: float = EIGENVALUE_TOL,
-    model: TruncatedModel | None = None,
 ) -> VonNeumannGap:
     """Compare ||sum X_a X_b^* (x) C|| against the same expression at V.
 
@@ -326,16 +328,8 @@ def von_neumann_gap(
     left-hand norm never exceeds the model norm beyond roundoff.
     """
     t = as_operator_tuple(x)
-    verdict = membership(f, m, t, tol=tol)
-    if not verdict.member:
-        raise ValueError(
-            "tuple is not a domain member within tolerance; worst defect "
-            f"eigenvalue {min(verdict.min_eigenvalues):.3e}"
-        )
-    if model is None:
-        model = build_model(f, m, N)
-    elif model.N != N or model.f != f or model.m != m:
-        raise ValueError("supplied model does not match (f, m, N)")
+    require_member(f, m, t, tol)
+    model = build_model(f, m, N)
     parsed = []
     e = None
     for alpha, beta, c in terms:
@@ -363,12 +357,14 @@ def von_neumann_gap(
     return VonNeumannGap(operator_norm(lhs_sum), operator_norm(rhs_sum))
 
 
+_BISECT_ITERS = 20  # halvings of the bracket around the boundary
+_SAFETY = 0.9  # fraction of the boundary radius a sample is pulled to
+
+
 def _scale_into_domain(
     f: PositiveRegularFunction,
     m: int,
     base: OperatorTuple,
-    bisect_iters: int,
-    safety: float,
     tol: float,
 ) -> OperatorTuple:
     """Bisect the ray through base for the boundary, then pull inside.
@@ -384,13 +380,13 @@ def _scale_into_domain(
         hi *= 2.0
     else:
         raise RuntimeError("could not bracket the domain boundary")
-    for _ in range(bisect_iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if membership(f, m, base.scaled(mid), tol=tol).member:
             lo = mid
         else:
             hi = mid
-    return base.scaled(safety * lo if lo > 0 else safety * hi)
+    return base.scaled(_SAFETY * (lo if lo > 0 else hi))
 
 
 def sample_member(
@@ -398,21 +394,19 @@ def sample_member(
     m: int,
     dim: int,
     rng: np.random.Generator,
-    bisect_iters: int = 20,
-    safety: float = 0.9,
     tol: float = EIGENVALUE_TOL,
 ) -> OperatorTuple:
     """Draw a random tuple and scale it into the order-m domain of f.
 
     A random direction is bisected along its ray to locate the boundary,
-    then pulled inside by the safety factor.
+    then pulled inside to 0.9 of the boundary radius.
     """
     raw = [
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         for _ in range(f.n)
     ]
     base = OperatorTuple(raw)
-    return _scale_into_domain(f, m, base, bisect_iters, safety, tol)
+    return _scale_into_domain(f, m, base, tol)
 
 
 def sample_nilpotent_member(
@@ -420,8 +414,6 @@ def sample_nilpotent_member(
     m: int,
     dim: int,
     rng: np.random.Generator,
-    bisect_iters: int = 20,
-    safety: float = 0.9,
     tol: float = EIGENVALUE_TOL,
 ) -> OperatorTuple:
     """Like `sample_member` but strictly upper triangular (jointly nilpotent).
@@ -436,4 +428,4 @@ def sample_nilpotent_member(
     base = OperatorTuple(raw)
     if all(np.max(np.abs(a)) == 0 for a in base.mats):
         raise ValueError("nilpotent sample degenerated to zero; need dim >= 2")
-    return _scale_into_domain(f, m, base, bisect_iters, safety, tol)
+    return _scale_into_domain(f, m, base, tol)

@@ -28,7 +28,7 @@ import numpy as np
 from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
 from .weights import WeightTable, weights_direct
-from .words import Letters, WordIndex, _as_letters, enumerate_words
+from .words import Letters, WordIndex, _as_letters, enumerate_words, word_products
 
 ColumnMap = tuple[np.ndarray, np.ndarray]  # (target row per column or -1, weight)
 
@@ -60,8 +60,7 @@ class TruncatedModel:
                 t = index.index_of((i,) + w)
                 targets[i - 1, j] = t
                 wvals[i - 1, j] = np.sqrt(b[j] / b[t])
-        self._targets = targets
-        self._wvals = wvals
+        self._shifts: list[ColumnMap] = list(zip(targets, wvals))
         self._maps: dict[Letters, ColumnMap] = {
             (): (np.arange(dim, dtype=np.int64), np.ones(dim))
         }
@@ -81,9 +80,7 @@ class TruncatedModel:
             raise ValueError(f"generator index {i} outside 1..{self.n}")
         mat = self._dense.get(i)
         if mat is None:
-            mat = map_to_dense(
-                (self._targets[i - 1], self._wvals[i - 1]), self.dim
-            )
+            mat = map_to_dense(self._shifts[i - 1], self.dim)
             self._dense[i] = mat
         return mat
 
@@ -95,16 +92,16 @@ class TruncatedModel:
     def monomial_map(self, word) -> ColumnMap:
         """Column map of the product V_w, memoized over suffixes."""
         letters = _as_letters(word, self.n)
-        cached = self._maps.get(letters)
-        if cached is None:
-            t_rest, w_rest = self.monomial_map(letters[1:])
-            t_i = self._targets[letters[0] - 1]
-            w_i = self._wvals[letters[0] - 1]
-            t = np.where(t_rest >= 0, t_i[t_rest], -1)
-            w = np.where(t >= 0, w_rest * w_i[np.clip(t_rest, 0, None)], 0.0)
-            cached = (t, w)
-            self._maps[letters] = cached
-        return cached
+        return word_products([letters], self._shifts, _compose_maps, self._maps)[0]
+
+
+def _compose_maps(left: ColumnMap, right: ColumnMap) -> ColumnMap:
+    """Column map of the product A B from the column maps of A and B."""
+    t_left, w_left = left
+    t_right, w_right = right
+    t = np.where(t_right >= 0, t_left[t_right], -1)
+    w = np.where(t >= 0, w_right * w_left[np.clip(t_right, 0, None)], 0.0)
+    return t, w
 
 
 def map_to_dense(column_map: ColumnMap, dim: int) -> np.ndarray:
@@ -120,7 +117,6 @@ def build_model(
     m: int,
     N: int,
     weight_table: WeightTable | None = None,
-    cap: int | None = None,
 ) -> TruncatedModel:
     """Construct the depth-N model of (f, m).
 
@@ -129,9 +125,9 @@ def build_model(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    index = enumerate_words(f.n, N, cap=cap)
+    index = enumerate_words(f.n, N)
     if weight_table is None:
-        weight_table = weights_direct(f, m, N, cap=cap)
+        weight_table = weights_direct(f, m, N)
     else:
         if weight_table.N < N:
             raise ValueError(

@@ -174,13 +174,12 @@ def nilpotent_image_check(
     l: int,
     p: int,
     tol: float = EIGENVALUE_TOL,
-    samples: int = 5,
     rng: np.random.Generator | None = None,
 ) -> NilpotentImageReport:
     """Check that the map sends nilpotent (f, m)-members into the (g, l) domain.
 
     The depth-p truncated model is itself a nilpotent member and is
-    checked first; ``samples`` random strictly upper triangular members
+    checked first; five random strictly upper triangular members
     of matching nilpotency order follow.  Monomials of degree above p
     vanish on all of these, so the maps are truncated to degree p
     without loss.
@@ -198,7 +197,7 @@ def nilpotent_image_check(
     model_verdict = membership(g, l, model_images, tol=tol)
     rng = np.random.default_rng(0) if rng is None else rng
     sample_verdicts = []
-    for _ in range(samples):
+    for _ in range(5):
         x = sample_nilpotent_member(f, m, p + 1, rng, tol=tol)
         images = [evaluate(s, x.mats) for s in maps]
         sample_verdicts.append(membership(g, l, images, tol=tol))

@@ -214,7 +214,7 @@ def check_weight_oracle_equivalence(
                     direct = weights_direct(f, m, N)
                     oracle = weights_oracle(f, m, N)
                     for word, value in direct.items():
-                        ref = oracle.value(word)
+                        ref = oracle[word]
                         worst = max(worst, abs(value - ref) / abs(ref))
                     cases += 1
     return CheckResult(

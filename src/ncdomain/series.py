@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .words import Letters, Word, _as_letters, word_text
+from .words import Letters, _as_letters, word_products, word_text
 
 
 class ShapeMismatchError(ValueError):
@@ -238,22 +238,12 @@ def compose(outer: FreeSeries, inner: Sequence[FreeSeries]) -> FreeSeries:
             )
     degree = min(phi.degree for phi in inner)
     e_out = e_in * outer.coeff_dim
-    products: dict[Letters, FreeSeries] = {
-        (): FreeSeries.constant(np.eye(e_in), n, degree, e_in)
-    }
-
-    def product_for(word: Letters) -> FreeSeries:
-        cached = products.get(word)
-        if cached is None:
-            cached = multiply(inner[word[0] - 1], product_for(word[1:]))
-            products[word] = cached
-        return cached
-
+    terms = [(beta, c) for beta, c in outer.items() if len(beta) <= degree]
+    unit = {(): FreeSeries.constant(np.eye(e_in), n, degree, e_in)}
+    products = word_products([beta for beta, _ in terms], inner, multiply, unit)
     acc: dict[Letters, np.ndarray] = {}
-    for beta, c in outer.items():
-        if len(beta) > degree:
-            continue
-        for alpha, a in product_for(beta).items():
+    for (_, c), product_series in zip(terms, products):
+        for alpha, a in product_series.items():
             term = np.kron(a, c)
             acc[alpha] = acc[alpha] + term if alpha in acc else term
     return FreeSeries(n, degree, acc, e_out)
@@ -278,17 +268,10 @@ def evaluate(series: FreeSeries, point: Sequence[np.ndarray]) -> np.ndarray:
     d = mats[0].shape[0] if mats else 1
     e = series.coeff_dim
     out = np.zeros((d * e, d * e), dtype=complex)
-    monomials: dict[Letters, np.ndarray] = {(): np.eye(d, dtype=complex)}
-
-    def monomial(word: Letters) -> np.ndarray:
-        cached = monomials.get(word)
-        if cached is None:
-            cached = mats[word[0] - 1] @ monomial(word[1:])
-            monomials[word] = cached
-        return cached
-
-    for w, c in series.items():
-        x_w = monomial(w)
+    items = series.items()
+    unit = {(): np.eye(d, dtype=complex)}
+    monomials = word_products([w for w, _ in items], mats, np.matmul, unit)
+    for (_, c), x_w in zip(items, monomials):
         if e == 1:
             out += complex(c[0, 0]) * x_w
         else:

@@ -23,7 +23,6 @@ and the test suite demands relative agreement to 1e-12.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from .series import FreeSeries, PositiveRegularFunction
 from .words import Letters, WordIndex, _as_letters, enumerate_words
@@ -61,9 +60,6 @@ class WeightTable:
                 f"word of length {len(letters)} outside table bound N={self.N}"
             ) from None
 
-    def value(self, word) -> float:
-        return self[word]
-
     def items(self) -> list[tuple[Letters, float]]:
         return sorted(self._values.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
@@ -78,9 +74,7 @@ class WeightTable:
         return [self._values[w] for w in index.words]
 
 
-def weights_direct(
-    f: PositiveRegularFunction, m: int, N: int, cap: int | None = None
-) -> WeightTable:
+def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     """Weights by direct summation over support-word factorizations.
 
     Splittings are enumerated by peeling support words of f off the
@@ -92,7 +86,7 @@ def weights_direct(
         raise ValueError(f"m must be >= 1, got {m}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    index = enumerate_words(f.n, N, cap=cap)
+    index = enumerate_words(f.n, N)
     support = f.support()
     coeff = dict(f.items())
     # counts[w][j] = sum over splittings of w into j support words of the

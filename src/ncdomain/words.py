@@ -10,13 +10,22 @@ then a basis prefix, and the enumeration is identical across runs.
 Words are stored as tuples of ints.  The digit text form ("12" for
 g_1 g_2, "" for the unit) appears only at file boundaries and supports
 alphabets up to nine generators; programmatic use has no such limit.
+
+Every product over words in the package (operator monomials X_w, the
+column maps of the model shifts V_w, the series products phi_w of a
+composition) goes through one engine, `word_products`: it forms
+P_w = F_{w_0} P_{w[1:]} and stores every suffix product in a memo the
+caller owns.  The recursion is a module-level function rather than a
+nested closure: a closure that calls itself is a reference cycle, which
+would leave every call's memo to the cyclic garbage collector and keep
+large memos (a model's column maps) alive long after the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .defaults import DIM_CAP_ENV, dim_cap
 
@@ -148,12 +157,12 @@ class WordIndex:
 
     __slots__ = ("n", "max_length", "words", "_pos", "_grade_starts")
 
-    def __init__(self, n: int, max_length: int, cap: int | None = None):
+    def __init__(self, n: int, max_length: int):
         if max_length < 0:
             raise ValueError(f"max_length must be >= 0, got {max_length}")
         if n < 1:
             raise ValueError(f"need at least one generator, got n={n}")
-        limit = dim_cap() if cap is None else cap
+        limit = dim_cap()
         dim = word_count(n, max_length)
         if dim > limit:
             raise DimensionCapError(
@@ -204,6 +213,29 @@ class WordIndex:
         return iter(self.words)
 
 
-def enumerate_words(n: int, max_length: int, cap: int | None = None) -> WordIndex:
+def enumerate_words(n: int, max_length: int) -> WordIndex:
     """Build the graded-lex index of all words of length <= max_length."""
-    return WordIndex(n, max_length, cap=cap)
+    return WordIndex(n, max_length)
+
+
+def word_products(
+    words: Iterable[Letters],
+    factors: Sequence,
+    mul: Callable,
+    memo: dict,
+) -> list:
+    """P_w = mul(factors[w_0 - 1], P_{w[1:]}) for each word, in order.
+
+    ``memo`` must hold the unit's product under the empty word; every
+    suffix product computed on the way is stored in it, so callers that
+    keep the memo reuse it across calls.
+    """
+    return [_suffix_product(w, factors, mul, memo) for w in words]
+
+
+def _suffix_product(word: Letters, factors, mul, memo: dict):
+    out = memo.get(word)
+    if out is None:
+        out = mul(factors[word[0] - 1], _suffix_product(word[1:], factors, mul, memo))
+        memo[word] = out
+    return out

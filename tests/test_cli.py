@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncdomain.cli import main, parse_config
+from ncdomain.io import FormatError
 
 
 def write_config(tmp_path, name="config.json", n=1, m=2, depth=5, coeffs=None,
@@ -72,6 +73,33 @@ def test_parse_config_reads_overrides(tmp_path):
     assert cfg.seed == 3
     assert cfg.tolerances["eigenvalue"] == 1e-7
     assert cfg.tolerances["oracle"] == 1e-12
+
+
+@pytest.mark.parametrize("extra", [
+    {"seed": 3.7},
+    {"seed": True},
+    {"seed": "3"},
+    {"seed": -1},
+    {"tolerances": {"entrywise": True}},
+    {"tolerances": {"eigenvalue": float("inf")}},
+    {"tolerances": {"eigenvalue": float("nan")}},
+    {"tolerances": {"eigenvalue": "1e-9"}},
+    {"tolerances": {"eigenvalue": 0}},
+    {"tolerances": {"eigenvalue": -1e-9}},
+    {"tolerances": {"eigenvalue": 10**400}},
+    {"tolerances": [1e-9]},
+], ids=["seed-float", "seed-bool", "seed-string", "seed-negative",
+        "tol-bool", "tol-infinity", "tol-nan", "tol-string", "tol-zero",
+        "tol-negative", "tol-beyond-float", "tol-not-object"])
+def test_parse_config_rejects_bad_seed_and_tolerances(tmp_path, capsys, extra):
+    # the 2-ball non-member would exit 0 (member) or 1 if the value were coerced
+    path = write_config(tmp_path, n=2, m=1, depth=3,
+                        coeffs={"1": 1.0, "2": 1.0}, extra=extra)
+    with pytest.raises(FormatError):
+        parse_config(path)
+    point = write_tuple(tmp_path, [[[0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    assert main(["member", "--config", str(path), "--tuple", str(point)]) == 2
+    capsys.readouterr()
 
 
 def test_parse_config_symbol_file_reference(tmp_path):

@@ -25,17 +25,17 @@ def test_single_variable_order_two_weights():
     f = unit_ball_symbol(1)
     table = weights_direct(f, 2, 5)
     for k in range(6):
-        assert table.value((1,) * k) == pytest.approx(float(k + 1), abs=1e-14)
+        assert table[(1,) * k] == pytest.approx(float(k + 1), abs=1e-14)
 
 
 def test_omega_symbol_weight():
     # f = Z1 + Z2 + Z1 Z2, m = 1: the word 12 factors twice
     w = PositiveRegularFunction(2, {"1": 1.0, "2": 1.0, "12": 1.0})
     table = weights_direct(w, 1, 2)
-    assert table.value("12") == pytest.approx(2.0)
-    assert table.value("21") == pytest.approx(1.0)
-    assert table.value("1") == pytest.approx(1.0)
-    assert table.value("") == pytest.approx(1.0)
+    assert table["12"] == pytest.approx(2.0)
+    assert table["21"] == pytest.approx(1.0)
+    assert table["1"] == pytest.approx(1.0)
+    assert table[""] == pytest.approx(1.0)
 
 
 def test_weights_strictly_positive():
@@ -52,7 +52,7 @@ def test_weight_chain_inequality():
         if len(word) == 4:
             continue
         for i in (1, 2):
-            assert table.value((i,) + word) >= f.coefficient((i,)) * b - 1e-14
+            assert table[(i,) + word] >= f.coefficient((i,)) * b - 1e-14
 
 
 def test_direct_matches_oracle():
@@ -61,7 +61,7 @@ def test_direct_matches_oracle():
         direct = weights_direct(f, m, 4)
         oracle = weights_oracle(f, m, 4)
         for word, value in direct.items():
-            assert value == pytest.approx(oracle.value(word), rel=1e-13)
+            assert value == pytest.approx(oracle[word], rel=1e-13)
 
 
 def test_weights_do_not_depend_on_truncation():
@@ -69,7 +69,7 @@ def test_weights_do_not_depend_on_truncation():
     shallow = weights_direct(f, 2, 3)
     deep = weights_direct(f, 2, 6)
     for word, value in shallow.items():
-        assert deep.value(word) == value
+        assert deep[word] == value
 
 
 def test_weights_grow_with_order():
@@ -79,9 +79,9 @@ def test_weights_grow_with_order():
     two = weights_direct(f, 2, 3)
     for word, value in one.items():
         if len(word) == 0:
-            assert two.value(word) == value
+            assert two[word] == value
         else:
-            assert two.value(word) > value
+            assert two[word] > value
 
 
 def test_aligned_values_follow_index_order():
@@ -90,14 +90,14 @@ def test_aligned_values_follow_index_order():
     index = enumerate_words(2, 2)
     aligned = table.aligned_values(index)
     assert len(aligned) == index.dim
-    assert aligned[0] == table.value("")
-    assert aligned[index.index_of("12")] == table.value("12")
+    assert aligned[0] == table[""]
+    assert aligned[index.index_of("12")] == table["12"]
 
 
 def test_getitem_accepts_strings():
     f = unit_ball_symbol(1)
     table = weights_direct(f, 2, 3)
-    assert table["11"] == table.value((1, 1))
+    assert table["11"] == table[(1, 1)]
     with pytest.raises(KeyError):
         _ = table["1111"]
 
@@ -106,4 +106,4 @@ def test_unknown_interior_weight_raises():
     f = unit_ball_symbol(2)
     table = weights_direct(f, 1, 2)
     with pytest.raises(KeyError):
-        table.value("121")
+        _ = table["121"]

@@ -1,8 +1,27 @@
-"""Word arithmetic and the graded-lexicographic index."""
+"""Word arithmetic, the graded-lexicographic index, and word products."""
 
+import gc
+from functools import reduce
+from itertools import product
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ncdomain import (
+    FreeSeries,
+    PositiveRegularFunction,
+    berezin_transform_kernel,
+    berezin_transform_resolvent,
+    build_model,
+    compose,
+    evaluate,
+    membership,
+    model_defect,
+    monomial_product,
+    sample_member,
+)
+from ncdomain.fock_model import grade_row_diagonal
 from ncdomain.words import (
     DimensionCapError,
     Word,
@@ -13,6 +32,7 @@ from ncdomain.words import (
     parse_word,
     reverse,
     word_count,
+    word_products,
     word_text,
 )
 
@@ -107,9 +127,10 @@ def test_index_prefix_property():
     assert large.words[: small.dim] == small.words
 
 
-def test_dimension_cap_enforced():
+def test_dimension_cap_enforced(monkeypatch):
+    monkeypatch.setenv("NCDOMAIN_DIM_CAP", "100")
     with pytest.raises(DimensionCapError):
-        enumerate_words(2, 10, cap=100)
+        enumerate_words(2, 10)
     # the error is a ValueError, so callers can catch broadly
     assert issubclass(DimensionCapError, ValueError)
 
@@ -120,3 +141,73 @@ def test_index_of_word_of_inverse(n, letters):
     index = enumerate_words(n, 5)
     i = index.index_of(letters)
     assert index.letters_of(i) == letters
+
+
+def test_word_products_memoize_every_suffix():
+    memo = {(): 1}
+    products = word_products([(1, 2, 1), (2, 1)], [2, 3], lambda a, b: a * b, memo)
+    assert products == [12, 6]
+    assert set(memo) == {(), (1,), (2, 1), (1, 2, 1)}
+
+
+def test_word_products_leave_no_cycles():
+    # a self-calling closure per call would leave its memo to the cyclic GC
+    f = PositiveRegularFunction(2, {(1,): 0.5, (2,): 0.5, (1, 2): 0.25})
+    x = sample_member(f, 2, 3, np.random.default_rng(0))
+    outer = FreeSeries(2, 3, {(1,): 1.0, (1, 2): 0.5, (2, 2, 1): 0.3})
+    inner = [FreeSeries(2, 3, {(1,): 1.0, (2, 1): 0.2}),
+             FreeSeries(2, 3, {(2,): 1.0, (1, 1): 0.1})]
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(outer, x.mats)
+        compose(outer, inner)
+        membership(f, 2, x)
+        model = build_model(f, 2, 4)
+        model_defect(model)
+        grade_row_diagonal(model, 3)
+        g = np.eye(model.dim)
+        berezin_transform_kernel(f, 2, x, g, 4)
+        berezin_transform_resolvent(f, 2, x, g, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_monomial_product_is_left_to_right_product(n, d, letters, seed):
+    word = tuple(min(i, n) for i in letters)
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((d, d)) for _ in range(n)]
+    naive = reduce(np.matmul, [mats[i - 1] for i in word], np.eye(d))
+    assert np.allclose(monomial_product(mats, word), naive, rtol=1e-12, atol=1e-12)
+
+
+def _random_series(rng, n, degree, constant):
+    coeffs = {}
+    for k in range(0 if constant else 1, degree + 1):
+        for w in product(range(1, n + 1), repeat=k):
+            if rng.random() < 0.6:
+                coeffs[w] = rng.uniform(-1.0, 1.0)
+    return FreeSeries(n, degree, coeffs)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_compose_commutes_with_evaluate(n, degree, seed):
+    # strictly upper triangular d x d points with d <= degree + 1 kill every
+    # word longer than the truncation, so both sides are the same finite sum
+    rng = np.random.default_rng(seed)
+    outer = _random_series(rng, n, degree, constant=True)
+    inner = [_random_series(rng, n, degree, constant=False) for _ in range(n)]
+    d = degree + 1
+    x = [np.triu(rng.uniform(-1.0, 1.0, (d, d)), k=1) for _ in range(n)]
+    lhs = evaluate(compose(outer, inner), x)
+    rhs = evaluate(outer, [evaluate(phi, x) for phi in inner])
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10
