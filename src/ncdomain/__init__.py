@@ -54,7 +54,7 @@ from .series import (
     unit_ball_symbol,
 )
 from .weights import WeightTable, binomial_constant, weights_direct, weights_oracle
-from .words import Word, WordIndex, enumerate_words, parse_word
+from .words import WordIndex, enumerate_words, parse_word
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "PositiveRegularFunction",
     "TruncatedModel",
     "WeightTable",
-    "Word",
     "WordIndex",
     "agler_consistency",
     "apply_phi",

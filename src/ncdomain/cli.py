@@ -1,18 +1,24 @@
 """Command line entry point.
 
-Subcommands wrap the library operations one to one: ``weights`` prints
-the weight table with its oracle cross-check, ``model`` builds and
-audits a truncated model, ``member`` decides domain membership of an
-operator tuple, ``norm`` evaluates Hardy norms on a radial grid,
-``compose`` composes free series, ``berezin`` evaluates the transform
-in one or both forms, ``biholo`` and ``probe-cartan`` run the rigidity
-certificates, and ``selftest`` runs the verification suite.
+Subcommands wrap the library operations one to one; `COMMANDS` lists
+them with one description each, which both the top-level usage and
+the subcommand's ``--help`` print.
+
+Every subcommand runs through one skeleton, `_run`, driven by its row
+in `COMMANDS`: it builds the parser from the common flags and the
+command's own (each command registers only the flags it reads), loads
+the config with the ``--depth``/``--seed`` overrides, resolves the
+tolerance, and hands ``(ns, cfg, tol, report)`` to the handler.  Input
+values pass one gate whether they come from a config file or a flag:
+`_check_depth` (>= 1, basis under the cap), `_check_seed` (>= 0) and
+`_check_tolerance` (finite and > 0).
 
 Reports are deterministic: the same invocation with the same seed
 produces a byte-identical body (wall time lives outside it).  Every
 judged numeric carries the tolerance it was judged against.  Exit
 codes: 0 on success (for verdict commands: verdict holds), 1 when a
-check or verdict fails, 2 on computation errors, 64 on usage errors.
+check or verdict fails, 2 on computation errors and rejected input
+values, 64 on usage errors.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -53,13 +60,14 @@ from .io import (
     load_symbol,
     load_tuple,
     save_series,
+    series_payload,
     symbol_from_mapping,
 )
 from .rigidity import cartan_iteration_probe, check_linear_biholomorphism
 from .selftest import run_selftest
-from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
+from .series import PositiveRegularFunction, compose, evaluate
 from .weights import binomial_constant, weights_direct, weights_oracle
-from .words import parse_word, word_count
+from .words import parse_word, word_count, word_text
 
 TOLERANCE_DEFAULTS = {
     "eigenvalue": EIGENVALUE_TOL,
@@ -67,25 +75,6 @@ TOLERANCE_DEFAULTS = {
     "form_agreement": FORM_AGREEMENT_TOL,
     "entrywise": ENTRYWISE_TOL,
 }
-
-_USAGE = """\
-usage: ncdomain <subcommand> [options]
-
-subcommands:
-  weights       weight table of a domain, with independent cross-check
-  model         build a truncated model and audit its defect and bounds
-  member        decide membership of an operator tuple (exit 0/1)
-  norm          Hardy norms of a series over a radial grid
-  compose       compose free series and verify by evaluation
-  berezin       Berezin transform at a tuple, kernel and resolvent forms
-  biholo        certify a linear map between two domains (exit 0/1)
-  probe-cartan  iterate a tangent-to-identity map and watch for drift
-  selftest      run the verification suite (--profile full|fast)
-
-common options: --config FILE, --depth/-N INT, --tol FLOAT, --seed INT,
-                --out FILE, --format {text,json}
-run `ncdomain <subcommand> --help` for details.
-"""
 
 
 @dataclass(frozen=True)
@@ -98,6 +87,27 @@ class DomainConfig:
     symbol: PositiveRegularFunction
     tolerances: dict
     seed: int
+
+
+def _check_depth(n: int, depth: int, where: str) -> int:
+    if depth < 1:
+        raise FormatError(f"{where} must be >= 1, got {depth}")
+    dim = word_count(n, depth)
+    if dim > dim_cap():
+        raise FormatError(f"{where}={depth}: dimension {dim} exceeds the cap {dim_cap()}")
+    return depth
+
+
+def _check_seed(seed: int, where: str) -> int:
+    if seed < 0:
+        raise FormatError(f"{where} must be nonnegative, got {seed}")
+    return seed
+
+
+def _check_tolerance(value, where: str) -> float:
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise FormatError(f"{where} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def parse_config(path) -> DomainConfig:
@@ -119,13 +129,7 @@ def parse_config(path) -> DomainConfig:
         raise FormatError(f"{path}: n must be >= 1, got {n}")
     if m < 1:
         raise FormatError(f"{path}: m must be >= 1, got {m}")
-    if depth < 1:
-        raise FormatError(f"{path}: N must be >= 1, got {depth}")
-    dim = word_count(n, depth)
-    if dim > dim_cap():
-        raise FormatError(
-            f"{path}: truncation dimension {dim} exceeds the cap {dim_cap()}"
-        )
+    _check_depth(n, depth, f"{path}: N")
     raw = data.get("symbol")
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: missing or malformed field 'symbol'")
@@ -145,31 +149,9 @@ def parse_config(path) -> DomainConfig:
                 f"{path}: unknown tolerance {name!r}; "
                 f"known: {sorted(TOLERANCE_DEFAULTS)}"
             )
-        if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
-            raise FormatError(f"{path}: tolerance {name!r} must be finite and > 0")
-        tolerances[name] = float(value)
+        tolerances[name] = _check_tolerance(value, f"{path}: tolerance {name!r}")
     seed = _require_int(data, "seed", path) if "seed" in data else 0
-    if seed < 0:
-        raise FormatError(f"{path}: seed must be nonnegative, got {seed}")
-    return DomainConfig(n, m, depth, f, tolerances, seed)
-
-
-def _load_config(ns) -> DomainConfig:
-    cfg = parse_config(ns.config)
-    if getattr(ns, "depth", None) is not None:
-        if ns.depth < 1:
-            raise ValueError(f"--depth must be >= 1, got {ns.depth}")
-        dim = word_count(cfg.n, ns.depth)
-        if dim > dim_cap():
-            raise ValueError(
-                f"truncation dimension {dim} exceeds the cap {dim_cap()}"
-            )
-        cfg = replace(cfg, depth=ns.depth)
-    if ns.seed is not None:
-        if ns.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {ns.seed}")
-        cfg = replace(cfg, seed=ns.seed)
-    return cfg
+    return DomainConfig(n, m, depth, f, tolerances, _check_seed(seed, f"{path}: seed"))
 
 
 def _jsonable(x):
@@ -286,32 +268,6 @@ def _emit(body: dict, wall: float, fmt: str, out: str | None) -> None:
         _write_output("\n".join(lines) + "\n", out)
 
 
-def _finish(report: Report, ns, start: float, exit_code: int | None = None) -> int:
-    wall = time.perf_counter() - start
-    _emit(report.body(), wall, ns.format, ns.out)
-    if exit_code is not None:
-        return exit_code
-    return 0 if report.all_passed else 1
-
-
-def _parser(name: str, description: str, config: bool = True):
-    p = argparse.ArgumentParser(prog=f"ncdomain {name}", description=description)
-    if config:
-        p.add_argument("--config", required=True, help="domain config file (JSON)")
-        p.add_argument(
-            "-N", "--depth", type=int, default=None,
-            help="override the truncation depth from the config",
-        )
-    p.add_argument(
-        "--tol", type=float, default=None,
-        help="override the tolerance for this command's checks",
-    )
-    p.add_argument("--seed", type=int, default=None, help="override the random seed")
-    p.add_argument("--out", default=None, help="write the report to this file")
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    return p
 
 
 def _config_inputs(cfg: DomainConfig) -> dict:
@@ -319,44 +275,30 @@ def _config_inputs(cfg: DomainConfig) -> dict:
         "n": cfg.n,
         "m": cfg.m,
         "N": cfg.depth,
-        "symbol": {
-            "".join(map(str, w)): v for w, v in cfg.symbol.items()
-        },
+        "symbol": {word_text(w): v for w, v in cfg.symbol.items()},
         "tolerances": cfg.tolerances,
         "seed": cfg.seed,
     }
 
 
-def _cmd_weights(rest) -> int:
-    p = _parser("weights", "Weight table of the domain with oracle cross-check.")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    cfg = _load_config(ns)
-    tol = ns.tol if ns.tol is not None else cfg.tolerances["oracle"]
+def _cmd_weights(ns, cfg: DomainConfig, tol: float, report: Report):
     direct = weights_direct(cfg.symbol, cfg.m, cfg.depth)
     oracle = weights_oracle(cfg.symbol, cfg.m, cfg.depth)
     table = {}
     rel = 0.0
     for word, value in direct.items():
-        table["".join(map(str, word))] = value
+        table[word_text(word)] = value
         ref = oracle[word]
         rel = max(rel, abs(value - ref) / abs(ref))
-    report = Report("weights", _config_inputs(cfg), cfg.seed)
     report.results["dim"] = len(direct)
     report.results["table"] = table
     report.add_check(
         "oracle_agreement", rel, tol, rel <= tol,
         "largest relative difference against the series oracle",
     )
-    return _finish(report, ns, start)
 
 
-def _cmd_model(rest) -> int:
-    p = _parser("model", "Build a truncated model and audit defect and norm bounds.")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    cfg = _load_config(ns)
-    tol = ns.tol if ns.tol is not None else cfg.tolerances["entrywise"]
+def _cmd_model(ns, cfg: DomainConfig, tol: float, report: Report):
     model = build_model(cfg.symbol, cfg.m, cfg.depth)
     defect = defect_diagonal(model)
     vacuum = np.zeros(model.dim)
@@ -367,7 +309,6 @@ def _cmd_model(rest) -> int:
     for k in range(1, cfg.depth + 1):
         top = float(np.max(grade_row_diagonal(model, k)))
         grade_excess = max(grade_excess, top - binomial_constant(k, cfg.m))
-    report = Report("model", _config_inputs(cfg), cfg.seed)
     report.results["dim"] = model.dim
     report.results["defect_rank"] = int(np.count_nonzero(np.abs(defect) > 1e-8))
     report.add_check(
@@ -382,22 +323,12 @@ def _cmd_model(rest) -> int:
         "grade_bounds", grade_excess, tol, grade_excess <= tol,
         "largest excess of a grade row sum over its binomial bound",
     )
-    return _finish(report, ns, start)
 
 
-def _cmd_member(rest) -> int:
-    p = _parser("member", "Decide membership of an operator tuple in the domain.")
-    p.add_argument("--tuple", required=True, dest="tuple_path",
-                   help="operator tuple file")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    cfg = _load_config(ns)
-    tol = ns.tol if ns.tol is not None else cfg.tolerances["eigenvalue"]
+def _cmd_member(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
     mats = load_tuple(ns.tuple_path)
     verdict = membership(cfg.symbol, cfg.m, mats, tol=tol)
-    inputs = _config_inputs(cfg)
-    inputs["tuple"] = mats
-    report = Report("member", inputs, cfg.seed)
+    report.inputs["tuple"] = mats
     report.results["member"] = verdict.member
     report.results["row_norm"] = verdict.row_norm
     report.results["row_norm_bound"] = verdict.row_norm_bound
@@ -410,27 +341,15 @@ def _cmd_member(rest) -> int:
         "row_bound", verdict.row_norm - verdict.row_norm_bound, tol,
         verdict.bound_ok, "excess of the row norm over 1 / min_i a_i",
     )
-    return _finish(report, ns, start, exit_code=0 if verdict.member else 1)
+    return 0 if verdict.member else 1
 
 
-def _cmd_norm(rest) -> int:
-    p = _parser("norm", "Hardy norms of a series at the scaled model.")
-    p.add_argument("--series", required=True, help="free series file")
-    p.add_argument(
-        "--radii", default="0.0,0.3,0.6,0.9",
-        help="comma-separated nondecreasing radii in [0, 1)",
-    )
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    cfg = _load_config(ns)
-    tol = ns.tol if ns.tol is not None else cfg.tolerances["entrywise"]
+def _cmd_norm(ns, cfg: DomainConfig, tol: float, report: Report):
     series = load_series(ns.series)
     grid = [float(s) for s in ns.radii.split(",")]
     norms = hardy_norm_estimate(series, cfg.symbol, cfg.m, cfg.depth, grid)
-    inputs = _config_inputs(cfg)
-    inputs["series"] = {"".join(map(str, w)): c for w, c in series.items()}
-    inputs["radii"] = grid
-    report = Report("norm", inputs, cfg.seed)
+    report.inputs["series"] = {word_text(w): c for w, c in series.items()}
+    report.inputs["radii"] = grid
     report.results["radii"] = grid
     report.results["norms"] = norms
     worst = max(
@@ -440,36 +359,9 @@ def _cmd_norm(rest) -> int:
         "monotone_in_r", worst, tol, worst <= tol,
         "largest decrease between consecutive radii",
     )
-    return _finish(report, ns, start)
 
 
-def _series_inputs(series: FreeSeries) -> dict:
-    # mirror the series file format, so reports embed reusable payloads
-    coeffs = {}
-    for word, mat in series.items():
-        key = "".join(map(str, word))
-        coeffs[key] = mat[0, 0] if series.coeff_dim == 1 else mat
-    return {
-        "n": series.n,
-        "degree": series.degree,
-        "coeff_dim": series.coeff_dim,
-        "coeffs": coeffs,
-    }
-
-
-def _cmd_compose(rest) -> int:
-    p = _parser("compose", "Compose free series and verify by evaluation.",
-                config=False)
-    p.add_argument("--outer", required=True, help="outer series file")
-    p.add_argument("--inner", required=True, nargs="+",
-                   help="inner series files, one per outer generator")
-    p.add_argument("--save", default=None, help="write the composition here")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    tol = ns.tol if ns.tol is not None else ENTRYWISE_TOL
-    seed = ns.seed if ns.seed is not None else 0
-    if seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {seed}")
+def _cmd_compose(ns, cfg: None, tol: float, report: Report):
     outer = load_series(ns.outer)
     inner = [load_series(path) for path in ns.inner]
     composed = compose(outer, inner)
@@ -479,7 +371,7 @@ def _cmd_compose(rest) -> int:
     # then composition must commute with evaluation at a random tuple
     full_degree = max(1, outer.degree * max((s.degree for s in inner), default=1))
     exact = compose(outer, [s.truncated(full_degree) for s in inner])
-    rng = np.random.default_rng([seed, 97])
+    rng = np.random.default_rng([report.seed, 97])
     d = 2
     n = exact.n
     x = [
@@ -490,34 +382,17 @@ def _cmd_compose(rest) -> int:
     rhs = evaluate(outer, [evaluate(s, x) for s in inner])
     scale = max(1.0, float(np.max(np.abs(rhs))))
     rel = float(np.max(np.abs(lhs - rhs))) / scale
-    inputs = {
-        "outer": _series_inputs(outer),
-        "inner": [_series_inputs(s) for s in inner],
-        "seed": seed,
-    }
-    report = Report("compose", inputs, seed)
-    report.results["series"] = _series_inputs(composed)
+    # the report embeds the series file payloads, so they can be reused
+    report.inputs["outer"] = series_payload(outer)
+    report.inputs["inner"] = [series_payload(s) for s in inner]
+    report.results["series"] = series_payload(composed)
     report.add_check(
         "nested_evaluation", rel, tol, rel <= tol,
         "relative gap to nested evaluation at a random tuple",
     )
-    return _finish(report, ns, start)
 
 
-def _cmd_berezin(rest) -> int:
-    p = _parser("berezin", "Berezin transform of an observable at a tuple.")
-    p.add_argument("--tuple", required=True, dest="tuple_path",
-                   help="operator tuple file")
-    p.add_argument("--g", default=None,
-                   help="observable matrix file (defaults to V_alpha V_beta^*)")
-    p.add_argument("--alpha", default="", help="left word for the observable")
-    p.add_argument("--beta", default="", help="right word for the observable")
-    p.add_argument("--form", choices=("kernel", "resolvent", "both"),
-                   default="both")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    cfg = _load_config(ns)
-    tol = ns.tol if ns.tol is not None else cfg.tolerances["form_agreement"]
+def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
     eig_tol = cfg.tolerances["eigenvalue"]
     mats = load_tuple(ns.tuple_path)
     model = build_model(cfg.symbol, cfg.m, cfg.depth)
@@ -529,11 +404,9 @@ def _cmd_berezin(rest) -> int:
         beta = parse_word(ns.beta, cfg.n)
         g = model_monomial(model, alpha) @ model_monomial(model, beta).conj().T
         g_label = f"V_{ns.alpha or 'unit'} V_{ns.beta or 'unit'}^*"
-    inputs = _config_inputs(cfg)
-    inputs["tuple"] = mats
-    inputs["g"] = g
-    inputs["form"] = ns.form
-    report = Report("berezin", inputs, cfg.seed)
+    report.inputs["tuple"] = mats
+    report.inputs["g"] = g
+    report.inputs["form"] = ns.form
     report.results["observable"] = g_label
     kv = rv = None
     if ns.form in ("kernel", "both"):
@@ -555,28 +428,16 @@ def _cmd_berezin(rest) -> int:
             "form_agreement", gap, tol, gap <= tol,
             "entrywise gap between the kernel and resolvent forms",
         )
-    return _finish(report, ns, start)
 
 
-def _cmd_biholo(rest) -> int:
-    p = _parser("biholo", "Certify a linear map between two domains.")
-    p.add_argument("--target-config", required=True, dest="target_config",
-                   help="config of the codomain")
-    p.add_argument("--map", required=True, dest="map_path",
-                   help="matrix file for the candidate U")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    cfg = _load_config(ns)
+def _cmd_biholo(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
     target = parse_config(ns.target_config)
-    tol = ns.tol if ns.tol is not None else cfg.tolerances["eigenvalue"]
     u = load_matrix(ns.map_path)
     cert = check_linear_biholomorphism(
         cfg.symbol, cfg.m, target.symbol, target.m, u, cfg.depth, tol=tol
     )
-    inputs = _config_inputs(cfg)
-    inputs["target"] = _config_inputs(target)
-    inputs["map"] = u
-    report = Report("biholo", inputs, cfg.seed)
+    report.inputs["target"] = _config_inputs(target)
+    report.inputs["map"] = u
     report.results["forward_member"] = cert.forward_member
     report.results["backward_member"] = cert.backward_member
     fwd = min(cert.forward_eigenvalues)
@@ -589,22 +450,10 @@ def _cmd_biholo(rest) -> int:
         "backward", bwd, tol, cert.backward_member,
         "min defect eigenvalue of the inverse image in the domain",
     )
-    return _finish(report, ns, start, exit_code=0 if cert.passed else 1)
+    return 0 if cert.passed else 1
 
 
-def _cmd_probe_cartan(rest) -> int:
-    p = _parser("probe-cartan",
-                "Iterate a tangent-to-identity map and watch for drift.")
-    p.add_argument("--maps", required=True, nargs="+",
-                   help="series files, one component per generator")
-    p.add_argument("--order", type=int, default=None,
-                   help="jet truncation degree (default: largest map degree)")
-    p.add_argument("--iterations", type=int, default=10_000,
-                   help="iteration budget")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    cfg = _load_config(ns)
-    tol = ns.tol if ns.tol is not None else cfg.tolerances["eigenvalue"]
+def _cmd_probe_cartan(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
     maps = [load_series(path) for path in ns.maps]
     order = ns.order
     if order is None:
@@ -612,17 +461,13 @@ def _cmd_probe_cartan(rest) -> int:
     result = cartan_iteration_probe(
         maps, cfg.symbol, cfg.m, order, n_iter=ns.iterations, tol=tol
     )
-    inputs = _config_inputs(cfg)
-    inputs["maps"] = [_series_inputs(s) for s in maps]
-    inputs["order"] = order
-    inputs["iterations"] = ns.iterations
-    report = Report("probe-cartan", inputs, cfg.seed)
+    report.inputs["maps"] = [series_payload(s) for s in maps]
+    report.inputs["order"] = order
+    report.inputs["iterations"] = ns.iterations
     report.results["status"] = result.status
     report.results["first_violation"] = result.first_violation
     report.results["witness_word"] = (
-        "".join(map(str, result.witness_word))
-        if result.witness_word is not None
-        else None
+        word_text(result.witness_word) if result.witness_word is not None else None
     )
     report.results["iterations_run"] = result.iterations_run
     report.add_check(
@@ -630,36 +475,155 @@ def _cmd_probe_cartan(rest) -> int:
         result.status != "violation",
         "drift of the witness vector minus the row bound (negative is safe)",
     )
-    exit_code = 1 if result.status == "violation" else 0
-    return _finish(report, ns, start, exit_code=exit_code)
+    return 1 if result.status == "violation" else 0
 
 
-def _cmd_selftest(rest) -> int:
-    p = _parser("selftest", "Run the verification suite.", config=False)
-    p.add_argument("--profile", choices=("full", "fast"), default="full")
-    ns = p.parse_args(rest)
-    start = time.perf_counter()
-    seed = ns.seed if ns.seed is not None else 0
-    outcome = run_selftest(ns.profile, seed)
-    report = Report("selftest", {"profile": ns.profile, "seed": seed}, seed)
+def _cmd_selftest(ns, cfg: None, tol: None, report: Report):
+    outcome = run_selftest(ns.profile, report.seed)
+    report.inputs["profile"] = ns.profile
     report.results["profile"] = outcome.profile
     report.results["passed"] = outcome.passed
     for c in outcome.checks:
         report.add_check(c.name, c.value, c.tol, c.passed, c.detail)
-    return _finish(report, ns, start, exit_code=0 if outcome.passed else 1)
 
 
-_HANDLERS = {
-    "weights": _cmd_weights,
-    "model": _cmd_model,
-    "member": _cmd_member,
-    "norm": _cmd_norm,
-    "compose": _cmd_compose,
-    "berezin": _cmd_berezin,
-    "biholo": _cmd_biholo,
-    "probe-cartan": _cmd_probe_cartan,
-    "selftest": _cmd_selftest,
+def _flag(*names: str, **options) -> tuple:
+    return names, options
+
+
+_TUPLE = _flag("--tuple", required=True, dest="tuple_path", help="operator tuple file")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's handler, the tolerance that ``--tol`` overrides (None:
+    no ``--tol``), its description, whether it reads a domain config, and
+    its own flags."""
+
+    handler: Callable
+    tolerance: str | None
+    description: str
+    config: bool = True
+    flags: tuple = ()
+
+
+COMMANDS = {
+    "weights": Command(_cmd_weights, "oracle",
+                       "weight table of a domain, with independent cross-check"),
+    "model": Command(_cmd_model, "entrywise",
+                     "build a truncated model and audit its defect and bounds"),
+    "member": Command(_cmd_member, "eigenvalue",
+                      "decide membership of an operator tuple (exit 0/1)",
+                      flags=(_TUPLE,)),
+    "norm": Command(
+        _cmd_norm, "entrywise", "Hardy norms of a series over a radial grid",
+        flags=(
+            _flag("--series", required=True, help="free series file"),
+            _flag("--radii", default="0.0,0.3,0.6,0.9",
+                  help="comma-separated nondecreasing radii in [0, 1)"),
+        ),
+    ),
+    "compose": Command(
+        _cmd_compose, "entrywise", "compose free series and verify by evaluation",
+        config=False,
+        flags=(
+            _flag("--outer", required=True, help="outer series file"),
+            _flag("--inner", required=True, nargs="+",
+                  help="inner series files, one per outer generator"),
+            _flag("--save", default=None, help="write the composition here"),
+        ),
+    ),
+    "berezin": Command(
+        _cmd_berezin, "form_agreement",
+        "Berezin transform at a tuple, kernel and resolvent forms",
+        flags=(
+            _TUPLE,
+            _flag("--g", default=None,
+                  help="observable matrix file (defaults to V_alpha V_beta^*)"),
+            _flag("--alpha", default="", help="left word for the observable"),
+            _flag("--beta", default="", help="right word for the observable"),
+            _flag("--form", choices=("kernel", "resolvent", "both"), default="both"),
+        ),
+    ),
+    "biholo": Command(
+        _cmd_biholo, "eigenvalue", "certify a linear map between two domains (exit 0/1)",
+        flags=(
+            _flag("--target-config", required=True, dest="target_config",
+                  help="config of the codomain"),
+            _flag("--map", required=True, dest="map_path",
+                  help="matrix file for the candidate U"),
+        ),
+    ),
+    "probe-cartan": Command(
+        _cmd_probe_cartan, "eigenvalue",
+        "iterate a tangent-to-identity map and watch for drift",
+        flags=(
+            _flag("--maps", required=True, nargs="+",
+                  help="series files, one component per generator"),
+            _flag("--order", type=int, default=None,
+                  help="jet truncation degree (default: largest map degree)"),
+            _flag("--iterations", type=int, default=10_000, help="iteration budget"),
+        ),
+    ),
+    "selftest": Command(
+        _cmd_selftest, None, "run the verification suite (--profile full|fast)",
+        config=False,
+        flags=(_flag("--profile", choices=("full", "fast"), default="full"),),
+    ),
 }
+
+_USAGE = "\n".join(
+    ["usage: ncdomain <subcommand> [options]", "", "subcommands:"]
+    + [f"  {name:<14}{cmd.description}" for name, cmd in COMMANDS.items()]
+) + """
+
+common options: --config FILE, --depth/-N INT (not compose, selftest),
+  --tol FLOAT (finite, > 0; not selftest), --seed INT, --out FILE,
+  --format {text,json}
+run `ncdomain <subcommand> --help` for details.
+"""
+
+
+def _run(name: str, command: Command, argv) -> int:
+    """Parse, gate and load the inputs, run the handler, emit the report."""
+    p = argparse.ArgumentParser(prog=f"ncdomain {name}", description=command.description)
+    if command.config:
+        p.add_argument("--config", required=True, help="domain config file (JSON)")
+        p.add_argument("-N", "--depth", type=int, default=None,
+                       help="override the truncation depth from the config")
+    if command.tolerance is not None:
+        p.add_argument("--tol", type=float, default=None,
+                       help="override the tolerance for this command's checks")
+    p.add_argument("--seed", type=int, default=None, help="override the random seed")
+    p.add_argument("--out", default=None, help="write the report to this file")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="report format")
+    for names, options in command.flags:
+        p.add_argument(*names, **options)
+    ns = p.parse_args(argv)
+    start = time.perf_counter()
+    seed = 0 if ns.seed is None else _check_seed(ns.seed, "--seed")
+    cfg = None
+    tolerances = TOLERANCE_DEFAULTS
+    if command.config:
+        cfg = parse_config(ns.config)
+        if ns.depth is not None:
+            cfg = replace(cfg, depth=_check_depth(cfg.n, ns.depth, "--depth"))
+        if ns.seed is not None:
+            cfg = replace(cfg, seed=seed)
+        seed, tolerances = cfg.seed, cfg.tolerances
+    tol = None
+    if command.tolerance is not None:
+        tol = tolerances[command.tolerance]
+        if ns.tol is not None:
+            tol = _check_tolerance(ns.tol, "--tol")
+    inputs = _config_inputs(cfg) if cfg is not None else {"seed": seed}
+    report = Report(name, inputs, seed)
+    code = command.handler(ns, cfg, tol, report)
+    _emit(report.body(), time.perf_counter() - start, ns.format, ns.out)
+    if code is not None:
+        return code
+    return 0 if report.all_passed else 1
 
 
 def main(argv=None) -> int:
@@ -670,13 +634,13 @@ def main(argv=None) -> int:
     if args[0] in ("-h", "--help"):
         print(_USAGE, end="")
         return 0
-    handler = _HANDLERS.get(args[0])
-    if handler is None:
+    command = COMMANDS.get(args[0])
+    if command is None:
         print(f"ncdomain: unknown subcommand {args[0]!r}", file=sys.stderr)
         print(_USAGE, file=sys.stderr, end="")
         return 64
     try:
-        return handler(args[1:])
+        return _run(args[0], command, args[1:])
     except SystemExit as exc:
         # argparse exits: 0 for --help, usage errors otherwise
         return 0 if exc.code in (None, 0) else 64

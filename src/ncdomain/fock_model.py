@@ -227,7 +227,7 @@ def hardy_norm_estimate(
     for a, b in zip(grid, grid[1:]):
         if b < a:
             raise ValueError("r_grid must be nondecreasing")
-    if grid[0] < 0.0 or grid[-1] >= 1.0:
+    if not all(0.0 <= r < 1.0 for r in grid):
         raise ValueError("r_grid values must lie in [0, 1)")
     model = build_model(f, m, N)
     return [operator_norm(evaluate_on_model(series, model, r)) for r in grid]

@@ -3,6 +3,7 @@
 Conventions shared with the CLI:
 
   * words are digit strings over 1..9 ("" is the unit, "12" is g1 g2),
+    read by `words.parse_word` and written by `words.word_text`,
   * complex scalars are [re, im] pairs; plain numbers mean a real value,
   * matrices are row-major nested lists of scalar entries,
   * a series file carries {"n", "degree", "coeff_dim", "coeffs"},
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .series import FreeSeries, PositiveRegularFunction
+from .words import word_text
 
 
 class FormatError(ValueError):
@@ -112,21 +114,25 @@ def load_series(path) -> FreeSeries:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def save_series(series: FreeSeries, path) -> None:
+def series_payload(series: FreeSeries) -> dict:
+    """The series file layout {"n", "degree", "coeff_dim", "coeffs"} as a dict."""
     coeffs = {}
     for word, mat in series.items():
-        key = "".join(str(i) for i in word)
         if series.coeff_dim == 1:
-            coeffs[key] = _encode_scalar(mat[0, 0])
+            coeffs[word_text(word)] = _encode_scalar(mat[0, 0])
         else:
-            coeffs[key] = _encode_matrix(mat)
-    data = {
+            coeffs[word_text(word)] = _encode_matrix(mat)
+    return {
         "n": series.n,
         "degree": series.degree,
         "coeff_dim": series.coeff_dim,
         "coeffs": coeffs,
     }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def save_series(series: FreeSeries, path) -> None:
+    text = json.dumps(series_payload(series), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
 
 
 def symbol_from_mapping(data: dict, where: str = "symbol") -> PositiveRegularFunction:
@@ -148,9 +154,7 @@ def load_symbol(path) -> PositiveRegularFunction:
 
 
 def save_symbol(f: PositiveRegularFunction, path) -> None:
-    coeffs = {
-        "".join(str(i) for i in word): float(a) for word, a in f.items()
-    }
+    coeffs = {word_text(word): float(a) for word, a in f.items()}
     data = {"n": f.n, "coeffs": coeffs}
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 

@@ -265,6 +265,8 @@ def cartan_iteration_probe(
     """
     if p < 2:
         raise ValueError(f"probe degree must be >= 2, got {p}")
+    if n_iter < 1:
+        raise ValueError(f"iteration budget must be >= 1, got {n_iter}")
     maps = _validate_map_tuple(maps, f.n, f.n)
     for i, s in enumerate(maps, start=1):
         for j in range(1, f.n + 1):

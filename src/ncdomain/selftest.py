@@ -61,6 +61,7 @@ from .series import (
     unit_ball_symbol,
 )
 from .weights import binomial_constant, weights_direct, weights_oracle
+from .words import word_text
 
 
 @dataclass(frozen=True)
@@ -622,7 +623,7 @@ def _fingerprint(seed: int) -> str:
     model = build_model(f, 2, 4, weight_table=table)
     defect = model_defect(model)
     payload = {
-        "weights": [["".join(map(str, w)), repr(v)] for w, v in table.items()],
+        "weights": [[word_text(w), repr(v)] for w, v in table.items()],
         "defect_trace": repr(complex(np.trace(defect))),
         "defect_norm": repr(operator_norm(defect)),
     }

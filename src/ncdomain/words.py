@@ -7,9 +7,9 @@ stable enumeration matters: `enumerate_words` orders words by length
 first and lexicographically within each length.  Truncating by length is
 then a basis prefix, and the enumeration is identical across runs.
 
-Words are stored as tuples of ints.  The digit text form ("12" for
-g_1 g_2, "" for the unit) appears only at file boundaries and supports
-alphabets up to nine generators; programmatic use has no such limit.
+A word is a tuple of letters (`Letters`).  Its digit form ("12" for
+g_1 g_2, "" for the unit, n <= 9) appears only in files and on the
+command line; `parse_word` reads it and `word_text` writes it.
 
 Every product over words in the package (operator monomials X_w, the
 column maps of the model shifts V_w, the series products phi_w of a
@@ -23,8 +23,8 @@ large memos (a model's column maps) alive long after the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, product
+import operator
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .defaults import DIM_CAP_ENV, dim_cap
@@ -37,107 +37,34 @@ class DimensionCapError(ValueError):
 Letters = tuple[int, ...]
 
 
-def _as_letters(word: "Word | str | Iterable[int]", n: int) -> Letters:
-    """Normalize a word given as Word, digit string, or int iterable."""
-    if isinstance(word, Word):
-        if word.n != n:
-            raise ValueError(f"word over {word.n} generators used with n={n}")
-        return word.letters
+def _as_letters(word: str | Iterable[int], n: int) -> Letters:
+    """Check a word given as a digit string or an iterable of ints."""
     if isinstance(word, str):
-        return parse_word(word, n).letters
-    letters = tuple(int(i) for i in word)
+        return parse_word(word, n)
+    try:
+        letters = tuple(map(operator.index, word))
+    except TypeError:
+        raise ValueError(f"letters must be ints, got {word!r}") from None
     for i in letters:
         if not 1 <= i <= n:
             raise ValueError(f"letter {i} outside 1..{n}")
     return letters
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in the generators g_1..g_n; empty ``letters`` is the unit."""
-
-    letters: Letters
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one generator, got n={self.n}")
-        object.__setattr__(self, "letters", tuple(int(i) for i in self.letters))
-        for i in self.letters:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"letter {i} outside 1..{self.n}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.letters
-
-    @property
-    def text(self) -> str:
-        return word_text(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Word({self.text!r}, n={self.n})"
-
-
-def parse_word(text: str, n: int) -> Word:
+def parse_word(text: str, n: int) -> Letters:
     """Parse the digit form: "" is the unit, "12" is g_1 g_2."""
     if n > 9 and text:
         raise ValueError("digit form only covers alphabets with n <= 9")
-    letters = []
-    for ch in text:
-        if not ch.isdigit() or ch == "0":
-            raise ValueError(f"invalid letter {ch!r} in word {text!r}")
-        letters.append(int(ch))
-    return Word(tuple(letters), n)
+    if text and not text.isdigit():
+        raise ValueError(f"invalid letter in word {text!r}")
+    return _as_letters(map(int, text), n)
 
 
-def word_text(word: Word | Sequence[int]) -> str:
+def word_text(word: Sequence[int]) -> str:
     """Digit form of a word; inverse of `parse_word`."""
-    letters = word.letters if isinstance(word, Word) else tuple(word)
-    if any(i > 9 for i in letters):
+    if any(i > 9 for i in word):
         raise ValueError("digit form only covers letters 1..9")
-    return "".join(str(i) for i in letters)
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Concatenation u v; raises on generator-count mismatch."""
-    if u.n != v.n:
-        raise ValueError(f"cannot concatenate words over n={u.n} and n={v.n}")
-    return Word(u.letters + v.letters, u.n)
-
-
-def reverse(u: Word) -> Word:
-    """The reversed word; an involution and an anti-homomorphism."""
-    return Word(u.letters[::-1], u.n)
-
-
-def factorizations(word: Word, parts: int) -> list[tuple[Word, ...]]:
-    """All ordered splittings of ``word`` into ``parts`` nonempty words.
-
-    There are C(len - 1, parts - 1) of them, one per choice of cut
-    positions.  Requires 1 <= parts <= len(word).
-    """
-    length = len(word)
-    if not 1 <= parts <= length:
-        raise ValueError(
-            f"parts must satisfy 1 <= parts <= {length}, got {parts}"
-        )
-    out = []
-    for cuts in combinations(range(1, length), parts - 1):
-        bounds = (0,) + cuts + (length,)
-        out.append(
-            tuple(
-                Word(word.letters[bounds[i] : bounds[i + 1]], word.n)
-                for i in range(parts)
-            )
-        )
-    return out
+    return "".join(map(str, word))
 
 
 def word_count(n: int, max_length: int) -> int:
@@ -184,7 +111,7 @@ class WordIndex:
     def dim(self) -> int:
         return len(self.words)
 
-    def index_of(self, word: Word | str | Iterable[int]) -> int:
+    def index_of(self, word: str | Iterable[int]) -> int:
         letters = _as_letters(word, self.n)
         try:
             return self._pos[letters]
@@ -193,9 +120,6 @@ class WordIndex:
                 f"word of length {len(letters)} outside truncation "
                 f"max_length={self.max_length}"
             ) from None
-
-    def word_of(self, i: int) -> Word:
-        return Word(self.words[i], self.n)
 
     def letters_of(self, i: int) -> Letters:
         return self.words[i]

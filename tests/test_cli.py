@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncdomain.cli import main, parse_config
+from ncdomain.cli import COMMANDS, main, parse_config
 from ncdomain.io import FormatError
 
 
@@ -192,15 +192,75 @@ def test_norm_reports_monotone_values(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_readme_norm_example_runs(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    line = re.search(r"^\| `(norm [^`]*)` \|", readme, re.MULTILINE).group(1)
-    write_config(tmp_path, "c.json", m=1, depth=4)
-    (tmp_path / "s.json").write_text(json.dumps({
-        "n": 1, "degree": 2, "coeff_dim": 1, "coeffs": {"1": 1.0, "11": 0.5},
-    }))
+README_ROWS = re.findall(
+    r"^\| `([^`]*)` \|",
+    (Path(__file__).parents[1] / "README.md").read_text(),
+    re.MULTILINE,
+)
+
+
+def write_series(tmp_path, name, coeffs, n=2, degree=2):
+    (tmp_path / name).write_text(json.dumps(
+        {"n": n, "degree": degree, "coeff_dim": 1, "coeffs": coeffs}
+    ))
+
+
+@pytest.fixture
+def readme_files(tmp_path, monkeypatch):
+    """The files the README command table names, on the 2-ball (m = 1)."""
+    ball = {"1": 1.0, "2": 1.0}
+    for name in ("c.json", "src.json"):
+        write_config(tmp_path, name, n=2, m=1, depth=3, coeffs=ball)
+    write_config(tmp_path, "dst.json", n=2, m=1, depth=3,
+                 coeffs={"1": 0.25, "2": 0.25})
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    write_tuple(tmp_path, [[[0.0, 0.5], [0.0, 0.0]], zero], "x.json")
+    # a non-member: defect eigenvalue -24
+    write_tuple(tmp_path, [[[0.0, 5.0], [0.0, 0.0]], zero], "far.json")
+    write_series(tmp_path, "s.json", {"1": 1.0, "21": 0.5})
+    write_series(tmp_path, "F.json", {"12": 1.0})
+    write_series(tmp_path, "g1.json", {"1": 1.0, "2": 0.5})
+    write_series(tmp_path, "g2.json", {"2": 1.0})
+    write_series(tmp_path, "m1.json", {"1": 1.0, "11": 1.0})
+    write_series(tmp_path, "m2.json", {"2": 1.0})
+    (tmp_path / "u.json").write_text(json.dumps({"matrix": [[2.0, 0.0], [0.0, 2.0]]}))
     monkeypatch.chdir(tmp_path)
-    assert main(shlex.split(line)) == 0
+
+
+def test_readme_table_lists_every_subcommand():
+    assert [row.split()[0] for row in README_ROWS] == list(COMMANDS)
+
+
+@pytest.mark.parametrize("row", README_ROWS, ids=lambda row: row.split()[0])
+def test_readme_example_runs(readme_files, capsys, row):
+    argv = shlex.split(row)
+    if argv[0] == "selftest":
+        pytest.skip("the full battery runs in test_acceptance.py")
+    # m1 = Z1 + Z1^2 is no automorphism, so the probe row reports a violation
+    assert main(argv) == (1 if argv[0] == "probe-cartan" else 0)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "1e309"])
+@pytest.mark.parametrize("row", [r for r in README_ROWS if not r.startswith("selftest")],
+                         ids=lambda row: row.split()[0])
+def test_bad_tol_exits_two(readme_files, capsys, row, value):
+    argv = shlex.split(row)
+    if argv[0] == "member":  # the non-member, which --tol=inf would call a member
+        argv[argv.index("x.json")] = "far.json"
+    assert main(argv + [f"--tol={value}"]) == 2
+    assert "--tol must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_probe_cartan_rejects_empty_budget(readme_files, capsys, budget):
+    assert main(["probe-cartan", "--config", "c.json", "--maps", "m1.json",
+                 "m2.json", f"--iterations={budget}"]) == 2
+    assert "iteration budget" in capsys.readouterr().err
+
+
+def test_selftest_takes_no_tol(capsys):
+    assert main(["selftest", "--profile", "fast", "--tol", "1e-3"]) == 64
     capsys.readouterr()
 
 

@@ -142,6 +142,15 @@ def test_hardy_norm_rejects_bad_grid():
         hardy_norm_estimate(s, f, 1, 2, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("grid", [[float("nan"), 0.5], [0.0, float("nan")]],
+                         ids=["nan-first", "nan-last"])
+def test_hardy_norm_rejects_nan_radius(grid):
+    f = unit_ball_symbol(1)
+    s = FreeSeries(1, 1, {"1": 1.0})
+    with pytest.raises(ValueError, match="r_grid"):
+        hardy_norm_estimate(s, f, 1, 2, grid)
+
+
 def test_weight_table_reuse():
     f = unit_ball_symbol(1)
     table = weights_direct(f, 2, 4)

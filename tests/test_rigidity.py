@@ -124,6 +124,15 @@ def test_probe_rejects_maps_not_tangent_to_identity():
         cartan_iteration_probe([FreeSeries(1, 2, {"1": 2.0})], f, 1, p=2)
 
 
+@pytest.mark.parametrize("n_iter", [0, -3])
+def test_probe_rejects_empty_iteration_budget(n_iter):
+    f = unit_ball_symbol(1)
+    with pytest.raises(ValueError, match="iteration budget"):
+        cartan_iteration_probe(
+            [FreeSeries(1, 2, {"1": 1.0, "11": 1.0})], f, 1, p=2, n_iter=n_iter
+        )
+
+
 def test_probe_two_generator_witness():
     # quadratic motion shows up in the coupled component as well
     f = unit_ball_symbol(2)

@@ -1,4 +1,4 @@
-"""Word arithmetic, the graded-lexicographic index, and word products."""
+"""Word parsing, the graded-lexicographic index, and word products."""
 
 import gc
 from functools import reduce
@@ -24,13 +24,8 @@ from ncdomain import (
 from ncdomain.fock_model import grade_row_diagonal
 from ncdomain.words import (
     DimensionCapError,
-    Word,
-    WordIndex,
-    concat,
     enumerate_words,
-    factorizations,
     parse_word,
-    reverse,
     word_count,
     word_products,
     word_text,
@@ -39,15 +34,13 @@ from ncdomain.words import (
 
 def test_parse_word_roundtrip():
     w = parse_word("121", 2)
-    assert w.letters == (1, 2, 1)
+    assert w == (1, 2, 1)
     assert word_text(w) == "121"
-    assert len(w) == 3
 
 
 def test_parse_unit_word():
     w = parse_word("", 3)
-    assert w.letters == ()
-    assert w.is_unit
+    assert w == ()
     assert word_text(w) == ""
 
 
@@ -58,31 +51,12 @@ def test_parse_word_rejects_bad_letters():
         parse_word("0", 2)
 
 
-def test_concat_and_reverse():
-    u = parse_word("12", 2)
-    v = parse_word("21", 2)
-    assert concat(u, v).letters == (1, 2, 2, 1)
-    assert reverse(concat(u, v)).letters == (1, 2, 2, 1)[::-1]
-    assert reverse(parse_word("", 2)).is_unit
-
-
-def test_word_multiplication_operator():
-    u = Word((1,), 2)
-    v = Word((2,), 2)
-    assert (u * v).letters == (1, 2)
-
-
-def test_factorizations_counts_and_content():
-    w = parse_word("112", 2)
-    two = factorizations(w, 2)
-    # C(2, 1) = 2 cut positions
-    assert len(two) == 2
-    pieces = {tuple(word_text(p) for p in fac) for fac in two}
-    assert pieces == {("1", "12"), ("11", "2")}
-    assert len(factorizations(w, 1)) == 1
-    assert len(factorizations(w, 3)) == 1
-    with pytest.raises(ValueError):
-        factorizations(w, 4)
+@pytest.mark.parametrize("word", [(1.9, 2.2), (1.0,), ("1",)])
+def test_non_int_letters_are_rejected(word):
+    with pytest.raises(ValueError, match="letters must be ints"):
+        enumerate_words(2, 2).index_of(word)
+    with pytest.raises(ValueError, match="letters must be ints"):
+        FreeSeries(2, 2, {word: 1.0})
 
 
 def test_word_count():
@@ -101,7 +75,7 @@ def test_index_bijection():
     index = enumerate_words(3, 3)
     assert index.dim == word_count(3, 3)
     for i in range(index.dim):
-        assert index.index_of(index.word_of(i)) == i
+        assert index.index_of(index.letters_of(i)) == i
     assert index.index_of("") == 0
     assert index.index_of("31") == index.index_of(parse_word("31", 3))
 
