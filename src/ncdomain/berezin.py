@@ -153,13 +153,6 @@ def reversed_model(f: PositiveRegularFunction, m: int, N: int) -> TruncatedModel
     return build_model(reverse_series(f), m, N)
 
 
-def _reversal_permutation(index: WordIndex) -> np.ndarray:
-    perm = np.empty(index.dim, dtype=np.int64)
-    for pos, w in enumerate(index.words):
-        perm[pos] = index.index_of(w[::-1])
-    return perm
-
-
 def right_creation_operators(
     f: PositiveRegularFunction, m: int, N: int
 ) -> tuple[np.ndarray, ...]:
@@ -169,7 +162,7 @@ def right_creation_operators(
     word-reversal permutation of the basis.
     """
     rm = reversed_model(f, m, N)
-    perm = _reversal_permutation(rm.index)
+    perm = rm.index.reversal()
     return tuple(
         rm.creation(i)[np.ix_(perm, perm)] for i in range(1, f.n + 1)
     )
@@ -219,7 +212,7 @@ def berezin_transform_resolvent(
             f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
         )
     _, delta_sq = _defect_root(f, m, t, tol)
-    perm = _reversal_permutation(index)
+    perm = index.reversal()
     steps = []
     for word, a, t_w in _support_monomials(f, t):
         # Lam_{w~} = P V~_{w~} P for the reversed model V~ and reversal P

@@ -14,6 +14,11 @@ in distinct rows, so the completely positive map
 Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
 and acts on a diagonal as a sum of scaled index scatters.
 
+V_i sends w to iw, the word with first letter i and suffix w, so the
+shifts come from the prefix/suffix arithmetic of `WordIndex`, and the
+grade-row sum over |w| = k of b_w V_w V_w^* is a gather with no column
+maps: its diagonal at u is b_{u[:k]} b_{u[k:]} / b_u.
+
 The defining property of the truncation: applying (id - Phi_f)^m to the
 identity yields exactly the rank-one projection onto the vacuum vector,
 up to floating-point roundoff.
@@ -50,16 +55,15 @@ class TruncatedModel:
         self.index = index
         self.weights = weights
         dim = index.dim
-        b = np.asarray(weights.aligned_values(index), dtype=float)
+        self.b = b = np.asarray(weights.aligned_values(index), dtype=float)
         targets = np.full((f.n, dim), -1, dtype=np.int64)
+        for length in range(1, N + 1):
+            # V_i sends w to the word iw, whose first letter is i and rest w
+            first, rest = index.split(length, 1)
+            targets[first - 1, rest] = index.grade(length)
+        hit = targets >= 0
         wvals = np.zeros((f.n, dim), dtype=float)
-        for j, w in enumerate(index.words):
-            if len(w) == N:
-                continue
-            for i in range(1, f.n + 1):
-                t = index.index_of((i,) + w)
-                targets[i - 1, j] = t
-                wvals[i - 1, j] = np.sqrt(b[j] / b[t])
+        wvals[hit] = np.sqrt((b / b[targets])[hit])
         self._shifts: list[ColumnMap] = list(zip(targets, wvals))
         self._maps: dict[Letters, ColumnMap] = {
             (): (np.arange(dim, dtype=np.int64), np.ones(dim))
@@ -241,10 +245,15 @@ def symbol_row_diagonal(model: TruncatedModel) -> np.ndarray:
 def grade_row_diagonal(model: TruncatedModel, k: int) -> np.ndarray:
     """Diagonal of sum over |w| = k of b_w V_w V_w^*.
 
-    Its norm is bounded by the binomial constant C(k+m-1, m-1).
+    V_w V_w^* e_u is (b_{u[k:]} / b_u) e_u if w = u[:k], else 0.  The
+    norm is bounded by the binomial constant C(k+m-1, m-1).
     """
     if not 0 <= k <= model.N:
         raise ValueError(f"grade {k} outside 0..{model.N}")
-    words = [model.index.letters_of(flat) for flat in model.index.grade(k)]
-    terms = [(w, model.weights[w]) for w in words]
-    return _scatter_diagonal(model, terms, np.ones(model.dim))
+    index, b = model.index, model.b
+    out = np.zeros(model.dim)
+    for length in range(k, model.N + 1):
+        prefix, suffix = index.split(length, k)
+        u = slice(index.offset(length), index.offset(length + 1))
+        out[u] = b[prefix] * b[suffix] / b[u]
+    return out

@@ -27,7 +27,7 @@ from .cp_maps import MembershipVerdict, OperatorTuple, as_operator_tuple, member
 from .defaults import EIGENVALUE_TOL
 from .fock_model import build_model, evaluate_on_model
 from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
-from .words import Letters
+from .words import Letters, grade_letters
 
 
 class LinearMapCandidate:
@@ -228,19 +228,10 @@ def _witness_word(
 ) -> tuple[Letters | None, float]:
     """Lowest-degree word with the largest combined nonlinear coefficient."""
     for k in range(2, p + 1):
-        best: Letters | None = None
-        best_val = 0.0
-        seen: dict[Letters, float] = {}
-        for s in maps:
-            for word, c in s.grade_items(k):
-                seen[word] = seen.get(word, 0.0) + abs(complex(c[0, 0])) ** 2
-        for word in sorted(seen):
-            val = seen[word]
-            if val > best_val:
-                best = word
-                best_val = val
-        if best is not None and np.sqrt(best_val) >= tol:
-            return best, float(np.sqrt(best_val))
+        seen = sum(np.abs(s.grade(k)[:, 0, 0]) ** 2 for s in maps)
+        best = int(np.argmax(seen))  # the first maximum: lexicographically least
+        if seen[best] > 0 and np.sqrt(seen[best]) >= tol:
+            return grade_letters(maps[0].n, k, [best])[0], float(np.sqrt(seen[best]))
     return None, 0.0
 
 

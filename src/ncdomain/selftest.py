@@ -673,23 +673,6 @@ class SelftestReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def as_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "tol": c.tol,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def run_selftest(profile: SelftestProfile | str = FULL, seed: int = 0) -> SelftestReport:
     """Run every check of the suite and collect the results."""

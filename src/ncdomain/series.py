@@ -1,11 +1,14 @@
 """Truncated free power series and positive regular symbols.
 
-A free power series over n noncommuting indeterminates is stored as a
-mapping from words (tuples of letters 1..n) to square complex coefficient
-matrices; absent words are zero.  Every series carries an explicit
-truncation degree: arithmetic truncates to the smaller degree of its
-operands, and composition with zero-constant-term arguments is exact up
-to the common truncation, so no hidden tails ever enter a computation.
+A free power series over n noncommuting indeterminates is stored grade
+by grade: the coefficients of the words of length k form one (n^k, e, e)
+complex array in base-n (`WordIndex`) order, so arithmetic is array
+arithmetic; word_count(n, degree) is bounded by the basis cap.  Only the
+public constructor checks words and finite coefficients.  Every series
+carries an explicit truncation degree: arithmetic truncates to the
+smaller degree of its operands, and composition with zero-constant-term
+arguments is exact up to the common truncation, so no hidden tails ever
+enter a computation.
 
 Evaluation sends a series F = sum_w Z_w C_w to sum_w X_w (x) C_w for an
 n-tuple X of square matrices, with the operator factor first in every
@@ -16,13 +19,22 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .words import Letters, _as_letters, word_products, word_text
+from .words import (
+    Letters,
+    _as_letters,
+    capped_word_count,
+    grade_letters,
+    word_num,
+    word_products,
+    word_text,
+)
 
 
 class ShapeMismatchError(ValueError):
@@ -41,10 +53,34 @@ def _grade_key(item: tuple[Letters, object]) -> tuple[int, Letters]:
     return (len(item[0]), item[0])
 
 
-class FreeSeries:
-    """A degree-truncated free power series with (e x e) matrix coefficients."""
+def _zero_grades(n: int, degree: int, e: int) -> list[np.ndarray]:
+    """Zero coefficient arrays for grades 0..degree, refused above the cap."""
+    capped_word_count(n, degree, "series")
+    return [np.zeros((n**k, e, e), dtype=complex) for k in range(degree + 1)]
 
-    __slots__ = ("n", "degree", "coeff_dim", "_coeffs")
+
+def _coefficient(value, e: int, letters: Letters) -> np.ndarray:
+    """A user-supplied coefficient as a finite (e, e) complex matrix."""
+    mat = np.asarray(value, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"coefficient for word {word_text(letters)!r} is not finite")
+    if mat.ndim == 0:
+        mat = mat.reshape(1, 1) * np.eye(e)
+    if mat.shape != (e, e):
+        raise ShapeMismatchError(
+            f"coefficient for word {word_text(letters)!r} has shape "
+            f"{mat.shape}, expected ({e}, {e})"
+        )
+    return mat
+
+
+class FreeSeries:
+    """A degree-truncated free power series with (e x e) matrix coefficients.
+
+    Row num(u) of grade len(u) holds the coefficient of the word u.
+    """
+
+    __slots__ = ("n", "degree", "coeff_dim", "_grades")
 
     def __init__(
         self,
@@ -59,88 +95,69 @@ class FreeSeries:
             raise ValueError(f"degree must be >= 0, got {degree}")
         if coeff_dim < 1:
             raise ValueError(f"coeff_dim must be >= 1, got {coeff_dim}")
-        self.n = n
-        self.degree = degree
-        self.coeff_dim = coeff_dim
-        store: dict[Letters, np.ndarray] = {}
-        if coeffs:
-            for key, value in coeffs.items():
-                letters = _as_letters(key, n)
-                if len(letters) > degree:
-                    raise ValueError(
-                        f"word of length {len(letters)} exceeds degree {degree}"
-                    )
-                mat = np.asarray(value, dtype=complex)
-                if mat.ndim == 0:
-                    mat = mat.reshape(1, 1) * np.eye(coeff_dim)
-                if mat.shape != (coeff_dim, coeff_dim):
-                    raise ShapeMismatchError(
-                        f"coefficient for word {word_text(letters)!r} has shape "
-                        f"{mat.shape}, expected ({coeff_dim}, {coeff_dim})"
-                    )
-                if np.any(mat != 0):
-                    if letters in store:
-                        store[letters] = store[letters] + mat
-                    else:
-                        store[letters] = mat
-        self._coeffs = {w: m for w, m in store.items() if np.any(m != 0)}
+        grades = _zero_grades(n, degree, coeff_dim)
+        for key, value in (coeffs or {}).items():
+            letters = _as_letters(key, n)
+            if len(letters) > degree:
+                raise ValueError(
+                    f"word of length {len(letters)} exceeds degree {degree}"
+                )
+            mat = _coefficient(value, coeff_dim, letters)
+            grades[len(letters)][word_num(letters, n)] += mat
+        self.n, self.degree, self.coeff_dim, self._grades = n, degree, coeff_dim, grades
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, degree: int, coeff_dim: int = 1) -> "FreeSeries":
-        return cls(n, degree, {}, coeff_dim)
+    def _from_grades(cls, n: int, e: int, grades: list[np.ndarray]) -> "FreeSeries":
+        """Wrap grade arrays the package built itself, without validation."""
+        out = cls.__new__(cls)
+        out.n, out.degree, out.coeff_dim, out._grades = n, len(grades) - 1, e, grades
+        return out
 
     @classmethod
     def constant(cls, value, n: int, degree: int, coeff_dim: int = 1) -> "FreeSeries":
         mat = np.asarray(value, dtype=complex)
-        if mat.ndim == 0:
-            mat = mat.reshape(1, 1)
-            if coeff_dim != 1:
-                mat = complex(mat[0, 0]) * np.eye(coeff_dim)
-        return cls(n, degree, {(): mat}, max(coeff_dim, mat.shape[0]))
-
-    @classmethod
-    def generator(cls, i: int, n: int, degree: int, coeff_dim: int = 1) -> "FreeSeries":
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} outside 1..{n}")
-        return cls(n, degree, {(i,): np.eye(coeff_dim)}, coeff_dim)
+        e = coeff_dim if mat.ndim == 0 else max(coeff_dim, mat.shape[0])
+        grades = _zero_grades(n, degree, e)
+        grades[0][0] = _coefficient(mat, e, ())
+        return cls._from_grades(n, e, grades)
 
     # -- access ------------------------------------------------------
 
     def coeff(self, word) -> np.ndarray:
         letters = _as_letters(word, self.n)
-        mat = self._coeffs.get(letters)
-        if mat is None:
+        if len(letters) > self.degree:
             return np.zeros((self.coeff_dim, self.coeff_dim), dtype=complex)
-        return mat.copy()
+        return self._grades[len(letters)][word_num(letters, self.n)].copy()
+
+    def grade(self, k: int) -> np.ndarray:
+        """Coefficients of all words of length k, shape (n^k, e, e); a copy."""
+        if not 0 <= k <= self.degree:
+            raise ValueError(f"grade {k} outside 0..{self.degree}")
+        return self._grades[k].copy()
+
+    def grade_items(self, k: int) -> list[tuple[Letters, np.ndarray]]:
+        """Nonzero (word, coefficient) pairs of length k in lexicographic order."""
+        if not 0 <= k <= self.degree:
+            return []
+        g = self._grades[k]
+        nums = np.flatnonzero(g.reshape(len(g), -1).any(axis=1))
+        return list(zip(grade_letters(self.n, k, nums), g[nums]))
 
     def items(self) -> list[tuple[Letters, np.ndarray]]:
         """Nonzero (word, coefficient) pairs in graded-lex order."""
-        return sorted(self._coeffs.items(), key=_grade_key)
+        return [item for k in range(self.degree + 1) for item in self.grade_items(k)]
 
     def support(self) -> list[Letters]:
         return [w for w, _ in self.items()]
 
-    def grade_items(self, k: int) -> list[tuple[Letters, np.ndarray]]:
-        return [(w, m) for w, m in self.items() if len(w) == k]
+    def _nonzero_grades(self) -> list[tuple[int, np.ndarray]]:
+        return [(k, g) for k, g in enumerate(self._grades) if g.any()]
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def max_degree_present(self) -> int:
-        if not self._coeffs:
-            return 0
-        return max(len(w) for w in self._coeffs)
-
-    def allclose(self, other: "FreeSeries", tol: float = 1e-12) -> bool:
-        if self.n != other.n or self.coeff_dim != other.coeff_dim:
-            return False
-        words = set(self._coeffs) | set(other._coeffs)
-        return all(
-            np.max(np.abs(self.coeff(w) - other.coeff(w))) <= tol for w in words
-        )
+        return not self._nonzero_grades()
 
     # -- arithmetic ----------------------------------------------------
 
@@ -156,13 +173,8 @@ class FreeSeries:
 
     def __add__(self, other: "FreeSeries") -> "FreeSeries":
         self._check_compatible(other)
-        degree = min(self.degree, other.degree)
-        out: dict[Letters, np.ndarray] = {}
-        for w, m in list(self._coeffs.items()) + list(other._coeffs.items()):
-            if len(w) > degree:
-                continue
-            out[w] = out[w] + m if w in out else np.array(m)
-        return FreeSeries(self.n, degree, out, self.coeff_dim)
+        grades = [a + b for a, b in zip(self._grades, other._grades)]
+        return FreeSeries._from_grades(self.n, self.coeff_dim, grades)
 
     def __neg__(self) -> "FreeSeries":
         return self.scale(-1.0)
@@ -171,8 +183,8 @@ class FreeSeries:
         return self + (-other)
 
     def scale(self, scalar: complex) -> "FreeSeries":
-        out = {w: scalar * m for w, m in self._coeffs.items()}
-        return FreeSeries(self.n, self.degree, out, self.coeff_dim)
+        grades = [scalar * g for g in self._grades]
+        return FreeSeries._from_grades(self.n, self.coeff_dim, grades)
 
     def __rmul__(self, scalar) -> "FreeSeries":
         return self.scale(complex(scalar))
@@ -183,29 +195,32 @@ class FreeSeries:
         return self.scale(complex(other))
 
     def truncated(self, degree: int) -> "FreeSeries":
-        out = {w: m for w, m in self._coeffs.items() if len(w) <= degree}
-        return FreeSeries(self.n, degree, out, self.coeff_dim)
+        grades = _zero_grades(self.n, degree, self.coeff_dim)
+        kept = min(degree, self.degree) + 1
+        grades[:kept] = self._grades[:kept]
+        return FreeSeries._from_grades(self.n, self.coeff_dim, grades)
 
 
 def multiply(left: FreeSeries, right: FreeSeries) -> FreeSeries:
     """Product with (FG)_w = sum over splittings w = u v of F_u G_v.
 
-    Truncates to the smaller of the operand degrees.
+    Truncates to the smaller of the operand degrees.  Grade pairs are
+    taken in ascending |u|, so every coefficient sums its splittings in
+    ascending length of the left factor.
     """
     left._check_compatible(right)
     degree = min(left.degree, right.degree)
-    scalar = left.coeff_dim == 1
-    acc: dict[Letters, object] = {}
-    for u, a in left.items():
-        if len(u) > degree:
-            continue
-        for v, b in right.items():
-            if len(u) + len(v) > degree:
-                continue
-            w = u + v
-            term = complex(a[0, 0]) * complex(b[0, 0]) if scalar else a @ b
-            acc[w] = acc[w] + term if w in acc else term
-    return FreeSeries(left.n, degree, acc, left.coeff_dim)
+    e = left.coeff_dim
+    grades = _zero_grades(left.n, degree, e)
+    right_grades = right._nonzero_grades()
+    for ku, a in left._nonzero_grades():
+        for kv, b in right_grades:
+            if ku + kv > degree:
+                break
+            # row num(u) * n^kv + num(v) of grade ku + kv is the word uv
+            term = a[:, None] * b[None, :] if e == 1 else a[:, None] @ b[None, :]
+            grades[ku + kv] += term.reshape(-1, e, e)
+    return FreeSeries._from_grades(left.n, e, grades)
 
 
 def compose(outer: FreeSeries, inner: Sequence[FreeSeries]) -> FreeSeries:
@@ -232,21 +247,22 @@ def compose(outer: FreeSeries, inner: Sequence[FreeSeries]) -> FreeSeries:
                 f"inner series {j} has (n={phi.n}, e={phi.coeff_dim}), "
                 f"expected (n={n}, e={e_in})"
             )
-        if () in phi._coeffs:
+        if phi._grades[0].any():
             raise CompositionError(
                 f"inner series {j} has a nonzero constant term"
             )
     degree = min(phi.degree for phi in inner)
     e_out = e_in * outer.coeff_dim
-    terms = [(beta, c) for beta, c in outer.items() if len(beta) <= degree]
+    grades = _zero_grades(n, degree, e_out)
+    terms = [item for k in range(degree + 1) for item in outer.grade_items(k)]
     unit = {(): FreeSeries.constant(np.eye(e_in), n, degree, e_in)}
     products = word_products([beta for beta, _ in terms], inner, multiply, unit)
-    acc: dict[Letters, np.ndarray] = {}
-    for (_, c), product_series in zip(terms, products):
-        for alpha, a in product_series.items():
-            term = np.kron(a, c)
-            acc[alpha] = acc[alpha] + term if alpha in acc else term
-    return FreeSeries(n, degree, acc, e_out)
+    for (_, c), phi_beta in zip(terms, products):
+        for k, a in phi_beta._nonzero_grades():
+            # batched kron(a_w, c): entry (i e_o + p, j e_o + q) is a_ij c_pq
+            term = a[:, :, None, :, None] * c[None, None, :, None, :]
+            grades[k] += term.reshape(-1, e_out, e_out)
+    return FreeSeries._from_grades(n, e_out, grades)
 
 
 def evaluate(series: FreeSeries, point: Sequence[np.ndarray]) -> np.ndarray:
@@ -296,6 +312,10 @@ class PositiveRegularFunction:
         for key, value in coeffs.items():
             letters = _as_letters(key, n)
             cval = complex(value)
+            if not cmath.isfinite(cval):
+                raise RegularityError(
+                    f"coefficient of word {word_text(letters)!r} is not finite"
+                )
             if cval.imag != 0:
                 raise RegularityError(
                     f"coefficient of word {word_text(letters)!r} must be real"

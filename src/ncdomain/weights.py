@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .series import FreeSeries, PositiveRegularFunction
 from .words import Letters, WordIndex, _as_letters, enumerate_words
 
@@ -62,9 +64,6 @@ class WeightTable:
 
     def items(self) -> list[tuple[Letters, float]]:
         return sorted(self._values.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def words(self) -> list[Letters]:
-        return [w for w, _ in self.items()]
 
     def __len__(self) -> int:
         return len(self._values)
@@ -128,5 +127,5 @@ def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     for j in range(1, N + 1):
         power = power * fs
         acc = acc + binomial_constant(j, m) * power
-    values = {w: float(acc.coeff(w).real[0, 0]) for w in index.words}
-    return WeightTable(f, m, N, values)
+    grades = [acc.grade(k)[:, 0, 0].real for k in range(N + 1)]
+    return WeightTable(f, m, N, dict(zip(index.words, np.concatenate(grades).tolist())))

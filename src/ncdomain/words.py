@@ -5,7 +5,10 @@ the empty word is the unit.  Words label the monomials of free power
 series and the orthonormal basis of the truncated full Fock space, so a
 stable enumeration matters: `enumerate_words` orders words by length
 first and lexicographically within each length.  Truncating by length is
-then a basis prefix, and the enumeration is identical across runs.
+then a basis prefix, and the enumeration is identical across runs.  In
+that order a word u of length L sits at offset(L) + num(u), num(u) being
+u read as a base-n number, so `WordIndex` finds prefixes, suffixes and
+reversals of a whole grade by integer arithmetic.
 
 A word is a tuple of letters (`Letters`).  Its digit form ("12" for
 g_1 g_2, "" for the unit, n <= 9) appears only in files and on the
@@ -24,8 +27,10 @@ large memos (a model's column maps) alive long after the call.
 from __future__ import annotations
 
 import operator
-from itertools import product
+from functools import reduce
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .defaults import DIM_CAP_ENV, dim_cap
 
@@ -74,37 +79,62 @@ def word_count(n: int, max_length: int) -> int:
     return (n ** (max_length + 1) - 1) // (n - 1)
 
 
+def capped_word_count(n: int, max_length: int, what: str) -> int:
+    """`word_count`, refused with DimensionCapError above the basis cap."""
+    limit = dim_cap()
+    count = word_count(n, max_length)
+    if count > limit:
+        raise DimensionCapError(
+            f"{what} for n={n}, max_length={max_length} needs {count} words, "
+            f"cap is {limit} (set {DIM_CAP_ENV} to override)"
+        )
+    return count
+
+
+def word_num(letters: Letters, n: int) -> int:
+    """num(u): the word read as a base-n number with digits letter - 1."""
+    return reduce(lambda num, i: num * n + i - 1, letters, 0)
+
+
+def _digits(n: int, k: int, nums) -> np.ndarray:
+    """Base-n digits (letter - 1) of the length-k words numbered ``nums``."""
+    powers = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.asarray(nums, dtype=np.int64)[:, None] // powers % n
+
+
+def grade_letters(n: int, k: int, nums) -> list[Letters]:
+    """The length-k words numbered ``nums``, as letter tuples."""
+    if k == 0:
+        return [()] * len(nums)
+    return list(zip(*(_digits(n, k, nums) + 1).T.tolist()))
+
+
 class WordIndex:
     """Graded-lexicographic bijection words <-> 0..dim-1.
 
-    Index 0 is the unit; grade k occupies a contiguous block.  The order
-    is deterministic, and the index for max_length N is a prefix of the
-    index for any larger bound.
+    Index 0 is the unit; grade k occupies a contiguous block starting at
+    offset(k), in which a word u sits at offset(k) + num(u).  Prefixes,
+    suffixes and reversals are therefore integer arithmetic on num.  The
+    order is deterministic, and the index for max_length N is a prefix of
+    the index for any larger bound.
     """
 
-    __slots__ = ("n", "max_length", "words", "_pos", "_grade_starts")
+    __slots__ = ("n", "max_length", "words", "_grade_starts")
 
     def __init__(self, n: int, max_length: int):
         if max_length < 0:
             raise ValueError(f"max_length must be >= 0, got {max_length}")
         if n < 1:
             raise ValueError(f"need at least one generator, got n={n}")
-        limit = dim_cap()
-        dim = word_count(n, max_length)
-        if dim > limit:
-            raise DimensionCapError(
-                f"basis for n={n}, max_length={max_length} needs {dim} words, "
-                f"cap is {limit} (set {DIM_CAP_ENV} to override)"
-            )
+        capped_word_count(n, max_length, "basis")
         self.n = n
         self.max_length = max_length
         words: list[Letters] = []
         starts = [0]
         for k in range(max_length + 1):
-            words.extend(product(range(1, n + 1), repeat=k))
+            words.extend(grade_letters(n, k, range(n**k)))
             starts.append(len(words))
         self.words = tuple(words)
-        self._pos = {w: i for i, w in enumerate(self.words)}
         self._grade_starts = tuple(starts)
 
     @property
@@ -113,22 +143,39 @@ class WordIndex:
 
     def index_of(self, word: str | Iterable[int]) -> int:
         letters = _as_letters(word, self.n)
-        try:
-            return self._pos[letters]
-        except KeyError:
+        if len(letters) > self.max_length:
             raise KeyError(
                 f"word of length {len(letters)} outside truncation "
                 f"max_length={self.max_length}"
-            ) from None
+            )
+        return self.offset(len(letters)) + word_num(letters, self.n)
 
     def letters_of(self, i: int) -> Letters:
         return self.words[i]
+
+    def offset(self, k: int) -> int:
+        """Index of the first word of length k (k <= max_length + 1)."""
+        return self._grade_starts[k]
 
     def grade(self, k: int) -> range:
         """Indices of the words of length exactly k."""
         if not 0 <= k <= self.max_length:
             raise ValueError(f"grade {k} outside 0..{self.max_length}")
         return range(self._grade_starts[k], self._grade_starts[k + 1])
+
+    def split(self, length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of u[:k] and of u[k:] for every word u of the given length."""
+        nums = np.arange(self.n**length, dtype=np.int64)
+        tail = self.n ** (length - k)
+        return self.offset(k) + nums // tail, self.offset(length - k) + nums % tail
+
+    def reversal(self) -> np.ndarray:
+        """Index of the reversed word, for every index."""
+        return np.concatenate([
+            self.offset(k)
+            + _digits(self.n, k, range(self.n**k)) @ self.n ** np.arange(k, dtype=np.int64)
+            for k in range(self.max_length + 1)
+        ])
 
     def __len__(self) -> int:
         return self.dim

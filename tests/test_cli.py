@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ncdomain import FreeSeries, compose
 from ncdomain.cli import COMMANDS, main, parse_config
 from ncdomain.io import FormatError
 
@@ -291,6 +292,59 @@ def test_compose_saves_series(tmp_path, capsys):
     data = json.loads(saved.read_text())
     assert data["coeffs"]["11"] == [4.0, 0.0]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["linear", "nonlinear", "series"])
+def test_non_finite_coefficient_exits_two(readme_files, tmp_path, capsys, where, value):
+    # 0 * NaN in a dense grade would spread NaN into words that hold zero
+    bad = float(value.replace("Infinity", "inf"))
+    if where == "series":
+        write_series(tmp_path, "s.json", {"1": 1.0, "21": bad})
+        runs = [["compose", "--outer", "s.json", "--inner", "g1.json", "g2.json"],
+                ["norm", "--config", "c.json", "--series", "s.json", "--radii", "0.5"]]
+    else:
+        key = "1" if where == "linear" else "12"
+        coeffs = {"1": 1.0, "2": 1.0, "12": 0.5, key: bad}
+        write_config(tmp_path, "c.json", n=2, m=1, depth=3, coeffs=coeffs)
+        runs = [["weights", "--config", "c.json"], ["model", "--config", "c.json"]]
+    for argv in runs:
+        assert main(argv) == 2
+        assert "is not finite" in capsys.readouterr().err
+
+
+def _compose_report(tmp_path, capsys, degree, coeffs):
+    for name in ("outer.json", "g1.json", "g2.json"):
+        write_series(tmp_path, name, coeffs, degree=degree)
+    out = tmp_path / "r.json"
+    code = main(["compose", "--outer", str(tmp_path / "outer.json"), "--inner",
+                 str(tmp_path / "g1.json"), str(tmp_path / "g2.json"),
+                 "--format", "json", "--out", str(out)])
+    capsys.readouterr()
+    check = json.loads(out.read_text())["report"]["checks"]
+    return code, check
+
+
+def test_compose_checks_deep_pairs_without_lifting(tmp_path, capsys):
+    # the degree-16 lift of two degree-4 inner series needs 131,071 words
+    coeffs = {"1": 0.5, "2": -0.25, "12": 0.5, "221": 0.25, "1212": 0.125}
+    code, checks = _compose_report(tmp_path, capsys, 4, coeffs)
+    assert code == 0
+    assert [c["name"] for c in checks] == ["nested_evaluation"]
+
+
+def test_compose_check_sees_top_grade_error(tmp_path, capsys, monkeypatch):
+    import ncdomain.cli as cli
+
+    def off_by_top_word(outer, inner):
+        composed = compose(outer, inner)
+        top = (2,) * composed.degree
+        return composed + FreeSeries(composed.n, composed.degree, {top: 1e-3})
+
+    monkeypatch.setattr(cli, "compose", off_by_top_word)
+    code, checks = _compose_report(tmp_path, capsys, 2, {"1": 1.0, "21": 0.5})
+    assert code == 1
+    assert not checks[0]["passed"]
 
 
 def test_berezin_forms_agree_in_report(tmp_path, capsys):

@@ -92,6 +92,30 @@ def test_row_and_grade_diagonals():
         assert np.max(grade) <= binomial_constant(k, 2) + 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_grade_row_diagonal_matches_dense_sum(n, m):
+    coeffs = {(i,): 1.0 / (i + 1) for i in range(1, n + 1)}
+    coeffs.update({(1, 1): 0.25, (n, 1): 0.125, (1, n, n): 0.0625})
+    model = build_model(PositiveRegularFunction(n, coeffs), m, 4 if n < 3 else 3)
+    for k in range(model.N + 1):
+        want = np.zeros((model.dim, model.dim), dtype=complex)
+        for i in model.index.grade(k):
+            vw = model_monomial(model, model.index.letters_of(i))
+            want += model.weights[model.index.letters_of(i)] * (vw @ vw.conj().T)
+        got = grade_row_diagonal(model, k)
+        assert np.array_equal(want, np.diag(np.diag(want)))
+        np.testing.assert_allclose(got, np.diag(want).real, rtol=1e-13, atol=0)
+
+
+def test_grade_row_diagonal_builds_no_column_maps():
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "12": 0.25})
+    model = build_model(f, 2, 5)
+    for k in range(6):
+        grade_row_diagonal(model, k)
+    assert list(model._maps) == [()]
+
+
 def test_evaluate_on_model_is_creation():
     model = build_model(unit_ball_symbol(2), 1, 2)
     z1 = FreeSeries(2, 1, {"1": 1.0})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdomain.series import (
     CompositionError,
@@ -18,6 +19,7 @@ from ncdomain.series import (
     unit_ball_symbol,
 )
 from ncdomain.weights import weights_direct
+from ncdomain.words import DimensionCapError
 
 
 def test_series_normalizes_keys_and_prunes_zeros():
@@ -180,3 +182,102 @@ def test_convergence_profile_needs_deep_table():
     s = FreeSeries(1, 4, {"1111": 1.0})
     with pytest.raises(ValueError):
         convergence_profile(s, table)
+
+
+def test_series_degree_is_bounded_by_the_cap():
+    with pytest.raises(DimensionCapError):
+        FreeSeries(2, 16, {"1": 1.0})
+    with pytest.raises(DimensionCapError):
+        FreeSeries(2, 2, {"1": 1.0}).truncated(16)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        FreeSeries(2, 2, {"12": bad})
+    with pytest.raises(RegularityError, match="not finite"):
+        PositiveRegularFunction(2, {"1": 1.0, "2": 1.0, "21": bad})
+
+
+# -- the dict-of-words product the graded arrays replaced, kept as an oracle --
+
+
+def _ref_multiply(left: dict, right: dict, degree: int, scalar: bool) -> dict:
+    acc = {}
+    for u, a in sorted(left.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        for v, b in sorted(right.items(), key=lambda kv: (len(kv[0]), kv[0])):
+            if len(u) + len(v) <= degree:
+                term = complex(a[0, 0]) * complex(b[0, 0]) if scalar else a @ b
+                acc[u + v] = acc[u + v] + term if u + v in acc else term
+    return {w: np.asarray(c, dtype=complex).reshape(a.shape) for w, c in acc.items()}
+
+
+def _ref_compose(outer: FreeSeries, inner: list) -> dict:
+    degree = min(s.degree for s in inner)
+    e = inner[0].coeff_dim
+    memo = {(): {(): np.eye(e, dtype=complex)}}
+    for beta, _ in outer.items():  # phi_beta = phi_{beta_0} phi_{beta[1:]}
+        for j in range(len(beta) - 1, -1, -1):
+            if beta[j:] not in memo:
+                memo[beta[j:]] = _ref_multiply(
+                    dict(inner[beta[j] - 1].items()), memo[beta[j + 1:]], degree, e == 1
+                )
+    acc = {}
+    for beta, c in outer.items():
+        if len(beta) <= degree:
+            for alpha, a in sorted(memo[beta].items(), key=lambda kv: (len(kv[0]), kv[0])):
+                acc[alpha] = acc[alpha] + np.kron(a, c) if alpha in acc else np.kron(a, c)
+    return acc
+
+
+def _assert_matches(got: FreeSeries, want: dict, exact: bool):
+    words = set(want) | set(got.support())
+    scale = max((np.max(np.abs(c)) for c in want.values()), default=1.0)
+    for w in words:
+        ref = want.get(w, np.zeros((got.coeff_dim,) * 2))
+        if exact:
+            assert np.array_equal(got.coeff(w), ref), w
+        else:
+            assert np.max(np.abs(got.coeff(w) - ref)) <= 1e-13 * scale, w
+
+
+def _random_series(rng, n, degree, e, real, constant=True):
+    coeffs = {}
+    for k in range(0 if constant else 1, degree + 1):
+        for num in range(n**k):
+            if rng.random() < 0.6:
+                word = tuple(num // n ** (k - 1 - j) % n + 1 for j in range(k))
+                # spread magnitudes, so that summation order shows in the bits
+                c = rng.uniform(-1.0, 1.0, (e, e)) * 10.0 ** rng.integers(-4, 5)
+                coeffs[word] = c if real else c + 1j * rng.uniform(-1.0, 1.0, (e, e))
+    return FreeSeries(n, degree, coeffs, e)
+
+
+# (n, degree, degree, (e, real), seed): real scalar series must match bit for bit
+series_cases = st.tuples(
+    st.integers(1, 3), st.integers(0, 4), st.integers(0, 4),
+    st.sampled_from([(1, True), (1, True), (1, False), (2, True), (2, False)]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(series_cases)
+def test_multiply_matches_dict_product(case):
+    n, d1, d2, (e, real), seed = case
+    rng = np.random.default_rng(seed)
+    a = _random_series(rng, n, d1, e, real)
+    b = _random_series(rng, n, d2, e, real)
+    want = _ref_multiply(dict(a.items()), dict(b.items()), min(d1, d2), e == 1)
+    _assert_matches(multiply(a, b), want, exact=real and e == 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(series_cases)
+def test_compose_matches_dict_composition(case):
+    n, d_out, d_in, (e, real), seed = case
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 3))
+    outer = _random_series(rng, p, d_out, e, real)
+    inner = [_random_series(rng, n, d_in, e, real, constant=False) for _ in range(p)]
+    _assert_matches(compose(outer, inner), _ref_compose(outer, inner), exact=real and e == 1)

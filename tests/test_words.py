@@ -101,6 +101,29 @@ def test_index_prefix_property():
     assert large.words[: small.dim] == small.words
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_index_arrays_match_per_word_loops(n):
+    N = 4
+    index = enumerate_words(n, N)
+    loop = [w for k in range(N + 1) for w in product(range(1, n + 1), repeat=k)]
+    pos = {w: i for i, w in enumerate(loop)}
+    assert list(index.words) == loop
+    assert [index.index_of(w) for w in loop] == list(range(index.dim))
+    assert index.reversal().tolist() == [pos[w[::-1]] for w in loop]
+    for length in range(N + 1):
+        words = [index.letters_of(i) for i in index.grade(length)]
+        assert index.offset(length) == pos[words[0]]
+        for k in range(length + 1):
+            prefix, suffix = index.split(length, k)
+            assert prefix.tolist() == [pos[w[:k]] for w in words]
+            assert suffix.tolist() == [pos[w[k:]] for w in words]
+    f = PositiveRegularFunction(n, {(i,): 1.0 for i in range(1, n + 1)})
+    model = build_model(f, 1, N)
+    for i, (targets, _) in enumerate(model._shifts, start=1):
+        want = [pos[(i,) + w] if len(w) < N else -1 for w in loop]
+        assert targets.tolist() == want
+
+
 def test_dimension_cap_enforced(monkeypatch):
     monkeypatch.setenv("NCDOMAIN_DIM_CAP", "100")
     with pytest.raises(DimensionCapError):
