@@ -130,7 +130,7 @@ def berezin_kernel(
         raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
     index = enumerate_words(f.n, N)
     root, clipped = _defect_root(f, m, t, tol)
-    b = np.asarray(weights_direct(f, m, N).aligned_values(index), dtype=float)
+    b = weights_direct(f, m, N).aligned_values(index)
     adjoints = np.array(_monomials(t, index.words)).conj().swapaxes(1, 2)
     blocks = np.sqrt(b)[:, None, None] * (root @ adjoints)
     return BerezinKernel(f, m, t, N, index, blocks, root, clipped)

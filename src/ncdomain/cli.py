@@ -7,15 +7,17 @@ the subcommand's ``--help`` print.
 Every subcommand runs through one skeleton, `_run`, driven by its row
 in `COMMANDS`: it builds the parser from the common flags and the
 command's own (each command registers only the flags it reads), loads
-the config with the ``--depth``/``--seed`` overrides, resolves the
-tolerance, and hands ``(ns, cfg, tol, report)`` to the handler.  Input
-values pass one gate whether they come from a config file or a flag:
-`_check_depth` (>= 1, basis under the cap), `_check_seed` (>= 0) and
+the config with the ``--depth`` override, resolves the tolerance, and
+hands ``(ns, cfg, tol, report)`` to the handler.  Only `compose` and
+`selftest` draw random numbers, so only they take ``--seed`` and only
+their reports carry a seed; a config's ``seed`` is checked but unused.
+Input values pass one gate whether they come from a config file or a
+flag: `_check_depth` (>= 1, basis under the cap), `_check_seed` (>= 0) and
 `_check_tolerance` (finite and > 0).
 
-Reports are deterministic: the same invocation with the same seed
-produces a byte-identical body (wall time lives outside it).  Every
-judged numeric carries the tolerance it was judged against.  Exit
+Reports are deterministic: the same inputs (and seed, where one is
+taken) produce a byte-identical body (wall time lives outside it).
+Every judged numeric carries the tolerance it was judged against.  Exit
 codes: 0 on success (for verdict commands: verdict holds), 1 when a
 check or verdict fails, 2 on computation errors and rejected input
 values, 64 on usage errors.
@@ -78,7 +80,10 @@ TOLERANCE_DEFAULTS = {
 
 @dataclass(frozen=True)
 class DomainConfig:
-    """Validated parameters of one domain: symbol, order, depth, seeds."""
+    """Validated parameters of one domain: symbol, order, depth, tolerances.
+
+    ``seed`` is validated so that existing configs load; no command reads it.
+    """
 
     n: int
     m: int
@@ -183,7 +188,7 @@ class Report:
 
     command: str
     inputs: dict
-    seed: int
+    seed: int | None
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
 
@@ -205,10 +210,11 @@ class Report:
         return all(c["passed"] for c in self.checks)
 
     def body(self) -> dict:
+        seed = {} if self.seed is None else {"seed": self.seed}
         return {
             "command": self.command,
             "inputs_digest": _digest(self.inputs),
-            "seed": self.seed,
+            **seed,
             "results": _jsonable(self.results),
             "checks": self.checks,
         }
@@ -226,7 +232,8 @@ def _render(value) -> str:
 def _human_lines(body: dict) -> list[str]:
     lines = [f"ncdomain {body['command']}"]
     lines.append(f"  inputs: sha256:{body['inputs_digest'][:16]}")
-    lines.append(f"  seed: {body['seed']}")
+    if "seed" in body:
+        lines.append(f"  seed: {body['seed']}")
     for key, value in body["results"].items():
         if isinstance(value, dict):
             lines.append(f"  {key}:")
@@ -274,21 +281,15 @@ def _config_inputs(cfg: DomainConfig) -> dict:
         "N": cfg.depth,
         "symbol": {word_text(w): v for w, v in cfg.symbol.items()},
         "tolerances": cfg.tolerances,
-        "seed": cfg.seed,
     }
 
 
 def _cmd_weights(ns, cfg: DomainConfig, tol: float, report: Report):
     direct = weights_direct(cfg.symbol, cfg.m, cfg.depth)
     oracle = weights_oracle(cfg.symbol, cfg.m, cfg.depth)
-    table = {}
-    rel = 0.0
-    for word, value in direct.items():
-        table[word_text(word)] = value
-        ref = oracle[word]
-        rel = max(rel, abs(value - ref) / abs(ref))
+    rel = float(np.max(np.abs(direct.values - oracle.values) / oracle.values))
     report.results["dim"] = len(direct)
-    report.results["table"] = table
+    report.results["table"] = {word_text(w): v for w, v in direct.items()}
     report.add_check(
         "oracle_agreement", rel, tol, rel <= tol,
         "largest relative difference against the series oracle",
@@ -487,6 +488,7 @@ def _flag(*names: str, **options) -> tuple:
 
 
 _TUPLE = _flag("--tuple", required=True, dest="tuple_path", help="operator tuple file")
+_SEED = _flag("--seed", type=int, default=0, help="random seed")
 
 
 @dataclass(frozen=True)
@@ -526,6 +528,7 @@ COMMANDS = {
             _flag("--inner", required=True, nargs="+",
                   help="inner series files, one per outer generator"),
             _flag("--save", default=None, help="write the composition here"),
+            _SEED,
         ),
     ),
     "berezin": Command(
@@ -563,7 +566,7 @@ COMMANDS = {
     "selftest": Command(
         _cmd_selftest, None, "run the verification suite (--profile full|fast)",
         config=False,
-        flags=(_flag("--profile", choices=("full", "fast"), default="full"),),
+        flags=(_flag("--profile", choices=("full", "fast"), default="full"), _SEED),
     ),
 }
 
@@ -573,8 +576,8 @@ _USAGE = "\n".join(
 ) + """
 
 common options: --config FILE, --depth/-N INT (not compose, selftest),
-  --tol FLOAT (finite, > 0; not selftest), --seed INT, --out FILE,
-  --format {text,json}
+  --tol FLOAT (finite, > 0; not selftest), --seed INT (compose, selftest),
+  --out FILE, --format {text,json}
 run `ncdomain <subcommand> --help` for details.
 """
 
@@ -589,7 +592,6 @@ def _run(name: str, command: Command, argv) -> int:
     if command.tolerance is not None:
         p.add_argument("--tol", type=float, default=None,
                        help="override the tolerance for this command's checks")
-    p.add_argument("--seed", type=int, default=None, help="override the random seed")
     p.add_argument("--out", default=None, help="write the report to this file")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format")
@@ -597,16 +599,16 @@ def _run(name: str, command: Command, argv) -> int:
         p.add_argument(*names, **options)
     ns = p.parse_args(argv)
     start = time.perf_counter()
-    seed = 0 if ns.seed is None else _check_seed(ns.seed, "--seed")
+    seed = getattr(ns, "seed", None)
+    if seed is not None:
+        _check_seed(seed, "--seed")
     cfg = None
     tolerances = TOLERANCE_DEFAULTS
     if command.config:
         cfg = parse_config(ns.config)
         if ns.depth is not None:
             cfg = replace(cfg, depth=_check_depth(cfg.n, ns.depth, "--depth"))
-        if ns.seed is not None:
-            cfg = replace(cfg, seed=seed)
-        seed, tolerances = cfg.seed, cfg.tolerances
+        tolerances = cfg.tolerances
     tol = None
     if command.tolerance is not None:
         tol = tolerances[command.tolerance]

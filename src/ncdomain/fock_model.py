@@ -55,7 +55,7 @@ class TruncatedModel:
         self.index = index
         self.weights = weights
         dim = index.dim
-        self.b = b = np.asarray(weights.aligned_values(index), dtype=float)
+        self.b = b = weights.aligned_values(index)
         targets = np.full((f.n, dim), -1, dtype=np.int64)
         for length in range(1, N + 1):
             # V_i sends w to the word iw, whose first letter is i and rest w

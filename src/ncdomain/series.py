@@ -28,6 +28,7 @@ import numpy as np
 
 from .words import (
     Letters,
+    WordIndex,
     _as_letters,
     capped_word_count,
     grade_letters,
@@ -440,11 +441,14 @@ def convergence_profile(series: FreeSeries, weights) -> ConvergenceProfile:
             f"is {series.degree}"
         )
     e = series.coeff_dim
+    index = WordIndex(series.n, series.degree)
+    b = weights.aligned_values(index)
     values = []
     for k in range(1, series.degree + 1):
-        total = np.zeros((e, e), dtype=complex)
-        for w, c in series.grade_items(k):
-            total += (c.conj().T @ c) / weights[w]
+        c = series.grade(k)
+        # sum over the grade of C_w^* C_w / b_w as one (e, e) product
+        scaled = c.conj() / b[index.offset(k) : index.offset(k + 1), None, None]
+        total = scaled.reshape(-1, e).T @ c.reshape(-1, e)
         norm = float(np.linalg.norm(total, 2)) if np.any(total != 0) else 0.0
         values.append(norm ** (1.0 / (2.0 * k)) if norm > 0 else 0.0)
     if not values:

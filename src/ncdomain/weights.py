@@ -13,11 +13,14 @@ truncated model: they are strictly positive because every letter of the
 alphabet carries a strictly positive coefficient.
 
 Two implementations are provided on purpose.  `weights_direct` sums over
-factorizations of each word into support words of f (zero-coefficient
-factors pruned, per-word terms combined with compensated summation in
-graded order).  `weights_oracle` accumulates the truncated powers f^j
-with binomial prefactors.  They share nothing but the coefficient lookup,
-and the test suite demands relative agreement to 1e-12.
+factorizations of each word into support words of f, peeled off the
+front, so factors with zero coefficient never appear.  In graded-lex
+order the words of length L that start with a support word g form one
+contiguous block of the index, whose suffixes are grade L - |g| in
+order, so the sum is one vector add per (grade, support word).
+`weights_oracle` accumulates the truncated powers f^j with binomial
+prefactors.  They share nothing but the coefficient lookup, and the
+test suite demands relative agreement to 1e-12.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import numpy as np
 
 from .series import FreeSeries, PositiveRegularFunction
-from .words import Letters, WordIndex, _as_letters, enumerate_words
+from .words import Letters, WordIndex, word_num
 
 
 def binomial_constant(k: int, m: int) -> int:
@@ -43,70 +46,71 @@ def binomial_constant(k: int, m: int) -> int:
 
 
 class WeightTable:
-    """Weights b_w for all words of length <= N, keyed by word."""
+    """Weights b_w for all words of length <= N, one array in `WordIndex` order.
 
-    __slots__ = ("f", "m", "N", "_values")
+    ``values`` is read-only; ``index`` is the word index of depth N.
+    """
 
-    def __init__(self, f: PositiveRegularFunction, m: int, N: int, values: dict):
-        self.f = f
-        self.m = m
-        self.N = N
-        self._values = values
+    __slots__ = ("f", "m", "N", "index", "values")
+
+    def __init__(self, f: PositiveRegularFunction, m: int, index: WordIndex, values):
+        values.flags.writeable = False
+        self.f, self.m, self.N = f, m, index.max_length
+        self.index, self.values = index, values
 
     def __getitem__(self, word) -> float:
-        letters = _as_letters(word, self.f.n)
-        try:
-            return self._values[letters]
-        except KeyError:
-            raise KeyError(
-                f"word of length {len(letters)} outside table bound N={self.N}"
-            ) from None
+        return float(self.values[self.index.index_of(word)])
 
     def items(self) -> list[tuple[Letters, float]]:
-        return sorted(self._values.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return list(zip(self.index.words, self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self.index.dim
 
-    def aligned_values(self, index: WordIndex) -> list[float]:
-        """Weights in the order of a word index (index words must be covered)."""
-        return [self._values[w] for w in index.words]
+    def aligned_values(self, index: WordIndex) -> np.ndarray:
+        """Weights in the order of a word index: a read-only prefix of ``values``."""
+        if index.n != self.f.n:
+            raise ValueError(f"index over n={index.n} letters, table over n={self.f.n}")
+        if index.max_length > self.N:
+            raise KeyError(
+                f"index of depth {index.max_length} outside table bound N={self.N}"
+            )
+        return self.values[: index.dim]
 
 
 def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     """Weights by direct summation over support-word factorizations.
 
-    Splittings are enumerated by peeling support words of f off the
-    front, so factors with zero coefficient never appear.  For each word
-    the contributions are grouped by factor count j, each group summed
-    with math.fsum, then combined with the exact binomial constants.
+    Row j of c[L] holds, for every word of grade L, the sum over its
+    splittings into j support words of the coefficient products.  The
+    words of grade L that start with g (|g| = k) are the columns
+    num(g) n^(L-k) onward, n^(L-k) of them, and their suffixes are grade
+    L - k in order, so peeling g adds a_g c[L-k] into rows 1.. of that
+    block.  Grade L of the table is sum_j C(j+m-1, m-1) c[L][j].  A grade
+    is read only by the next f.degree grades, so older ones are dropped
+    (for n = 1, c would otherwise hold N^2 / 2 numbers).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    index = enumerate_words(f.n, N)
-    support = f.support()
-    coeff = dict(f.items())
-    # counts[w][j] = sum over splittings of w into j support words of the
-    # coefficient product; suffixes are strictly shorter, so the graded
-    # enumeration order of the index makes this a single forward pass.
-    counts: dict[Letters, dict[int, float]] = {(): {0: 1.0}}
-    for w in index.words[1:]:
-        per_j: dict[int, list[float]] = {}
-        for g in support:
-            k = len(g)
-            if k <= len(w) and w[:k] == g:
-                a = coeff[g]
-                for j, v in counts[w[k:]].items():
-                    per_j.setdefault(j + 1, []).append(a * v)
-        counts[w] = {j: math.fsum(terms) for j, terms in sorted(per_j.items())}
-    values: dict[Letters, float] = {(): 1.0}
-    for w in index.words[1:]:
-        values[w] = math.fsum(
-            binomial_constant(j, m) * v for j, v in sorted(counts[w].items())
-        )
-    return WeightTable(f, m, N, values)
+    n = f.n
+    support = [(len(g), word_num(g, n), a) for g, a in f.items()]
+    binom = np.array([float(binomial_constant(j, m)) for j in range(N + 1)])
+    c = [np.ones((1, 1))]
+    values = [np.ones(1)]
+    for length in range(1, N + 1):
+        grade = np.zeros((length + 1, n**length))
+        for k, num, a in support:
+            if k > length:
+                break
+            rest = n ** (length - k)
+            grade[1 : length - k + 2, num * rest : (num + 1) * rest] += a * c[length - k]
+        values.append((binom[: length + 1, None] * grade).sum(axis=0))
+        c.append(grade)
+        if length >= f.degree:
+            c[length - f.degree] = None
+    return WeightTable(f, m, WordIndex(n, N), np.concatenate(values))
 
 
 def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
@@ -120,7 +124,6 @@ def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
         raise ValueError(f"m must be >= 1, got {m}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    index = enumerate_words(f.n, N)
     fs = f.as_series(degree=N)
     acc = FreeSeries.constant(1.0, f.n, N)
     power = FreeSeries.constant(1.0, f.n, N)
@@ -128,4 +131,4 @@ def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
         power = power * fs
         acc = acc + binomial_constant(j, m) * power
     grades = [acc.grade(k)[:, 0, 0].real for k in range(N + 1)]
-    return WeightTable(f, m, N, dict(zip(index.words, np.concatenate(grades).tolist())))
+    return WeightTable(f, m, WordIndex(f.n, N), np.concatenate(grades))

@@ -8,7 +8,9 @@ first and lexicographically within each length.  Truncating by length is
 then a basis prefix, and the enumeration is identical across runs.  In
 that order a word u of length L sits at offset(L) + num(u), num(u) being
 u read as a base-n number, so `WordIndex` finds prefixes, suffixes and
-reversals of a whole grade by integer arithmetic.
+reversals of a whole grade by integer arithmetic.  Its letter tuples
+(`WordIndex.words`) are built only when first read: the model, the
+weight tables and the grade-row gather never need them.
 
 A word is a tuple of letters (`Letters`).  Its digit form ("12" for
 g_1 g_2, "" for the unit, n <= 9) appears only in files and on the
@@ -119,7 +121,7 @@ class WordIndex:
     the index for any larger bound.
     """
 
-    __slots__ = ("n", "max_length", "words", "_grade_starts")
+    __slots__ = ("n", "max_length", "_grade_starts", "_words")
 
     def __init__(self, n: int, max_length: int):
         if max_length < 0:
@@ -129,17 +131,22 @@ class WordIndex:
         capped_word_count(n, max_length, "basis")
         self.n = n
         self.max_length = max_length
-        words: list[Letters] = []
-        starts = [0]
-        for k in range(max_length + 1):
-            words.extend(grade_letters(n, k, range(n**k)))
-            starts.append(len(words))
-        self.words = tuple(words)
-        self._grade_starts = tuple(starts)
+        self._grade_starts = tuple(word_count(n, k - 1) for k in range(max_length + 2))
+        self._words: tuple[Letters, ...] | None = None
+
+    @property
+    def words(self) -> tuple[Letters, ...]:
+        """Every word as a letter tuple, in index order; built on first read."""
+        if self._words is None:
+            self._words = tuple(
+                w for k in range(self.max_length + 1)
+                for w in grade_letters(self.n, k, range(self.n**k))
+            )
+        return self._words
 
     @property
     def dim(self) -> int:
-        return len(self.words)
+        return self._grade_starts[-1]
 
     def index_of(self, word: str | Iterable[int]) -> int:
         letters = _as_letters(word, self.n)

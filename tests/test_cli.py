@@ -260,6 +260,30 @@ def test_probe_cartan_rejects_empty_budget(readme_files, capsys, budget):
     assert "iteration budget" in capsys.readouterr().err
 
 
+def test_config_seed_leaves_weights_body_unchanged(tmp_path, capsys):
+    # weights draws no random numbers, so the config seed must not enter its report
+    bodies = []
+    for seed in (1, 2):
+        cfg = write_config(tmp_path, f"c{seed}.json", extra={"seed": seed})
+        out = tmp_path / f"r{seed}.json"
+        assert main(["weights", "--config", str(cfg), "--format", "json",
+                     "--out", str(out)]) == 0
+        bodies.append(json.dumps(json.loads(out.read_text())["report"], sort_keys=True))
+    assert bodies[0] == bodies[1]
+    assert '"seed"' not in bodies[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("row", README_ROWS, ids=lambda row: row.split()[0])
+def test_only_seeded_commands_take_seed(readme_files, capsys, row):
+    argv = shlex.split(row)
+    if argv[0] == "selftest":
+        argv = ["selftest", "--profile", "fast"]
+    seeded = argv[0] in ("compose", "selftest")
+    assert main(argv + ["--seed", "4"]) == (0 if seeded else 64)
+    capsys.readouterr()
+
+
 def test_selftest_takes_no_tol(capsys):
     assert main(["selftest", "--profile", "fast", "--tol", "1e-3"]) == 64
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Free series arithmetic, composition, evaluation, and symbols."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,25 @@ def test_convergence_profile_geometric():
     prof = convergence_profile(s, table)
     assert all(abs(v - 2.0) < 1e-12 for v in prof.per_degree)
     assert prof.tail_estimate == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_convergence_profile_matches_per_word_loop(e):
+    rng = np.random.default_rng(11)
+    f = PositiveRegularFunction(2, {"1": 0.3, "2": 0.7, "21": 0.2})
+    table = weights_direct(f, 2, 5)
+    coeffs = {
+        w: rng.standard_normal((e, e)) + 1j * rng.standard_normal((e, e))
+        for k in range(1, 5) for w in product((1, 2), repeat=k) if rng.random() < 0.6
+    }
+    s = FreeSeries(2, 4, coeffs, e)
+    want = []
+    for k in range(1, 5):
+        total = sum(((c.conj().T @ c) / table[w] for w, c in s.grade_items(k)),
+                    np.zeros((e, e)))
+        want.append(float(np.linalg.norm(total, 2)) ** (1.0 / (2.0 * k)))
+    got = convergence_profile(s, table).per_degree
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_convergence_profile_needs_deep_table():

@@ -1,8 +1,13 @@
 """Weight tables: direct factorization sums against the series oracle."""
 
+import math
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncdomain.fock_model import build_model, grade_row_diagonal
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
 from ncdomain.weights import (
     binomial_constant,
@@ -10,6 +15,40 @@ from ncdomain.weights import (
     weights_oracle,
 )
 from ncdomain.words import enumerate_words
+
+
+def _reference_weights(f, m, N):
+    """Per-word factorization sum with math.fsum, word by word (the old path)."""
+    words = [w for k in range(N + 1) for w in product(range(1, f.n + 1), repeat=k)]
+    coeff = dict(f.items())
+    counts = {(): {0: 1.0}}
+    for w in words[1:]:
+        per_j = {}
+        for g, a in coeff.items():
+            if len(g) <= len(w) and w[: len(g)] == g:
+                for j, v in counts[w[len(g):]].items():
+                    per_j.setdefault(j + 1, []).append(a * v)
+        counts[w] = {j: math.fsum(t) for j, t in sorted(per_j.items())}
+    values = {(): 1.0}
+    for w in words[1:]:
+        values[w] = math.fsum(
+            binomial_constant(j, m) * v for j, v in sorted(counts[w].items())
+        )
+    return values
+
+
+@st.composite
+def symbols(draw):
+    """Symbols with n <= 3, degree <= 3 and non-dyadic coefficients k / 97."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 3))
+    coeff = st.integers(1, 96).map(lambda k: k / 97)
+    coeffs = {(i,): draw(coeff) for i in range(1, n + 1)}
+    for k in range(2, degree + 1):
+        for w in product(range(1, n + 1), repeat=k):
+            if draw(st.booleans()):
+                coeffs[w] = draw(coeff)
+    return PositiveRegularFunction(n, coeffs)
 
 
 def test_binomial_constants():
@@ -55,6 +94,27 @@ def test_weight_chain_inequality():
             assert table[(i,) + word] >= f.coefficient((i,)) * b - 1e-14
 
 
+@settings(deadline=None, max_examples=60)
+@given(f=symbols(), m=st.integers(1, 3), N=st.integers(0, 5))
+def test_direct_matches_per_word_reference(f, m, N):
+    table = weights_direct(f, m, N)
+    ref = _reference_weights(f, m, N)
+    assert len(table) == len(ref)
+    for word, value in table.items():
+        assert abs(value - ref[word]) <= 1e-14 * ref[word]
+
+
+@settings(deadline=None, max_examples=40)
+@given(f=symbols(), m=st.integers(1, 3), N=st.integers(1, 5))
+def test_weight_chain_property(f, m, N):
+    # b_{iw} >= a_i b_w: the splittings of iw include i followed by those of w
+    table = weights_direct(f, m, N)
+    for word, b in table.items():
+        if len(word) < N:
+            for i in range(1, f.n + 1):
+                assert table[(i,) + word] >= f.coefficient((i,)) * b * (1 - 1e-14)
+
+
 def test_direct_matches_oracle():
     f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.5, "21": 0.125, "112": 1.0})
     for m in (1, 2, 3):
@@ -92,6 +152,31 @@ def test_aligned_values_follow_index_order():
     assert len(aligned) == index.dim
     assert aligned[0] == table[""]
     assert aligned[index.index_of("12")] == table["12"]
+
+
+def test_aligned_values_contract():
+    f = unit_ball_symbol(2)
+    table = weights_direct(f, 2, 3)
+    aligned = table.aligned_values(enumerate_words(2, 2))
+    assert np.shares_memory(aligned, table.values)
+    assert aligned.tolist() == table.values[: aligned.size].tolist()
+    assert not aligned.flags.writeable
+    with pytest.raises(ValueError):
+        aligned[0] = 2.0
+    with pytest.raises(KeyError):
+        table.aligned_values(enumerate_words(2, 4))
+    with pytest.raises(ValueError):
+        table.aligned_values(enumerate_words(3, 2))
+
+
+def test_hot_path_leaves_words_unbuilt():
+    # the model, both tables and the grade-row gather use index arithmetic only
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.25, "12": 0.125})
+    model = build_model(f, 2, 4)
+    for k in range(5):
+        grade_row_diagonal(model, k)
+    tables = [model.weights, weights_direct(f, 2, 4), weights_oracle(f, 2, 4)]
+    assert all(index._words is None for index in [model.index] + [t.index for t in tables])
 
 
 def test_getitem_accepts_strings():
