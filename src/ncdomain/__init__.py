@@ -33,6 +33,7 @@ from .fock_model import (
     hardy_norm_estimate,
     model_defect,
     model_monomial,
+    monomial_pair,
 )
 from .rigidity import (
     BiholoCertificate,
@@ -90,6 +91,7 @@ __all__ = [
     "membership",
     "model_defect",
     "model_monomial",
+    "monomial_pair",
     "monomial_product",
     "nilpotent_image_check",
     "parse_word",

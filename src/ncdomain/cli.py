@@ -49,7 +49,7 @@ from .fock_model import (
     defect_diagonal,
     grade_row_diagonal,
     hardy_norm_estimate,
-    model_monomial,
+    monomial_pair,
     symbol_row_diagonal,
 )
 from .io import (
@@ -177,8 +177,21 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def _array_entry(x) -> dict:
+    """An input array in the digest: its shape and the sha256 of its bytes.
+
+    The bytes are those of the C-ordered little-endian complex128 copy,
+    so any memory layout of the same values hashes alike.
+    """
+    if not isinstance(x, np.ndarray):
+        raise TypeError(f"cannot digest {type(x).__name__}")
+    data = np.ascontiguousarray(x, dtype="<c16").tobytes()
+    return {"shape": list(x.shape), "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def _digest(inputs: dict) -> str:
-    blob = json.dumps(_jsonable(inputs), sort_keys=True)
+    """sha256 of the sorted-keys JSON of the inputs, arrays by `_array_entry`."""
+    blob = json.dumps(inputs, sort_keys=True, default=_array_entry)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -398,7 +411,7 @@ def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
     else:
         alpha = parse_word(ns.alpha, cfg.n)
         beta = parse_word(ns.beta, cfg.n)
-        g = model_monomial(model, alpha) @ model_monomial(model, beta).conj().T
+        g = monomial_pair(model, alpha, beta)
         g_label = f"V_{ns.alpha or 'unit'} V_{ns.beta or 'unit'}^*"
     report.inputs["tuple"] = mats
     report.inputs["g"] = g

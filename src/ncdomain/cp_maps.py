@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .defaults import EIGENVALUE_TOL
-from .fock_model import TruncatedModel, build_model, model_monomial
+from .fock_model import TruncatedModel, build_model, monomial_pair
 from .linalg import hermitian_eigenvalues, hermitian_part, min_eigenvalue, operator_norm
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .words import Letters, _as_letters, enumerate_words, word_products
@@ -351,7 +351,7 @@ def von_neumann_gap(
     rhs_sum = np.zeros((model.dim * e, model.dim * e), dtype=complex)
     for a, b, cm in parsed:
         xa = monomial_product(t, a) @ monomial_product(t, b).conj().T
-        va = model_monomial(model, a) @ model_monomial(model, b).conj().T
+        va = monomial_pair(model, a, b)
         lhs_sum += np.kron(xa, cm)
         rhs_sum += np.kron(va, cm)
     return VonNeumannGap(operator_norm(lhs_sum), operator_norm(rhs_sum))

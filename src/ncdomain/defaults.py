@@ -32,6 +32,11 @@ DEFAULT_DIM_CAP = 50_000
 DIM_CAP_ENV = "NCDOMAIN_DIM_CAP"
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory; dense matrices larger than this are refused."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def dim_cap() -> int:
     """Active basis cap: the environment override if set, else the default."""
     raw = os.environ.get(DIM_CAP_ENV)

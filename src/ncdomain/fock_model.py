@@ -9,8 +9,9 @@ length <= N:
 
 with b the weight table of (f, m).  Every V_i has at most one nonzero
 entry per column, and so does any product V_w; the module keeps that
-column-map form alongside dense matrices.  Distinct columns of V_w land
-in distinct rows, so the completely positive map
+column-map form alongside dense matrices, which it allocates only after
+checking their 16 (dim e)^2 bytes against physical memory.  Distinct
+columns of V_w land in distinct rows, so the completely positive map
 Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
 and acts on a diagonal as a sum of scaled index scatters.
 
@@ -30,10 +31,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .defaults import physical_memory
 from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
 from .weights import WeightTable, weights_direct
-from .words import Letters, WordIndex, _as_letters, enumerate_words, word_products
+from .words import (
+    DimensionCapError,
+    Letters,
+    WordIndex,
+    _as_letters,
+    enumerate_words,
+    word_products,
+)
 
 ColumnMap = tuple[np.ndarray, np.ndarray]  # (target row per column or -1, weight)
 
@@ -108,9 +117,21 @@ def _compose_maps(left: ColumnMap, right: ColumnMap) -> ColumnMap:
     return t, w
 
 
+def _dense_zeros(size: int, what: str) -> np.ndarray:
+    """A complex (size, size) zero matrix, refused if it exceeds physical memory."""
+    need = 16 * size * size
+    have = physical_memory()
+    if need > have:
+        raise DimensionCapError(
+            f"{what} needs a dense {size} x {size} complex matrix of {need} "
+            f"bytes, more than the {have} bytes of physical memory"
+        )
+    return np.zeros((size, size), dtype=complex)
+
+
 def map_to_dense(column_map: ColumnMap, dim: int) -> np.ndarray:
     t, w = column_map
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = _dense_zeros(dim, "a model operator")
     cols = np.nonzero(t >= 0)[0]
     mat[t[cols], cols] = w[cols]
     return mat
@@ -145,6 +166,21 @@ def build_model(
 def model_monomial(model: TruncatedModel, word) -> np.ndarray:
     """Dense matrix of the product V_w (empty word gives the identity)."""
     return map_to_dense(model.monomial_map(word), model.dim)
+
+
+def monomial_pair(model: TruncatedModel, alpha, beta) -> np.ndarray:
+    """Dense V_alpha V_beta^*, one scatter of the two column maps.
+
+    For each basis vector e_u kept by both, V_beta^* sends e_{beta u} to
+    w_beta(u) e_u and V_alpha sends that on to w_alpha(u) e_{alpha u}; the
+    weights are real, and every other column is zero.
+    """
+    t_a, w_a = model.monomial_map(alpha)
+    t_b, w_b = model.monomial_map(beta)
+    out = _dense_zeros(model.dim, "the observable V_alpha V_beta^*")
+    u = np.nonzero((t_a >= 0) & (t_b >= 0))[0]
+    out[t_a[u], t_b[u]] = w_a[u] * w_b[u]
+    return out
 
 
 def _scatter_diagonal(
@@ -195,7 +231,7 @@ def evaluate_on_model(
         )
     e = series.coeff_dim
     dim = model.dim
-    out = np.zeros((dim * e, dim * e), dtype=complex)
+    out = _dense_zeros(dim * e, "a series evaluated on the model")
     view = out.reshape(dim, e, dim, e)
     for word, c in series.items():
         t, w = model.monomial_map(word)

@@ -8,8 +8,14 @@ Three computational angles on the same theme:
     (`nilpotent_image_check`),
   * the iteration probe (`cartan_iteration_probe`): a map tangent to
     the identity with any genuine higher-order term, composed with
-    itself, drifts away from the identity linearly in the iteration
-    count and eventually violates the domain's row bound.
+    itself, drifts away from the identity and eventually violates the
+    domain's row bound.  The degree-k coefficients of the iterate F^N
+    are polynomials in N of degree <= k - 1, so the first |x| iterates
+    (x the witness word) fix the witness column of every iterate in
+    Newton form, col(N) = sum_j C(N - 1, j) D_j with D_j the j-th forward
+    difference at N = 1.  The first N over the bound is then found on
+    that polynomial, by bisection between the turning points of the
+    squared drift, at a cost that does not grow with the budget.
 
 Certificates at depth N are necessary conditions.  A failure disproves
 the candidate; a pass is reported as consistency at that depth, never
@@ -18,6 +24,7 @@ as a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -235,6 +242,100 @@ def _witness_word(
     return None, 0.0
 
 
+def _witness_differences(
+    maps: Sequence[FreeSeries],
+    f: PositiveRegularFunction,
+    m: int,
+    witness: Letters,
+) -> np.ndarray:
+    """Newton forward differences of the witness column over F^1..F^k.
+
+    On the model, row x of sum_w c_w V_w is nonzero only at the words u
+    with wu = x, where it holds c_w times the weight of V_w at e_u.  The
+    linear prefix reads the identity for every iterate, so the moving
+    entries of the witness column are those with |w| >= 2, one per
+    component and prefix.  They are coefficients of degree <= k = |x|,
+    hence polynomials of degree <= k - 1 in N, fixed by F^1..F^k and by
+    the k-jets alone.  Returns the differences D_0..D_{k-1} of those
+    entries as rows.  A difference of order >= 2 within the rounding of
+    the iterates is set to zero, so that C(N - 1, j) does not grow
+    rounding into drift.
+    """
+    k = len(witness)
+    jets = tuple(
+        FreeSeries(f.n, k, {(i,): 1.0, **{
+            w: c for w, c in s.truncated(k).items() if len(w) > 1
+        }})
+        for i, s in enumerate(maps, start=1)
+    )
+    model = build_model(f, m, k)
+    splits = [
+        (witness[:j], model.monomial_map(witness[:j])[1][model.index.index_of(witness[j:])])
+        for j in range(2, k + 1)
+    ]
+    cols = []
+    iterate = jets
+    for step in range(k):
+        if step:
+            iterate = tuple(compose(s, iterate) for s in jets)
+        cols.append([np.conj(s.coeff(w)[0, 0]) * weight for s in iterate for w, weight in splits])
+    cols = np.array(cols)
+    diffs = np.array([np.diff(cols, n=j, axis=0)[0] for j in range(k)])
+    scale = np.max(np.abs(cols), axis=0)
+    for j in range(2, k):
+        diffs[j][np.abs(diffs[j]) <= 2.0**j * 8 * np.finfo(float).eps * scale] = 0
+    return diffs
+
+
+def _drift(diffs: np.ndarray, counts) -> np.ndarray:
+    """Witness drift of the iterates F^N for the given counts N >= 1.
+
+    col(N) = sum_j C(N - 1, j) D_j, evaluated in floating point.
+    """
+    t = np.asarray(counts, dtype=float) - 1.0
+    binom = np.ones_like(t)
+    col = np.zeros(t.shape + diffs.shape[1:], dtype=complex)
+    for j, d in enumerate(diffs):
+        if j:
+            binom = binom * (t - (j - 1)) / j
+        col = col + binom[..., None] * d
+    return np.sqrt(np.sum(np.abs(col) ** 2, axis=-1))
+
+
+def _first_violation(diffs: np.ndarray, bound: float, n_iter: int) -> int | None:
+    """The first N in 1..n_iter with drift(N) > bound, or None.
+
+    drift(N)^2 is a polynomial in N; between consecutive real parts of
+    the roots of its derivative it is monotone, so each such run of
+    integers holds at most one crossing, found by bisection on the
+    Newton-form drift.  Nothing here grows with n_iter.
+    """
+    basis = [np.polynomial.Polynomial([1.0])]
+    for j in range(1, len(diffs)):
+        basis.append(basis[-1] * np.polynomial.Polynomial([-(j - 1), 1.0]) / j)
+    coeffs = np.zeros((len(diffs), diffs.shape[1]), dtype=complex)
+    for b, d in zip(basis, diffs):
+        coeffs[: len(b.coef)] += np.outer(b.coef, d)
+    square = sum(np.convolve(c, c.conj()).real for c in coeffs.T)
+    turns = np.polynomial.Polynomial(square).deriv().roots().real + 1.0  # t = N - 1
+    inner = [math.floor(v) for v in turns if 1 < v < n_iter]
+    edges = sorted({1, n_iter, *inner, *(v + 1 for v in inner)})
+
+    def over(count: int) -> bool:
+        return bool(_drift(diffs, [count])[0] > bound)
+
+    if over(1):
+        return 1
+    for lo, hi in zip(edges, edges[1:]):
+        if not over(hi):
+            continue
+        while hi - lo > 1:  # over(lo) is False, over(hi) is True
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if over(mid) else (mid, hi)
+        return hi
+    return None
+
+
 def cartan_iteration_probe(
     maps: Sequence[FreeSeries],
     f: PositiveRegularFunction,
@@ -243,21 +344,27 @@ def cartan_iteration_probe(
     n_iter: int = 10_000,
     tol: float = EIGENVALUE_TOL,
 ) -> ProbeResult:
-    """Compose a tangent-to-identity map with itself and watch the drift.
+    """Follow a tangent-to-identity map under self-composition.
 
-    Each component must be Z_i plus terms of degree >= 2 (checked).  The
-    iterates F^N are formed by exact composition truncated at degree p
-    and evaluated on the depth-p model, whose top-grade basis vectors
-    witness the motion: the adjoint of the lowest nontrivial coefficient
-    word pulls back to the vacuum with a factor growing linearly in N.
-    The probe flags the first N where that drift exceeds the row bound
-    1 / min linear coefficient (plus tol); if the nonlinear part is
-    below tol it reports identity consistency instead.
+    Each component must be Z_i plus terms of degree >= 2 (checked; linear
+    parts within 1e-12 of the identity are taken as the identity).  The
+    iterates F^N, truncated at degree p, are read on the depth-p model,
+    whose basis vector at the witness word x sees the motion: the
+    adjoint of the lowest nontrivial coefficient word pulls back to the
+    vacuum with a factor growing in N.  That witness column depends on
+    the coefficients of degree <= |x| only, which are polynomials in N of
+    degree <= |x| - 1; so F^1..F^|x| fix its Newton form
+    col(N) = sum_j C(N - 1, j) D_j for every N, and the probe composes
+    |x| - 1 times whatever the budget.  It flags the first N <= n_iter
+    where the drift |col(N) - col_identity| exceeds the row bound
+    1 / min linear coefficient (plus tol); if the nonlinear part is below
+    tol it reports identity consistency instead.
     """
     if p < 2:
         raise ValueError(f"probe degree must be >= 2, got {p}")
-    if n_iter < 1:
-        raise ValueError(f"iteration budget must be >= 1, got {n_iter}")
+    if not 1 <= n_iter <= 2**53:
+        # iteration counts are evaluated as floats, exact up to 2**53
+        raise ValueError(f"iteration budget must lie in 1..2**53, got {n_iter}")
     maps = _validate_map_tuple(maps, f.n, f.n)
     for i, s in enumerate(maps, start=1):
         for j in range(1, f.n + 1):
@@ -268,48 +375,28 @@ def cartan_iteration_probe(
                     f"component {i} is not tangent to the identity: "
                     f"linear coefficient at generator {j} is {got}"
                 )
-    # common declared degree keeps the composition truncation at p
     maps = tuple(s.truncated(p) for s in maps)
     witness, _ = _witness_word(maps, p, tol)
+    bound = 1.0 / f.min_linear_coefficient + tol
     if witness is None:
         return ProbeResult(
             status="identity-consistent",
             first_violation=None,
             witness_word=None,
             drift=0.0,
-            bound=1.0 / f.min_linear_coefficient + tol,
+            bound=bound,
             iterations_run=0,
         )
-    model = build_model(f, m, p)
-    idx0 = model.index.index_of(witness)
-    bound = 1.0 / f.min_linear_coefficient + tol
-    base_cols = [v.conj().T[:, idx0] for v in model.V]
-    current = maps
-    drift = 0.0
-    for n in range(1, n_iter + 1):
-        drift_sq = 0.0
-        for s, base in zip(current, base_cols):
-            col = evaluate_on_model(s, model).conj().T[:, idx0]
-            drift_sq += float(np.sum(np.abs(col - base) ** 2))
-        drift = float(np.sqrt(drift_sq))
-        if drift > bound:
-            return ProbeResult(
-                status="violation",
-                first_violation=n,
-                witness_word=witness,
-                drift=drift,
-                bound=bound,
-                iterations_run=n,
-            )
-        if n < n_iter:
-            current = tuple(compose(s, current) for s in maps)
+    diffs = _witness_differences(maps, f, m, witness)
+    first = _first_violation(diffs, bound, n_iter)
+    last = n_iter if first is None else first
     return ProbeResult(
-        status="inconclusive",
-        first_violation=None,
+        status="inconclusive" if first is None else "violation",
+        first_violation=first,
         witness_word=witness,
-        drift=drift,
+        drift=float(_drift(diffs, [last])[0]),
         bound=bound,
-        iterations_run=n_iter,
+        iterations_run=last,
     )
 
 

@@ -47,7 +47,7 @@ from .fock_model import (
     grade_row_diagonal,
     hardy_norm_estimate,
     model_defect,
-    model_monomial,
+    monomial_pair,
     symbol_row_diagonal,
 )
 from .linalg import operator_norm
@@ -298,7 +298,7 @@ def check_moment_nilpotent(profile: SelftestProfile, seed: int) -> CheckResult:
         for _ in range(4):
             alpha = _random_word(n, budget, rng)
             beta = _random_word(n, budget, rng)
-            g = model_monomial(model, alpha) @ model_monomial(model, beta).conj().T
+            g = monomial_pair(model, alpha, beta)
             got = kernel.transform(g)
             want = monomial_product(t, alpha) @ monomial_product(t, beta).conj().T
             worst = max(worst, float(np.max(np.abs(got - want))))

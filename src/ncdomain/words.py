@@ -38,7 +38,7 @@ from .defaults import DIM_CAP_ENV, dim_cap
 
 
 class DimensionCapError(ValueError):
-    """Raised when a requested enumeration exceeds the basis cap."""
+    """Raised when a requested basis exceeds the cap, or a dense matrix memory."""
 
 
 Letters = tuple[int, ...]

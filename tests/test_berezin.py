@@ -7,8 +7,11 @@ forward substitution.  A dense Kronecker solve is the small-N oracle for
 the latter.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdomain.berezin import (
     berezin_kernel,
@@ -24,7 +27,7 @@ from ncdomain.cp_maps import (
     monomial_product,
     sample_nilpotent_member,
 )
-from ncdomain.fock_model import build_model, model_monomial
+from ncdomain.fock_model import build_model, model_monomial, monomial_pair
 from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
 
 
@@ -128,6 +131,41 @@ def test_forms_agree_single_variable_deep():
     assert np.max(np.abs(kv - rv)) < 1e-10
     assert diag.radius_estimate < 1.0
     assert diag.growth_estimate >= 1.0
+
+
+@st.composite
+def transform_cases(draw):
+    """(f, m, N, T, g): T strictly upper triangular d x d inside the domain,
+    g a random Hermitian plus V_alpha V_beta^* with |beta| < d."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    N = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([3, 4]))
+    coeff = st.integers(1, 96).map(lambda k: k / 97)
+    coeffs = {(i,): draw(coeff) for i in range(1, n + 1)}
+    for w in product(range(1, n + 1), repeat=2):
+        if draw(st.booleans()):
+            coeffs[w] = draw(coeff)
+    f = PositiveRegularFunction(n, coeffs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = sample_nilpotent_member(f, m, d, rng)
+    word = lambda most: st.lists(st.integers(1, n), max_size=most).map(tuple)  # noqa: E731
+    alpha = draw(word(N))
+    beta = draw(word(min(N, d - 1)))
+    model = build_model(f, m, N)
+    h = rng.standard_normal((model.dim,) * 2) + 1j * rng.standard_normal((model.dim,) * 2)
+    g = h + h.conj().T + monomial_pair(model, alpha, beta)
+    return f, m, N, t, g
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=transform_cases())
+def test_kernel_form_equals_resolvent_form(case):
+    f, m, N, t, g = case
+    kv = berezin_transform_kernel(f, m, t, g, N)
+    rv = berezin_transform_resolvent(f, m, t, g, N)
+    assert np.max(np.abs(kv - rv)) <= 1e-10
+    assert np.max(np.abs(kv)) > 0
 
 
 def _dense_resolvent_transform(f, m, x, g, N):

@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hashlib
+
+import numpy as np
 import pytest
 
-from ncdomain import FreeSeries, compose
-from ncdomain.cli import COMMANDS, main, parse_config
+from ncdomain import FreeSeries, compose, fock_model
+from ncdomain.cli import COMMANDS, _digest, main, parse_config
 from ncdomain.io import FormatError
 
 
@@ -253,7 +256,7 @@ def test_bad_tol_exits_two(readme_files, capsys, row, value):
     assert "--tol must be finite and > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("budget", ["0", "-3", str(10**400)])
 def test_probe_cartan_rejects_empty_budget(readme_files, capsys, budget):
     assert main(["probe-cartan", "--config", "c.json", "--maps", "m1.json",
                  "m2.json", f"--iterations={budget}"]) == 2
@@ -467,3 +470,42 @@ def test_text_format_mentions_tolerance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tol=" in out
     assert "PASS" in out
+
+
+def test_digest_hashes_array_values_not_layout():
+    a = (np.arange(12.0) + 1j).reshape(3, 4)
+    fortran = np.asfortranarray(a)
+    wide = np.zeros((3, 8), dtype=complex)
+    wide[:, ::2] = a
+    strided = wide[:, ::2]
+    assert not fortran.flags.c_contiguous and not strided.flags.c_contiguous
+    digests = {_digest({"g": x, "form": "both"}) for x in (a, fortran, strided)}
+    assert len(digests) == 1
+    # an entry of another dtype holding the same values hashes alike
+    assert _digest({"g": a.real}) == _digest({"g": a.real.astype(complex)})
+
+
+def test_digest_changes_with_one_entry_and_with_shape():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    b = a.copy()
+    b[1, 0] += 1e-15
+    assert _digest({"g": a}) != _digest({"g": b})
+    assert _digest({"g": a}) != _digest({"g": a.reshape(1, 4)})
+    assert _digest({"tuple": [a]}) != _digest({"tuple": [a.T]})
+
+
+def test_digest_of_array_free_inputs_is_their_json_hash():
+    inputs = {"n": 2, "symbol": {"1": 0.5, "12": 0.25}, "radii": [0.0, 0.5],
+              "maps": [{"coeffs": {"1": [1.0, 0.0]}}], "form": "both"}
+    blob = json.dumps(inputs, sort_keys=True).encode("utf-8")
+    assert _digest(inputs) == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("row", [r for r in README_ROWS if r.split()[0] in ("berezin", "norm")],
+                         ids=lambda row: row.split()[0])
+def test_dense_matrix_over_physical_memory_exits_two(readme_files, capsys, monkeypatch, row):
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: 1000)
+    assert main(shlex.split(row)) == 2
+    err = capsys.readouterr().err
+    assert "bytes, more than the 1000 bytes of physical memory" in err
+    assert f"{16 * 15**2} bytes" in err  # dim 15: the 2-ball at depth 3

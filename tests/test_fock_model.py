@@ -1,18 +1,24 @@
 """Truncated weighted-shift models on Fock space."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+from ncdomain import fock_model
 from ncdomain.fock_model import (
     _scatter_diagonal,
     build_model,
     evaluate_on_model,
     grade_row_diagonal,
     hardy_norm_estimate,
+    map_to_dense,
     model_defect,
     model_monomial,
+    monomial_pair,
     symbol_row_diagonal,
 )
+from ncdomain.words import DimensionCapError
 from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
 from ncdomain.weights import binomial_constant, weights_direct
 
@@ -55,6 +61,33 @@ def test_model_monomial_matches_products():
     assert np.allclose(model_monomial(model, "12"), v1 @ v2)
     assert np.allclose(model_monomial(model, "211"), v2 @ v1 @ v1)
     assert np.allclose(model_monomial(model, ""), np.eye(model.dim))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_monomial_pair_equals_dense_product(n, N):
+    coeffs = {(i,): 1.0 / (i + 1) for i in range(1, n + 1)}
+    coeffs.update({(1, n): 0.125, (n, 1, 1): 0.0625})
+    model = build_model(PositiveRegularFunction(n, coeffs), 2, N)
+    words = [w for k in range(3) for w in product(range(1, n + 1), repeat=k)]
+    for alpha, beta in product(words, repeat=2):
+        want = model_monomial(model, alpha) @ model_monomial(model, beta).conj().T
+        assert np.array_equal(monomial_pair(model, alpha, beta), want)
+
+
+def test_dense_allocations_check_physical_memory(monkeypatch):
+    model = build_model(unit_ball_symbol(2), 1, 3)  # dim 15
+    series = FreeSeries(2, 1, {"1": 1.0}, coeff_dim=2)
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 30**2 - 1)
+    monomial_pair(model, "1", "2")
+    map_to_dense(model.monomial_map("1"), model.dim)
+    with pytest.raises(DimensionCapError, match=f"{16 * 30**2} bytes"):
+        evaluate_on_model(series, model)  # (dim * e)^2 entries, e = 2
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 15**2 - 1)
+    with pytest.raises(DimensionCapError, match=f"{16 * 15**2} bytes"):
+        monomial_pair(model, "1", "2")
+    with pytest.raises(DimensionCapError, match="physical memory"):
+        model.creation(1)
 
 
 def test_apply_phi_matches_dense_sum():

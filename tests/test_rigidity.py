@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from ncdomain import rigidity
 from ncdomain.rigidity import (
     LinearMapCandidate,
+    _drift,
+    _first_violation,
+    _witness_differences,
+    _witness_word,
     apply_row,
     cartan_iteration_probe,
     check_generator_images,
@@ -12,9 +17,11 @@ from ncdomain.rigidity import (
     nilpotent_image_check,
 )
 from ncdomain.cp_maps import OperatorTuple
+from ncdomain.fock_model import build_model, evaluate_on_model
 from ncdomain.series import (
     FreeSeries,
     PositiveRegularFunction,
+    compose,
     rescale_symbol,
     unit_ball_symbol,
 )
@@ -124,7 +131,7 @@ def test_probe_rejects_maps_not_tangent_to_identity():
         cartan_iteration_probe([FreeSeries(1, 2, {"1": 2.0})], f, 1, p=2)
 
 
-@pytest.mark.parametrize("n_iter", [0, -3])
+@pytest.mark.parametrize("n_iter", [0, -3, 2**53 + 1, 10**400])
 def test_probe_rejects_empty_iteration_budget(n_iter):
     f = unit_ball_symbol(1)
     with pytest.raises(ValueError, match="iteration budget"):
@@ -157,3 +164,157 @@ def test_generator_images_detect_escape():
     maps = [FreeSeries(1, 1, {"1": 3.0})]
     report = check_generator_images(f, 1, f, 1, maps, N=3, r_grid=(1.0,))
     assert not report.passed
+
+
+def _loop_drifts(maps, f, m, p, count, tol=1e-9):
+    """Witness word and drifts of F^1..F^count by repeated composition.
+
+    The probe's former loop: each iterate is composed from the last and
+    evaluated densely on the depth-p model, whose witness column is
+    compared with the column of the identity map.
+    """
+    maps = tuple(s.truncated(p) for s in maps)
+    witness, _ = _witness_word(maps, p, tol)
+    model = build_model(f, m, p)
+    idx0 = model.index.index_of(witness)
+    base_cols = [v.conj().T[:, idx0] for v in model.V]
+    current = maps
+    drifts = []
+    for n in range(1, count + 1):
+        drift_sq = 0.0
+        for s, base in zip(current, base_cols):
+            col = evaluate_on_model(s, model).conj().T[:, idx0]
+            drift_sq += float(np.sum(np.abs(col - base) ** 2))
+        drifts.append(float(np.sqrt(drift_sq)))
+        if n < count:
+            current = tuple(compose(s, current) for s in maps)
+    return witness, np.array(drifts)
+
+
+def _loop_first_violation(maps, f, m, p, count):
+    witness, drifts = _loop_drifts(maps, f, m, p, count)
+    bound = 1.0 / f.min_linear_coefficient + 1e-9
+    over = np.flatnonzero(drifts > bound)
+    return witness, (int(over[0]) + 1 if over.size else None)
+
+
+def _bench_probe_maps(c, component):
+    maps = [FreeSeries(2, 2, {(j,): 1.0}) for j in (1, 2)]
+    maps[component - 1] = FreeSeries(2, 2, {(component,): 1.0, (component,) * 2: c})
+    return maps
+
+
+def _mixed_quartic():
+    # quadratic terms below the tolerance: the witness is the cubic word 112
+    return [
+        FreeSeries(2, 4, {"1": 1.0, "12": 5e-10, "211": 3e-3 - 2e-3j, "1221": 0.3}),
+        FreeSeries(2, 4, {"2": 1.0, "21": -4e-10j, "112": 0.01, "2222": -0.4}),
+    ]
+
+
+PROBE_CASES = [
+    pytest.param([FreeSeries(1, 2, {"1": 1.0, "11": 1.0})], unit_ball_symbol(1), 1, 2,
+                 10, 2, id="selftest-quadratic"),
+    pytest.param([FreeSeries(1, 2, {"1": 1.0, "11": 1e-3})], unit_ball_symbol(1), 1, 2,
+                 1100, 1001, id="selftest-small"),
+    pytest.param(_bench_probe_maps(1e-2, 1), unit_ball_symbol(2), 1, 2, 150, 101,
+                 id="bench-c1e-2-first"),
+    pytest.param(_bench_probe_maps(1e-2, 2), unit_ball_symbol(2), 1, 2, 150, 101,
+                 id="bench-c1e-2-second"),
+    pytest.param(_mixed_quartic(), PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25}),
+                 2, 4, 400, 332, id="mixed-quartic"),
+]
+
+
+@pytest.mark.parametrize("maps, f, m, p, count, want", PROBE_CASES)
+def test_closed_form_probe_matches_loop(maps, f, m, p, count, want):
+    witness, first = _loop_first_violation(maps, f, m, p, count)
+    assert first == want
+    result = cartan_iteration_probe(maps, f, m, p, n_iter=count)
+    assert result.status == "violation"
+    assert result.first_violation == first
+    assert result.iterations_run == first
+    assert result.witness_word == witness
+
+
+def _drift_cases():
+    rng = np.random.default_rng(44)
+    for trial in range(6):
+        n, p, m = 1 + trial % 2, 2 + trial % 3, 1 + trial // 3
+        f = PositiveRegularFunction(n, {(i,): 0.5 + 0.5 * (i % 2) for i in range(1, n + 1)})
+        maps = []
+        for i in range(1, n + 1):
+            coeffs = {(i,): 1.0}
+            for k in rng.integers(2, p + 1, size=3):
+                w = tuple(int(x) for x in rng.integers(1, n + 1, size=int(k)))
+                coeffs[w] = complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-4, 0)
+            maps.append(FreeSeries(n, p, coeffs))
+        yield pytest.param(maps, f, m, p, id=f"n{n}-p{p}-m{m}")
+    f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25})
+    yield pytest.param(_mixed_quartic(), f, 2, 4, id="mixed-quartic")
+    # witness 1111, reached through the sub-tolerance words 11 and 111
+    maps = [FreeSeries(1, 4, {"1": 1.0, "11": 4e-10, "111": -3e-10j, "1111": 2e-3})]
+    yield pytest.param(maps, unit_ball_symbol(1), 3, 4, id="quartic-witness")
+
+
+@pytest.mark.parametrize("maps, f, m, p", list(_drift_cases()))
+def test_closed_form_drift_matches_loop(maps, f, m, p):
+    witness, loop = _loop_drifts(maps, f, m, p, 300)
+    assert witness is not None
+    diffs = _witness_differences(tuple(s.truncated(p) for s in maps), f, m, witness)
+    closed = _drift(diffs, np.arange(1, 301))
+    assert np.max(np.abs(closed - loop) / loop) <= 1e-9
+
+
+def test_probe_composes_only_up_to_the_witness_length(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rigidity, "compose", lambda *a: calls.append(1) or compose(*a))
+    f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25})
+    result = cartan_iteration_probe(_mixed_quartic(), f, 2, 4, n_iter=10**6)
+    assert result.status == "violation"
+    # two components, iterates F^2..F^|x|
+    assert len(calls) == 2 * (len(result.witness_word) - 1)
+
+
+def test_probe_budget_does_not_cost_memory():
+    f = unit_ball_symbol(1)
+    maps = [FreeSeries(1, 2, {"1": 1.0, "11": 1e-12})]
+    result = cartan_iteration_probe(maps, f, 1, p=2, n_iter=10**9, tol=1e-15)
+    assert result.status == "inconclusive"
+    assert result.first_violation is None
+    assert result.iterations_run == 10**9
+    assert result.drift == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_probe_ignores_rounding_in_high_differences():
+    # drift is N c exactly; the third and fourth differences are rounding
+    # that C(N - 1, j) would otherwise grow past the bound below N = 1e9
+    f = unit_ball_symbol(2)
+    c = 1.2548770403091668e-09
+    maps = [FreeSeries(2, 4, {"1": 1.0, "1111": c, "212": 0.7 * c}),
+            FreeSeries(2, 4, {"2": 1.0, "1221": c / 3})]
+    result = cartan_iteration_probe(maps, f, 1, p=4, n_iter=10**9)
+    diffs = _witness_differences(maps, f, 1, result.witness_word)
+    assert not np.any(diffs[2:])
+    assert result.status == "violation"
+    slope = np.linalg.norm(diffs[1])
+    assert result.first_violation == pytest.approx(result.bound / slope, abs=2)
+
+
+def test_first_violation_matches_a_scan():
+    # col(N) = 20 t - t^2 with t = N - 1 is over 99.5 only at its peak N = 11,
+    # between two turning points, and under the bound at both ends
+    bump = np.array([[0.0], [19.0], [-2.0]], dtype=complex)
+    assert _first_violation(bump, 99.5, 25) == 11
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        k, size = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        diffs = rng.standard_normal((k, size)) + 1j * rng.standard_normal((k, size))
+        diffs *= 10.0 ** rng.uniform(-6, 0, size=(k, 1))
+        n_iter = int(rng.integers(1, 3000))
+        drift = _drift(diffs, np.arange(1, n_iter + 1))
+        bound = float(np.quantile(drift, rng.uniform())) * rng.uniform(0.9, 1.1)
+        over = np.flatnonzero(drift > bound)
+        assert _first_violation(diffs, bound, n_iter) == (
+            int(over[0]) + 1 if over.size else None
+        )
