@@ -10,10 +10,14 @@ computed in two independent forms:
                   the weighted right creation operators of the depth-N
                   truncation.
 
-On the common truncation both are the same finite sum, so their
-agreement is a genuine cross-check of two different code paths (monomial
-adjoints versus forward substitution on right shifts).  Tensor factors
-are ordered Fock slot first, coefficient space second, throughout.
+Lam_{w~} sends e_u to sqrt(b_u / b_{uw}) e_{uw}, and the words uw for u
+of one grade are every n^|w|-th index of a higher grade
+(`WordIndex.shift_block` with ``right=True``), so the right shifts come
+from the index arithmetic and f's own weight table.  On the common
+truncation both forms are the same finite sum, so their agreement is a
+genuine cross-check of two different code paths (monomial adjoints
+versus forward substitution on right shifts).  Tensor factors are
+ordered Fock slot first, coefficient space second, throughout.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from .cp_maps import (
     spectral_radius_estimate,
 )
 from .defaults import EIGENVALUE_TOL
-from .fock_model import TruncatedModel, build_model
 from .linalg import psd_root
-from .series import FreeSeries, PositiveRegularFunction, evaluate, reverse_series
+from .series import FreeSeries, PositiveRegularFunction, evaluate
 from .weights import weights_direct
 from .words import WordIndex, enumerate_words
 
@@ -148,26 +151,6 @@ def berezin_transform_kernel(
     return berezin_kernel(f, m, t, N, tol=tol).transform(g)
 
 
-def reversed_model(f: PositiveRegularFunction, m: int, N: int) -> TruncatedModel:
-    """Truncated model of the reversed symbol, same order and depth."""
-    return build_model(reverse_series(f), m, N)
-
-
-def right_creation_operators(
-    f: PositiveRegularFunction, m: int, N: int
-) -> tuple[np.ndarray, ...]:
-    """Weighted right creation operators Lam_i e_w = sqrt(b_w/b_{wi}) e_{wi}.
-
-    Realized by conjugating the reversed symbol's model with the
-    word-reversal permutation of the basis.
-    """
-    rm = reversed_model(f, m, N)
-    perm = rm.index.reversal()
-    return tuple(
-        rm.creation(i)[np.ix_(perm, perm)] for i in range(1, f.n + 1)
-    )
-
-
 @dataclass(frozen=True)
 class ResolventDiagnostics:
     """Growth and spectral-radius evidence for a resolvent solve."""
@@ -189,9 +172,11 @@ def berezin_transform_resolvent(
 
     The right shifts raise word length, so (I - sum_w a_w Lam_{w~} (x)
     T_w^*)^m R = e_unit (x) I_d is unit block-lower-triangular and is
-    solved by forward substitution, grade by grade; R^* (g (x) Delta^2) R
-    is then compressed back to the coefficient space.  Requires T in the
-    domain with estimated joint spectral radius below 1.
+    solved by forward substitution, grade by grade: grade L of R, moved
+    by Lam_{w~}, adds into a strided slice of grade L + |w|.
+    R^* (g (x) Delta^2) R is then compressed back to the coefficient
+    space.  Requires T in the domain with estimated joint spectral radius
+    below 1.
     """
     t = as_operator_tuple(t)
     if t.n != f.n:
@@ -202,8 +187,7 @@ def berezin_transform_resolvent(
             "resolvent form needs joint spectral radius < 1; estimate "
             f"{radius.final:.6f}"
         )
-    rm = reversed_model(f, m, N)
-    index = rm.index
+    index = enumerate_words(f.n, N)
     dim = index.dim
     d = t.dim
     g = np.asarray(g, dtype=complex)
@@ -212,22 +196,21 @@ def berezin_transform_resolvent(
             f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
         )
     _, delta_sq = _defect_root(f, m, t, tol)
-    perm = index.reversal()
+    b = weights_direct(f, m, N).aligned_values(index)
+    support = [(w, a, t_w.conj().T) for w, a, t_w in _support_monomials(f, t)]
     steps = []
-    for word, a, t_w in _support_monomials(f, t):
-        # Lam_{w~} = P V~_{w~} P for the reversed model V~ and reversal P
-        t_rev, w_rev = rm.monomial_map(word[::-1])
-        t_rev = t_rev[perm]
-        targets = np.where(t_rev >= 0, perm[t_rev], -1)
-        steps.append((targets, a * w_rev[perm], t_w.conj().T))
+    for length in range(N + 1):
+        src = slice(index.offset(length), index.offset(length + 1))
+        for word, a, t_adj in support:
+            if length + len(word) <= N:
+                dst = index.shift_block(word, length, right=True)
+                scale = a * np.sqrt(b[src] / b[dst])
+                steps.append((src, dst, scale[:, None, None], t_adj))
     r = np.zeros((dim, d, d), dtype=complex)
     r[0] = np.eye(d)
     for _ in range(m):
-        for k in range(N + 1):
-            cols = np.array(index.grade(k))
-            for targets, scale, t_adj in steps:
-                c = cols[targets[cols] >= 0]
-                r[targets[c]] += scale[c, None, None] * (t_adj @ r[c])
+        for src, dst, scale, t_adj in steps:
+            r[dst] += scale * (t_adj @ r[src])
     growth = float(np.max(np.abs(r)))
     if not np.isfinite(growth) or growth > 1e14:
         raise ValueError(

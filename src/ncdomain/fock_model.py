@@ -7,18 +7,17 @@ length <= N:
     V_i e_w = sqrt(b_w / b_{iw}) e_{iw}   for |w| < N,
     V_i e_w = 0                           for |w| = N,
 
-with b the weight table of (f, m).  Every V_i has at most one nonzero
-entry per column, and so does any product V_w; the module keeps that
-column-map form alongside dense matrices, which it allocates only after
-checking their 16 (dim e)^2 bytes against physical memory.  Distinct
-columns of V_w land in distinct rows, so the completely positive map
-Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
-and acts on a diagonal as a sum of scaled index scatters.
-
-V_i sends w to iw, the word with first letter i and suffix w, so the
-shifts come from the prefix/suffix arithmetic of `WordIndex`, and the
-grade-row sum over |w| = k of b_w V_w V_w^* is a gather with no column
-maps: its diagonal at u is b_{u[:k]} b_{u[k:]} / b_u.
+with b the weight table of (f, m).  The ratios telescope, so the product
+V_w sends e_u to sqrt(b_u / b_{wu}) e_{wu}, and in the graded-lex index
+it sends grade L onto one contiguous run of grade L + |w|
+(`WordIndex.shift_block`).  Every shift is read off that grading: the
+column map (target row per column, weight) of V_w is closed form, and
+dense matrices are allocated only after checking their 16 (dim e)^2
+bytes against physical memory.  Distinct columns of V_w land in distinct
+rows, so the completely positive map Y -> sum_w a_w V_w Y V_w^* sends
+diagonal matrices to diagonal matrices and acts on a diagonal as a sum
+of scaled index scatters, and the grade-row sum over |w| = k of
+b_w V_w V_w^* is a gather: its diagonal at u is b_{u[:k]} b_{u[k:]} / b_u.
 
 The defining property of the truncation: applying (id - Phi_f)^m to the
 identity yields exactly the rank-one projection onto the vacuum vector,
@@ -35,14 +34,7 @@ from .defaults import physical_memory
 from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
 from .weights import WeightTable, weights_direct
-from .words import (
-    DimensionCapError,
-    Letters,
-    WordIndex,
-    _as_letters,
-    enumerate_words,
-    word_products,
-)
+from .words import DimensionCapError, Letters, WordIndex, _as_letters, enumerate_words
 
 ColumnMap = tuple[np.ndarray, np.ndarray]  # (target row per column or -1, weight)
 
@@ -63,20 +55,7 @@ class TruncatedModel:
         self.N = N
         self.index = index
         self.weights = weights
-        dim = index.dim
-        self.b = b = weights.aligned_values(index)
-        targets = np.full((f.n, dim), -1, dtype=np.int64)
-        for length in range(1, N + 1):
-            # V_i sends w to the word iw, whose first letter is i and rest w
-            first, rest = index.split(length, 1)
-            targets[first - 1, rest] = index.grade(length)
-        hit = targets >= 0
-        wvals = np.zeros((f.n, dim), dtype=float)
-        wvals[hit] = np.sqrt((b / b[targets])[hit])
-        self._shifts: list[ColumnMap] = list(zip(targets, wvals))
-        self._maps: dict[Letters, ColumnMap] = {
-            (): (np.arange(dim, dtype=np.int64), np.ones(dim))
-        }
+        self.b = weights.aligned_values(index)
         self._dense: dict[int, np.ndarray] = {}
 
     @property
@@ -93,7 +72,7 @@ class TruncatedModel:
             raise ValueError(f"generator index {i} outside 1..{self.n}")
         mat = self._dense.get(i)
         if mat is None:
-            mat = map_to_dense(self._shifts[i - 1], self.dim)
+            mat = map_to_dense(self.monomial_map((i,)), self.dim)
             self._dense[i] = mat
         return mat
 
@@ -102,19 +81,19 @@ class TruncatedModel:
         """The dense tuple (V_1, .., V_n)."""
         return tuple(self.creation(i) for i in range(1, self.n + 1))
 
+    def _targets(self, word: Letters) -> np.ndarray:
+        """Index of wu for the u with |u| <= N - |w|: the first basis vectors, or none."""
+        runs = [self.index.shift_block(word, k) for k in range(self.N - len(word) + 1)]
+        return np.concatenate([np.arange(0)] + [np.arange(s.start, s.stop) for s in runs])
+
     def monomial_map(self, word) -> ColumnMap:
-        """Column map of the product V_w, memoized over suffixes."""
-        letters = _as_letters(word, self.n)
-        return word_products([letters], self._shifts, _compose_maps, self._maps)[0]
-
-
-def _compose_maps(left: ColumnMap, right: ColumnMap) -> ColumnMap:
-    """Column map of the product A B from the column maps of A and B."""
-    t_left, w_left = left
-    t_right, w_right = right
-    t = np.where(t_right >= 0, t_left[t_right], -1)
-    w = np.where(t >= 0, w_right * w_left[np.clip(t_right, 0, None)], 0.0)
-    return t, w
+        """Column map of V_w: e_u goes to sqrt(b_u / b_{wu}) e_{wu}, or to 0."""
+        hit = self._targets(_as_letters(word, self.n))
+        t = np.full(self.dim, -1, dtype=np.int64)
+        w = np.zeros(self.dim)
+        t[: hit.size] = hit
+        w[: hit.size] = np.sqrt(self.b[: hit.size] / self.b[hit])
+        return t, w
 
 
 def _dense_zeros(size: int, what: str) -> np.ndarray:
@@ -183,24 +162,35 @@ def monomial_pair(model: TruncatedModel, alpha, beta) -> np.ndarray:
     return out
 
 
-def _scatter_diagonal(
-    model: TruncatedModel, terms: Iterable[tuple[Letters, float]], y: np.ndarray
-) -> np.ndarray:
-    """Diagonal of sum c_w V_w diag(y) V_w^* over the (word, c_w) terms."""
-    out = np.zeros(model.dim)
+def _scatter_terms(
+    model: TruncatedModel, terms: Iterable[tuple[Letters, float]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(index of wu, c_w b_u / b_{wu}) over the u that V_w keeps, per term.
+
+    V_w diag(y) V_w^* is diagonal, with c_w (b_u / b_{wu}) y_u at wu.
+    """
+    out = []
     for word, c in terms:
-        t, w = model.monomial_map(word)
-        cols = np.nonzero(t >= 0)[0]
+        t = model._targets(word)
+        out.append((t, c * model.b[: t.size] / model.b[t]))
+    return out
+
+
+def _scatter_diagonal(terms: list, y: np.ndarray) -> np.ndarray:
+    """Diagonal of sum c_w V_w diag(y) V_w^* over `_scatter_terms` output."""
+    out = np.zeros(y.size)
+    for t, scale in terms:
         # V_w is injective on its columns, so no target repeats within a word
-        out[t[cols]] += c * w[cols] ** 2 * y[cols]
+        out[t] += scale * y[: t.size]
     return out
 
 
 def defect_diagonal(model: TruncatedModel) -> np.ndarray:
     """Diagonal of (id - Phi_f)^m applied to the identity."""
+    terms = _scatter_terms(model, model.f.items())
     y = np.ones(model.dim)
     for _ in range(model.m):
-        y = y - _scatter_diagonal(model, model.f.items(), y)
+        y = y - _scatter_diagonal(terms, y)
     return y
 
 
@@ -210,7 +200,9 @@ def model_defect(model: TruncatedModel) -> np.ndarray:
     On the truncation this equals the rank-one projection onto the
     vacuum basis vector exactly, which the tests assert entrywise.
     """
-    return np.diag(defect_diagonal(model).astype(complex))
+    out = _dense_zeros(model.dim, "the model defect")
+    np.fill_diagonal(out, defect_diagonal(model))
+    return out
 
 
 def evaluate_on_model(
@@ -218,8 +210,10 @@ def evaluate_on_model(
 ) -> np.ndarray:
     """sum_w r^|w| V_w (x) C_w as a dense matrix on C^dim (x) C^e.
 
-    Accumulation runs grade by grade in lexicographic order, so results
-    are reproducible bit-for-bit.
+    For |w| = k and |u| = L the entry at (wu, u) is r^k sqrt(b_u / b_{wu})
+    C_w, and the pairs (wu, u) of one grade pair (k, L) fill grade L + k
+    as an (n^k, n^L) grid, so each grade pair is one scatter.  No entry
+    is reached twice, so the result does not depend on the order.
     """
     if series.n != model.n:
         raise ValueError(
@@ -229,22 +223,21 @@ def evaluate_on_model(
         raise ValueError(
             f"series degree {series.degree} exceeds model depth {model.N}"
         )
-    e = series.coeff_dim
-    dim = model.dim
+    n, e, dim, b = model.n, series.coeff_dim, model.dim, model.b
+    index = model.index
     out = _dense_zeros(dim * e, "a series evaluated on the model")
     view = out.reshape(dim, e, dim, e)
-    for word, c in series.items():
-        t, w = model.monomial_map(word)
-        cols = np.nonzero(t >= 0)[0]
-        if cols.size == 0:
-            continue
-        scale = r ** len(word)
-        if e == 1:
-            out[t[cols], cols] += scale * complex(c[0, 0]) * w[cols]
-        else:
-            view[t[cols], :, cols, :] += (
-                scale * w[cols][:, None, None] * c[None, :, :]
-            )
+    for k, c in series._nonzero_grades():
+        scale = r**k
+        for length in range(model.N - k + 1):
+            grade = index.grade(length + k)
+            rows = np.arange(grade.start, grade.stop).reshape(n**k, n**length)
+            cols = np.arange(index.offset(length), index.offset(length + 1))
+            w = np.sqrt(b[cols] / b[rows])
+            if e == 1:
+                out[rows, cols] += (scale * c[:, 0, :]) * w
+            else:
+                view[rows, :, cols, :] += (scale * w)[..., None, None] * c[:, None]
     return out
 
 
@@ -275,7 +268,7 @@ def hardy_norm_estimate(
 
 def symbol_row_diagonal(model: TruncatedModel) -> np.ndarray:
     """Diagonal of sum over support words of a_w V_w V_w^*."""
-    return _scatter_diagonal(model, model.f.items(), np.ones(model.dim))
+    return _scatter_diagonal(_scatter_terms(model, model.f.items()), np.ones(model.dim))
 
 
 def grade_row_diagonal(model: TruncatedModel, k: int) -> np.ndarray:

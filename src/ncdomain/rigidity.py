@@ -34,6 +34,7 @@ from .cp_maps import MembershipVerdict, OperatorTuple, as_operator_tuple, member
 from .defaults import EIGENVALUE_TOL
 from .fock_model import build_model, evaluate_on_model
 from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
+from .weights import weights_direct
 from .words import Letters, grade_letters
 
 
@@ -268,11 +269,9 @@ def _witness_differences(
         }})
         for i, s in enumerate(maps, start=1)
     )
-    model = build_model(f, m, k)
-    splits = [
-        (witness[:j], model.monomial_map(witness[:j])[1][model.index.index_of(witness[j:])])
-        for j in range(2, k + 1)
-    ]
+    # V_{x[:j]} sends e_{x[j:]} to sqrt(b_{x[j:]} / b_x) e_x
+    b = weights_direct(f, m, k)
+    splits = [(witness[:j], np.sqrt(b[witness[j:]] / b[witness])) for j in range(2, k + 1)]
     cols = []
     iterate = jets
     for step in range(k):

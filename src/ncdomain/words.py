@@ -7,23 +7,24 @@ stable enumeration matters: `enumerate_words` orders words by length
 first and lexicographically within each length.  Truncating by length is
 then a basis prefix, and the enumeration is identical across runs.  In
 that order a word u of length L sits at offset(L) + num(u), num(u) being
-u read as a base-n number, so `WordIndex` finds prefixes, suffixes and
-reversals of a whole grade by integer arithmetic.  Its letter tuples
-(`WordIndex.words`) are built only when first read: the model, the
-weight tables and the grade-row gather never need them.
+u read as a base-n number, so `WordIndex` finds prefixes and suffixes of
+a whole grade by integer arithmetic, and the images wu and uw of a whole
+grade under a fixed word w are one slice of a higher grade
+(`WordIndex.shift_block`).  Its letter tuples (`WordIndex.words`) are
+built only when first read: the model, the weight tables and the
+grade-row gather never need them.
 
 A word is a tuple of letters (`Letters`).  Its digit form ("12" for
 g_1 g_2, "" for the unit, n <= 9) appears only in files and on the
 command line; `parse_word` reads it and `word_text` writes it.
 
-Every product over words in the package (operator monomials X_w, the
-column maps of the model shifts V_w, the series products phi_w of a
-composition) goes through one engine, `word_products`: it forms
-P_w = F_{w_0} P_{w[1:]} and stores every suffix product in a memo the
-caller owns.  The recursion is a module-level function rather than a
-nested closure: a closure that calls itself is a reference cycle, which
-would leave every call's memo to the cyclic garbage collector and keep
-large memos (a model's column maps) alive long after the call.
+The products over words that have no closed form on the index (operator
+monomials X_w, the series products phi_w of a composition) go through
+one engine, `word_products`: it forms P_w = F_{w_0} P_{w[1:]} and stores
+every suffix product in a memo the caller owns.  The recursion is a
+module-level function rather than a nested closure: a closure that calls
+itself is a reference cycle, which would leave every call's memo to the
+cyclic garbage collector and keep large memos alive long after the call.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class WordIndex:
 
     Index 0 is the unit; grade k occupies a contiguous block starting at
     offset(k), in which a word u sits at offset(k) + num(u).  Prefixes,
-    suffixes and reversals are therefore integer arithmetic on num.  The
+    suffixes and shifts are therefore integer arithmetic on num.  The
     order is deterministic, and the index for max_length N is a prefix of
     the index for any larger bound.
     """
@@ -176,13 +177,21 @@ class WordIndex:
         tail = self.n ** (length - k)
         return self.offset(k) + nums // tail, self.offset(length - k) + nums % tail
 
-    def reversal(self) -> np.ndarray:
-        """Index of the reversed word, for every index."""
-        return np.concatenate([
-            self.offset(k)
-            + _digits(self.n, k, range(self.n**k)) @ self.n ** np.arange(k, dtype=np.int64)
-            for k in range(self.max_length + 1)
-        ])
+    def shift_block(self, word: Letters, length: int, right: bool = False) -> slice:
+        """Indices of wu (of uw if ``right``) for the words u of the given length.
+
+        In the order of u.  With k = |w|, the left images are n^length
+        consecutive indices of grade length + k, the right images every
+        n^k-th index of that grade.
+        """
+        k = len(word)
+        if not 0 <= length <= self.max_length - k:
+            raise ValueError(f"grade {length} shifted by {k} letters leaves 0..{self.max_length}")
+        start, num = self.offset(length + k), word_num(word, self.n)
+        if right:
+            return slice(start + num, self.offset(length + k + 1), self.n**k)
+        size = self.n**length
+        return slice(start + num * size, start + (num + 1) * size, 1)
 
     def __len__(self) -> int:
         return self.dim

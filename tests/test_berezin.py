@@ -4,7 +4,8 @@ The two implementations share nothing past the weight table: one builds
 the kernel column by column from monomial adjoints, the other solves a
 block triangular system against right-multiplication operators by
 forward substitution.  A dense Kronecker solve is the small-N oracle for
-the latter.
+the latter, on right shifts built a second way: the reversed symbol's
+model conjugated by word reversal.
 """
 
 from itertools import product
@@ -18,8 +19,6 @@ from ncdomain.berezin import (
     berezin_transform_kernel,
     berezin_transform_resolvent,
     radial_berezin,
-    reversed_model,
-    right_creation_operators,
 )
 from ncdomain.cp_maps import (
     defect_sequence,
@@ -28,7 +27,12 @@ from ncdomain.cp_maps import (
     sample_nilpotent_member,
 )
 from ncdomain.fock_model import build_model, model_monomial, monomial_pair
-from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
+from ncdomain.series import (
+    FreeSeries,
+    PositiveRegularFunction,
+    reverse_series,
+    unit_ball_symbol,
+)
 
 
 def test_kernel_reproduces_identity_on_vacuum_state():
@@ -168,9 +172,21 @@ def test_kernel_form_equals_resolvent_form(case):
     assert np.max(np.abs(kv)) > 0
 
 
+def _right_creation_operators(f, m, N):
+    """Dense Lam_i e_w = sqrt(b_w / b_{wi}) e_{wi}, from the reversed symbol.
+
+    Its weights satisfy b~_{w~} = b_w, so conjugating its left shifts by
+    the word-reversal permutation gives the right shifts of f.
+    """
+    model = build_model(reverse_series(f), m, N)
+    words = list(model.index.words)
+    perm = [words.index(w[::-1]) for w in words]
+    return tuple(model.creation(i)[np.ix_(perm, perm)] for i in range(1, f.n + 1))
+
+
 def _dense_resolvent_transform(f, m, x, g, N):
     # B = I - sum_w a_w Lam_{w~} (x) T_w^*, solved densely m times
-    lams = right_creation_operators(f, m, N)
+    lams = _right_creation_operators(f, m, N)
     dim, d = lams[0].shape[0], x[0].shape[0]
     b_mat = np.eye(dim * d, dtype=complex)
     for word, a in f.items():
@@ -229,7 +245,7 @@ def test_resolvent_rejects_non_member():
 def test_right_creation_commutes_with_left():
     f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "21": 0.125})
     model = build_model(f, 1, 4)
-    rights = right_creation_operators(f, 1, 4)
+    rights = _right_creation_operators(f, 1, 4)
     for i in (1, 2):
         for j in (1, 2):
             left = model.creation(i)

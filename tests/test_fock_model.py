@@ -1,5 +1,6 @@
 """Truncated weighted-shift models on Fock space."""
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from ncdomain import fock_model
 from ncdomain.fock_model import (
     _scatter_diagonal,
+    _scatter_terms,
     build_model,
     evaluate_on_model,
     grade_row_diagonal,
@@ -63,6 +65,26 @@ def test_model_monomial_matches_products():
     assert np.allclose(model_monomial(model, ""), np.eye(model.dim))
 
 
+def _creation_product(model, word):
+    """Dense V_w as the product of the dense single-letter shifts."""
+    return reduce(np.matmul, (model.creation(i) for i in word), np.eye(model.dim))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_monomial_map_matches_creation_products(n, N):
+    # closed-form sqrt(b_u / b_{wu}) against the telescoping product
+    coeffs = {(i,): 1.0 / (i + 1) for i in range(1, n + 1)}
+    coeffs.update({(1, n): 0.125, (n, 1, 1): 0.0625})
+    model = build_model(PositiveRegularFunction(n, coeffs), 2, N)
+    for k in range(N + 1):
+        for word in product(range(1, n + 1), repeat=k):
+            got = map_to_dense(model.monomial_map(word), model.dim)
+            np.testing.assert_allclose(
+                got, _creation_product(model, word), rtol=1e-15, atol=0
+            )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_monomial_pair_equals_dense_product(n, N):
@@ -83,9 +105,12 @@ def test_dense_allocations_check_physical_memory(monkeypatch):
     map_to_dense(model.monomial_map("1"), model.dim)
     with pytest.raises(DimensionCapError, match=f"{16 * 30**2} bytes"):
         evaluate_on_model(series, model)  # (dim * e)^2 entries, e = 2
+    model_defect(model)
     monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 15**2 - 1)
     with pytest.raises(DimensionCapError, match=f"{16 * 15**2} bytes"):
         monomial_pair(model, "1", "2")
+    with pytest.raises(DimensionCapError, match=f"{16 * 15**2} bytes"):
+        model_defect(model)
     with pytest.raises(DimensionCapError, match="physical memory"):
         model.creation(1)
 
@@ -100,7 +125,7 @@ def test_apply_phi_matches_dense_sum():
     for word, a in f.items():
         vw = model_monomial(model, word)
         want += a * (vw @ np.diag(y) @ vw.conj().T)
-    got = _scatter_diagonal(model, f.items(), y)
+    got = _scatter_diagonal(_scatter_terms(model, f.items()), y)
     assert np.max(np.abs(np.diag(got) - want)) < 1e-14
 
 
@@ -141,20 +166,35 @@ def test_grade_row_diagonal_matches_dense_sum(n, m):
         np.testing.assert_allclose(got, np.diag(want).real, rtol=1e-13, atol=0)
 
 
-def test_grade_row_diagonal_builds_no_column_maps():
-    f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "12": 0.25})
-    model = build_model(f, 2, 5)
-    for k in range(6):
-        grade_row_diagonal(model, k)
-    assert list(model._maps) == [()]
-
-
 def test_evaluate_on_model_is_creation():
     model = build_model(unit_ball_symbol(2), 1, 2)
     z1 = FreeSeries(2, 1, {"1": 1.0})
     assert np.allclose(evaluate_on_model(z1, model), model.creation(1))
     half = evaluate_on_model(z1, model, r=0.5)
     assert np.allclose(half, 0.5 * model.creation(1))
+
+
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluate_on_model_matches_per_word_sum(n, e):
+    # one scatter per grade pair against sum_w r^|w| V_w (x) C_w, word by word
+    f = PositiveRegularFunction(n, {(i,): 1.0 / (i + 1) for i in range(1, n + 1)})
+    model = build_model(f, 2, 3)
+    rng = np.random.default_rng(10 * n + e)
+    coeffs = {}
+    for k in range(4):
+        for word in product(range(1, n + 1), repeat=k):
+            if rng.random() < 0.7:
+                coeffs[word] = (rng.standard_normal((e, e))
+                                + 1j * rng.standard_normal((e, e)))
+    series = FreeSeries(n, 3, coeffs, coeff_dim=e)
+    r = 0.75
+    want = sum(
+        r ** len(word) * np.kron(_creation_product(model, word), c)
+        for word, c in coeffs.items()
+    )
+    got = evaluate_on_model(series, model, r=r)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_evaluate_on_model_requires_depth():

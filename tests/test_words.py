@@ -109,7 +109,6 @@ def test_index_arrays_match_per_word_loops(n):
     pos = {w: i for i, w in enumerate(loop)}
     assert list(index.words) == loop
     assert [index.index_of(w) for w in loop] == list(range(index.dim))
-    assert index.reversal().tolist() == [pos[w[::-1]] for w in loop]
     for length in range(N + 1):
         words = [index.letters_of(i) for i in index.grade(length)]
         assert index.offset(length) == pos[words[0]]
@@ -117,9 +116,18 @@ def test_index_arrays_match_per_word_loops(n):
             prefix, suffix = index.split(length, k)
             assert prefix.tolist() == [pos[w[:k]] for w in words]
             assert suffix.tolist() == [pos[w[k:]] for w in words]
+        for k in range(N - length + 1):
+            for w in product(range(1, n + 1), repeat=k):
+                left = index.shift_block(w, length)
+                right = index.shift_block(w, length, right=True)
+                assert list(range(index.dim))[left] == [pos[w + u] for u in words]
+                assert list(range(index.dim))[right] == [pos[u + w] for u in words]
+        with pytest.raises(ValueError, match="leaves"):
+            index.shift_block((1,) * (N - length + 1), length)
     f = PositiveRegularFunction(n, {(i,): 1.0 for i in range(1, n + 1)})
     model = build_model(f, 1, N)
-    for i, (targets, _) in enumerate(model._shifts, start=1):
+    for i in range(1, n + 1):
+        targets, _ = model.monomial_map((i,))
         want = [pos[(i,) + w] if len(w) < N else -1 for w in loop]
         assert targets.tolist() == want
 
