@@ -20,7 +20,6 @@ from .cp_maps import (
     defect_sequence,
     membership,
     monomial_product,
-    purity_diagnostics,
     sample_member,
     sample_nilpotent_member,
     spectral_radius_estimate,
@@ -51,7 +50,6 @@ from .series import (
     convergence_profile,
     evaluate,
     rescale_symbol,
-    reverse_series,
     unit_ball_symbol,
 )
 from .weights import WeightTable, binomial_constant, weights_direct, weights_oracle
@@ -95,10 +93,8 @@ __all__ = [
     "monomial_product",
     "nilpotent_image_check",
     "parse_word",
-    "purity_diagnostics",
     "radial_berezin",
     "rescale_symbol",
-    "reverse_series",
     "run_selftest",
     "sample_member",
     "sample_nilpotent_member",

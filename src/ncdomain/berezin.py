@@ -29,7 +29,7 @@ import numpy as np
 
 from .cp_maps import (
     OperatorTuple,
-    _monomials,
+    _graded_monomials,
     _support_monomials,
     as_operator_tuple,
     defect_sequence,
@@ -126,7 +126,9 @@ def berezin_kernel(
 
     The defect (id - Phi)^m(I) must be PSD within tol; its principal
     square root enters every block.  Eigenvalues in (-tol, 0) are
-    clipped to zero so boundary tuples stay admissible.
+    clipped to zero so boundary tuples stay admissible.  The monomials
+    T_w come grade by grade from `_graded_monomials`, one batched matmul
+    per grade, so the word list of the index is never built.
     """
     t = as_operator_tuple(t)
     if t.n != f.n:
@@ -134,7 +136,7 @@ def berezin_kernel(
     index = enumerate_words(f.n, N)
     root, clipped = _defect_root(f, m, t, tol)
     b = weights_direct(f, m, N).aligned_values(index)
-    adjoints = np.array(_monomials(t, index.words)).conj().swapaxes(1, 2)
+    adjoints = _graded_monomials(t, N).conj().swapaxes(1, 2)
     blocks = np.sqrt(b)[:, None, None] * (root @ adjoints)
     return BerezinKernel(f, m, t, N, index, blocks, root, clipped)
 

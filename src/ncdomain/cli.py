@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .berezin import berezin_transform_kernel, berezin_transform_resolvent
-from .cp_maps import membership
+from .cp_maps import _gaussian_tuple, membership
 from .defaults import (
     EIGENVALUE_TOL,
     ENTRYWISE_TOL,
@@ -383,10 +383,7 @@ def _cmd_compose(ns, cfg: None, tol: float, report: Report):
     # evaluation must reproduce the truncated composition itself
     rng = np.random.default_rng([report.seed, 97])
     d = composed.degree + 1
-    x = [
-        np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), k=1) / 2.0
-        for _ in range(composed.n)
-    ]
+    x = [np.triu(a, k=1) / 2.0 for a in _gaussian_tuple(composed.n, d, rng)]
     lhs = evaluate(composed, x)
     rhs = evaluate(outer, [evaluate(s, x) for s in inner])
     scale = max(1.0, float(np.max(np.abs(rhs))))

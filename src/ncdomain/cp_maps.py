@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .defaults import EIGENVALUE_TOL
 from .fock_model import TruncatedModel, build_model, monomial_pair
-from .linalg import hermitian_eigenvalues, hermitian_part, min_eigenvalue, operator_norm
+from .linalg import hermitian_part, min_eigenvalue, operator_norm
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .words import Letters, _as_letters, enumerate_words, word_products
 
@@ -95,6 +97,19 @@ def _support_monomials(
     items = f.items()
     monos = _monomials(t, [w for w, _ in items])
     return [(w, a, xw) for (w, a), xw in zip(items, monos)]
+
+
+def _graded_monomials(t: OperatorTuple, N: int) -> np.ndarray:
+    """X_w for every |w| <= N in `WordIndex` order, one batched matmul per grade.
+
+    Grade k + 1 is X_i times grade k for each letter i, the product order
+    of `word_products`, so the entries agree with it bit for bit.
+    """
+    d, mats = t.dim, np.array(t.mats)
+    grades = [np.eye(d, dtype=complex)[None]]
+    for _ in range(N):
+        grades.append(np.matmul(mats[:, None], grades[-1][None]).reshape(-1, d, d))
+    return np.concatenate(grades)
 
 
 def _phi(monos: list[tuple[Letters, float, np.ndarray]], y: np.ndarray) -> np.ndarray:
@@ -235,45 +250,6 @@ def spectral_radius_estimate(
     return SpectralRadiusEstimate(tuple(values), values[-1], overflowed)
 
 
-@dataclass(frozen=True)
-class PurityDiagnostics:
-    """Decay of ||Phi^k(I)|| plus the numerical rank of I - Phi(I)."""
-
-    norms: tuple[float, ...]
-    monotone: bool
-    defect_rank: int
-
-
-def purity_diagnostics(
-    f: PositiveRegularFunction, x, kmax: int = 12, tol: float = EIGENVALUE_TOL
-) -> PurityDiagnostics:
-    """Report whether Phi^k(I) decays to zero (purity of the tuple).
-
-    For tuples with Phi(I) <= I the norm sequence is nonincreasing; the
-    flag records whether that held within tol.  The rank counts the
-    eigenvalues of I - Phi(I) above tol.
-    """
-    t = as_operator_tuple(x)
-    monos = _support_monomials(f, t)
-    y = np.eye(t.dim, dtype=complex)
-    norms = []
-    prev = 1.0
-    monotone = True
-    for _ in range(kmax):
-        y = _phi(monos, y)
-        norm = operator_norm(y)
-        if norm > prev + tol:
-            monotone = False
-        norms.append(norm)
-        prev = norm
-        if norm == 0.0:
-            break
-    eye = np.eye(t.dim, dtype=complex)
-    first_defect = hermitian_part(eye - _phi(monos, eye))
-    rank = int(np.sum(hermitian_eigenvalues(first_defect) > tol))
-    return PurityDiagnostics(tuple(norms), monotone, rank)
-
-
 def agler_consistency(m: int, x) -> float:
     """Deviation between two expansions of the order-m defect for the ball.
 
@@ -294,7 +270,7 @@ def agler_consistency(m: int, x) -> float:
         iterated = iterated - _phi(linear, iterated)
 
     index = enumerate_words(t.n, m)
-    monos = _monomials(t, index.words)
+    monos = _graded_monomials(t, m)
     expanded = np.zeros((d, d), dtype=complex)
     for k in range(m + 1):
         grade = np.zeros((d, d), dtype=complex)
@@ -361,6 +337,34 @@ _BISECT_ITERS = 20  # halvings of the bracket around the boundary
 _SAFETY = 0.9  # fraction of the boundary radius a sample is pulled to
 
 
+def _ray_defects(
+    f: PositiveRegularFunction, m: int, base: OperatorTuple
+) -> list[np.ndarray]:
+    """Delta_1..Delta_m at sX as matrix polynomials in t = s^2.
+
+    Phi_{sX} = sum_j t^j Phi_j, with Phi_j the part of Phi_{f,X} from the
+    support words of length j, so Delta_k has degree at most k deg f.
+    Entry k - 1 stacks the coefficients of Delta_k, constant term first.
+    """
+    monos = _support_monomials(f, base)
+    parts = [(j, list(g)) for j, g in groupby(monos, key=lambda e: len(e[0]))]
+    degree = parts[-1][0]
+    prev = np.eye(base.dim, dtype=complex)[None]
+    out = []
+    for _ in range(m):
+        out.append(np.pad(prev, ((0, degree), (0, 0), (0, 0))))
+        for p, c in enumerate(prev):
+            for j, group in parts:
+                out[-1][p + j] -= _phi(group, c)
+        prev = out[-1]
+    return out
+
+
+def _horner(coeffs: np.ndarray, t: float) -> np.ndarray:
+    """sum_p t^p coeffs[p]."""
+    return reduce(lambda acc, c: c + t * acc, coeffs[-2::-1], coeffs[-1])
+
+
 def _scale_into_domain(
     f: PositiveRegularFunction,
     m: int,
@@ -370,23 +374,47 @@ def _scale_into_domain(
     """Bisect the ray through base for the boundary, then pull inside.
 
     Along a ray from the origin membership flips once for the starlike
-    domains this package works with, so bisection is justified.
+    domains this package works with, so bisection is justified.  Each
+    step reads the `membership` verdict at sX off `_ray_defects`, built
+    once per ray, stopping at the first k below -tol.  A boundary radius
+    under 2^-20 is found by up to 60 further halvings, then bisected.
     """
+    defects = _ray_defects(f, m, base)
+
+    def inside(s: float) -> bool:
+        return all(min_eigenvalue(_horner(c, s * s)) >= -tol for c in defects)
+
+    def bisect(lo: float, hi: float, steps: int) -> tuple[float, float]:
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        return lo, hi
+
     lo, hi = 0.0, 1.0
     for _ in range(60):
-        if not membership(f, m, base.scaled(hi), tol=tol).member:
+        if not inside(hi):
             break
-        lo = hi
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise RuntimeError("could not bracket the domain boundary")
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if membership(f, m, base.scaled(mid), tol=tol).member:
-            lo = mid
+    lo, hi = bisect(lo, hi, _BISECT_ITERS)
+    if lo == 0.0:
+        for _ in range(60):
+            lo, hi = bisect(lo, hi, 1)
+            if lo > 0.0:
+                break
         else:
-            hi = mid
-    return base.scaled(_SAFETY * (lo if lo > 0 else hi))
+            raise RuntimeError("found no member on the ray near the origin")
+        lo, hi = bisect(lo, hi, _BISECT_ITERS)
+    return base.scaled(_SAFETY * lo)
+
+
+def _gaussian_tuple(n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """n complex Gaussian dim x dim matrices, real parts drawn first."""
+    return [
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for _ in range(n)
+    ]
 
 
 def sample_member(
@@ -399,13 +427,11 @@ def sample_member(
     """Draw a random tuple and scale it into the order-m domain of f.
 
     A random direction is bisected along its ray to locate the boundary,
-    then pulled inside to 0.9 of the boundary radius.
+    then pulled inside to 0.9 of the boundary radius.  The defects along
+    the ray form one matrix polynomial per k, so no step calls
+    `membership`.
     """
-    raw = [
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for _ in range(f.n)
-    ]
-    base = OperatorTuple(raw)
+    base = OperatorTuple(_gaussian_tuple(f.n, dim, rng))
     return _scale_into_domain(f, m, base, tol)
 
 
@@ -421,11 +447,7 @@ def sample_nilpotent_member(
     Products of dim or more factors vanish, so the sampled tuple has
     nilpotency order at most dim.
     """
-    raw = []
-    for _ in range(f.n):
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw.append(np.triu(a, k=1))
-    base = OperatorTuple(raw)
+    base = OperatorTuple([np.triu(a, k=1) for a in _gaussian_tuple(f.n, dim, rng)])
     if all(np.max(np.abs(a)) == 0 for a in base.mats):
         raise ValueError("nilpotent sample degenerated to zero; need dim >= 2")
     return _scale_into_domain(f, m, base, tol)

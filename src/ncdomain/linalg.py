@@ -25,14 +25,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``a``."""
-    return np.linalg.eigvalsh(hermitian_part(a))
-
-
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of ``a``."""
-    return float(hermitian_eigenvalues(a)[0])
+    return float(np.linalg.eigvalsh(hermitian_part(a))[0])
 
 
 def psd_root(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from .berezin import (
 )
 from .cp_maps import (
     OperatorTuple,
+    _gaussian_tuple,
     agler_consistency,
     membership,
     monomial_product,
@@ -192,12 +193,7 @@ def _random_word(n: int, max_len: int, rng: np.random.Generator) -> tuple[int, .
 
 
 def _random_tuple(n: int, d: int, rng: np.random.Generator) -> OperatorTuple:
-    mats = [
-        (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        / (2.0 * np.sqrt(d))
-        for _ in range(n)
-    ]
-    return OperatorTuple(mats)
+    return OperatorTuple([a / (2.0 * np.sqrt(d)) for a in _gaussian_tuple(n, d, rng)])
 
 
 def check_weight_oracle_equivalence(
@@ -470,10 +466,7 @@ def check_composition_coherence(profile: SelftestProfile, seed: int) -> CheckRes
             for _ in range(p)
         ]
         d = int(rng.integers(1, 4))
-        x = [
-            (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2.0
-            for _ in range(n)
-        ]
+        x = [a / 2.0 for a in _gaussian_tuple(n, d, rng)]
         lhs = evaluate(compose(outer, inner), x)
         substituted = [evaluate(s, x) for s in inner]
         rhs = evaluate(outer, substituted)

@@ -382,13 +382,6 @@ def unit_ball_symbol(n: int) -> PositiveRegularFunction:
     return PositiveRegularFunction(n, {(i,): 1.0 for i in range(1, n + 1)})
 
 
-def reverse_series(f: PositiveRegularFunction) -> PositiveRegularFunction:
-    """Symbol with the coefficient of w taken from the reversed word."""
-    return PositiveRegularFunction(
-        f.n, {w[::-1]: a for w, a in f.items()}
-    )
-
-
 def rescale_symbol(
     f: PositiveRegularFunction, scales: Sequence[float]
 ) -> PositiveRegularFunction:

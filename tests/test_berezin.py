@@ -30,7 +30,6 @@ from ncdomain.fock_model import build_model, model_monomial, monomial_pair
 from ncdomain.series import (
     FreeSeries,
     PositiveRegularFunction,
-    reverse_series,
     unit_ball_symbol,
 )
 
@@ -178,7 +177,8 @@ def _right_creation_operators(f, m, N):
     Its weights satisfy b~_{w~} = b_w, so conjugating its left shifts by
     the word-reversal permutation gives the right shifts of f.
     """
-    model = build_model(reverse_series(f), m, N)
+    reversed_f = PositiveRegularFunction(f.n, {w[::-1]: a for w, a in f.items()})
+    model = build_model(reversed_f, m, N)
     words = list(model.index.words)
     perm = [words.index(w[::-1]) for w in words]
     return tuple(model.creation(i)[np.ix_(perm, perm)] for i in range(1, f.n + 1))

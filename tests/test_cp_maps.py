@@ -1,8 +1,17 @@
-"""Defect sequences, membership, spectral radius, and the vN gap."""
+"""Defect sequences, membership, spectral radius, the vN gap, and sampling.
+
+The sampler bisects a matrix polynomial along the ray; the oracle it is
+held to is the plain bisection on full `membership` verdicts.
+"""
+
+import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncdomain import berezin, cp_maps
 from ncdomain.cp_maps import (
     OperatorTuple,
     agler_consistency,
@@ -10,13 +19,13 @@ from ncdomain.cp_maps import (
     defect_sequence,
     membership,
     monomial_product,
-    purity_diagnostics,
     sample_member,
     sample_nilpotent_member,
     spectral_radius_estimate,
     von_neumann_gap,
 )
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
+from ncdomain.words import enumerate_words, word_products
 
 
 def test_operator_tuple_normalizes_scalars():
@@ -108,14 +117,6 @@ def test_spectral_radius_nilpotent_hits_zero():
     assert est.values[-1] == 0.0
 
 
-def test_purity_diagnostics_member_decays():
-    f = unit_ball_symbol(1)
-    diag = purity_diagnostics(f, [np.array([[0.5]])], kmax=6)
-    assert diag.monotone
-    assert diag.norms[-1] < diag.norms[0]
-    assert diag.defect_rank == 1
-
-
 def test_agler_consistency_random_tuple():
     rng = np.random.default_rng(2)
     t = [
@@ -170,3 +171,137 @@ def test_sample_nilpotent_member_structure():
     # strictly upper triangular 4x4 products of length 4 vanish
     word = (1, 2, 1, 2)
     assert np.allclose(monomial_product(x, word), 0.0)
+
+
+def _oracle_scale_into_domain(f, m, base, tol):
+    """Bisection on full membership verdicts at each scaled tuple."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        if not membership(f, m, base.scaled(hi), tol=tol).member:
+            break
+        lo = hi
+        hi *= 2.0
+    else:
+        raise RuntimeError("could not bracket the domain boundary")
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        if membership(f, m, base.scaled(mid), tol=tol).member:
+            lo = mid
+        else:
+            hi = mid
+    return base.scaled(0.9 * (lo if lo > 0 else hi))
+
+
+@st.composite
+def symbols(draw, max_degree=3):
+    """A symbol over n <= 3 letters of degree <= 3, dyadic or not."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, max_degree))
+    if draw(st.booleans()):
+        coeff = st.integers(1, 64).map(lambda k: k / 64)
+    else:
+        coeff = st.floats(0.05, 2.0)
+    coeffs = {(i,): draw(coeff) for i in range(1, n + 1)}
+    for length in range(2, degree + 1):
+        words = st.tuples(*[st.integers(1, n)] * length)
+        for w in draw(st.lists(words, min_size=1, max_size=3)):
+            coeffs[w] = draw(coeff)
+    return PositiveRegularFunction(n, coeffs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    f=symbols(),
+    m=st.integers(1, 3),
+    d=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    nilpotent=st.booleans(),
+)
+def test_samplers_match_membership_bisection(f, m, d, seed, nilpotent):
+    sampler = sample_nilpotent_member if nilpotent else sample_member
+    x = sampler(f, m, d, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp_maps, "_scale_into_domain", _oracle_scale_into_domain)
+        expected = sampler(f, m, d, np.random.default_rng(seed))
+    assert all(np.array_equal(a, b) for a, b in zip(x.mats, expected.mats))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    f=symbols(),
+    m=st.integers(1, 3),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 1.0),
+)
+def test_ray_defects_match_defect_sequence(f, m, d, seed, t):
+    rng = np.random.default_rng(seed)
+    raw = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(f.n)]
+    base = OperatorTuple(raw).scaled(1.0 / (2.0 * math.sqrt(f.n * d)))
+    polys = cp_maps._ray_defects(f, m, base)
+    deltas = defect_sequence(f, m, base.scaled(math.sqrt(t))).deltas
+    for k in range(1, m + 1):
+        value = cp_maps._horner(polys[k - 1], t)
+        scale = max(1.0, float(np.max(np.abs(deltas[k]))))
+        assert np.max(np.abs(value - deltas[k])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, N, d", list(product((1, 2, 3), (0, 1, 3, 5), (1, 2, 4))))
+def test_graded_monomials_match_word_products(n, N, d):
+    rng = np.random.default_rng([n, N, d])
+    t = OperatorTuple(
+        [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n)]
+    )
+    words = enumerate_words(n, N).words
+    expected = word_products(words, t.mats, np.matmul, {(): np.eye(d, dtype=complex)})
+    assert np.array_equal(cp_maps._graded_monomials(t, N), np.array(expected))
+
+
+def test_hot_path_skips_membership_and_word_lists(monkeypatch):
+    calls = {"membership": 0, "defect_sequence": 0}
+    passed = []
+    for name in calls:
+        real = getattr(cp_maps, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cp_maps, name, counted)
+    real_products = cp_maps.word_products
+
+    def recorded(words, *args):
+        words = list(words)
+        passed.append(len(words))
+        return real_products(words, *args)
+
+    monkeypatch.setattr(cp_maps, "word_products", recorded)
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "21": 0.75, "122": 0.25})
+    rng = np.random.default_rng(5)
+    sample_member(f, 3, 4, rng)
+    sample_nilpotent_member(f, 2, 4, rng)
+    assert calls == {"membership": 0, "defect_sequence": 0}
+    kernel = berezin.berezin_kernel(f, 1, sample_member(f, 1, 3, rng), 4)
+    assert 0 < max(passed) <= len(f.items())
+    assert kernel.index._words is None
+
+
+@pytest.mark.parametrize("a", [1e12, 1e14])
+def test_sample_member_finds_a_tiny_boundary(a):
+    # the boundary radius lies below 2^-20, under the first bisection
+    f = PositiveRegularFunction(1, {(1,): a})
+    x = sample_member(f, 1, 3, np.random.default_rng(0))
+    assert membership(f, 1, x).member
+
+
+@pytest.mark.parametrize("m, d", [(1, 2), (1, 3), (2, 4)])
+def test_sample_nilpotent_member_finds_a_tiny_boundary(m, d):
+    f = PositiveRegularFunction(2, {(1,): 1e13, (2,): 1.0})
+    x = sample_nilpotent_member(f, m, d, np.random.default_rng(0))
+    assert membership(f, m, x).member
+
+
+def test_scale_into_domain_gives_up_without_a_member():
+    f = PositiveRegularFunction(1, {(1,): 1e60})
+    with pytest.raises(RuntimeError, match="no member"):
+        cp_maps._scale_into_domain(f, 1, OperatorTuple([np.eye(2)]), 1e-10)

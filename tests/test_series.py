@@ -17,7 +17,6 @@ from ncdomain.series import (
     evaluate,
     multiply,
     rescale_symbol,
-    reverse_series,
     unit_ball_symbol,
 )
 from ncdomain.weights import weights_direct
@@ -150,14 +149,6 @@ def test_unit_ball_symbol():
     f = unit_ball_symbol(3)
     assert f.support() == [(1,), (2,), (3,)]
     assert all(f.coefficient((i,)) == 1.0 for i in range(1, 4))
-
-
-def test_reverse_series_reverses_words():
-    f = PositiveRegularFunction(2, {"1": 1.0, "2": 2.0, "12": 3.0})
-    rev = reverse_series(f)
-    assert rev.coefficient("21") == 3.0
-    assert rev.coefficient("12") == 0.0
-    assert rev.coefficient("2") == 2.0
 
 
 def test_rescale_symbol_example():
