@@ -11,12 +11,10 @@ from .berezin import (
     berezin_kernel,
     berezin_transform_kernel,
     berezin_transform_resolvent,
-    radial_berezin,
 )
 from .cp_maps import (
     OperatorTuple,
     agler_consistency,
-    apply_phi,
     defect_sequence,
     membership,
     monomial_product,
@@ -43,11 +41,9 @@ from .rigidity import (
 )
 from .selftest import FAST, FULL, run_selftest
 from .series import (
-    ConvergenceProfile,
     FreeSeries,
     PositiveRegularFunction,
     compose,
-    convergence_profile,
     evaluate,
     rescale_symbol,
     unit_ball_symbol,
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BerezinKernel",
     "BiholoCertificate",
-    "ConvergenceProfile",
     "FAST",
     "FULL",
     "FreeSeries",
@@ -70,7 +65,6 @@ __all__ = [
     "WeightTable",
     "WordIndex",
     "agler_consistency",
-    "apply_phi",
     "berezin_kernel",
     "berezin_transform_kernel",
     "berezin_transform_resolvent",
@@ -80,7 +74,6 @@ __all__ = [
     "check_generator_images",
     "check_linear_biholomorphism",
     "compose",
-    "convergence_profile",
     "defect_sequence",
     "enumerate_words",
     "evaluate",
@@ -93,7 +86,6 @@ __all__ = [
     "monomial_product",
     "nilpotent_image_check",
     "parse_word",
-    "radial_berezin",
     "rescale_symbol",
     "run_selftest",
     "sample_member",

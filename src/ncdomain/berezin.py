@@ -23,7 +23,6 @@ ordered Fock slot first, coefficient space second, throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +32,11 @@ from .cp_maps import (
     _support_monomials,
     as_operator_tuple,
     defect_sequence,
-    require_member,
     spectral_radius_estimate,
 )
 from .defaults import EIGENVALUE_TOL
 from .linalg import psd_root
-from .series import FreeSeries, PositiveRegularFunction, evaluate
+from .series import PositiveRegularFunction
 from .weights import weights_direct
 from .words import WordIndex, enumerate_words
 
@@ -223,30 +221,4 @@ def berezin_transform_resolvent(
     out = np.einsum("vab,vac->bc", r.conj(), mixed)
     if with_diagnostics:
         return out, ResolventDiagnostics(growth, radius.final)
-    return out
-
-
-def radial_berezin(
-    f: PositiveRegularFunction,
-    m: int,
-    t,
-    series: FreeSeries,
-    r_grid: Sequence[float],
-    tol: float = EIGENVALUE_TOL,
-) -> list[np.ndarray]:
-    """Evaluate a scalar-coefficient series at rT over a radial grid.
-
-    The grid realizes the radial limit r -> 1 as data; convergence is
-    left to the caller to inspect.
-    """
-    t = as_operator_tuple(t)
-    if series.coeff_dim != 1:
-        raise ValueError("radial evaluation needs scalar coefficients")
-    require_member(f, m, t, tol)
-    out = []
-    for r in r_grid:
-        r = float(r)
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"radial grid values must lie in [0, 1], got {r}")
-        out.append(evaluate(series, [r * x for x in t.mats]))
     return out

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .defaults import EIGENVALUE_TOL
-from .fock_model import TruncatedModel, build_model, monomial_pair
+from .fock_model import build_model, monomial_pair
 from .linalg import hermitian_part, min_eigenvalue, operator_norm
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .words import Letters, _as_letters, enumerate_words, word_products
@@ -74,8 +74,6 @@ class OperatorTuple:
 def as_operator_tuple(x) -> OperatorTuple:
     if isinstance(x, OperatorTuple):
         return x
-    if isinstance(x, TruncatedModel):
-        return OperatorTuple(x.V)
     return OperatorTuple(list(x))
 
 
@@ -118,19 +116,6 @@ def _phi(monos: list[tuple[Letters, float, np.ndarray]], y: np.ndarray) -> np.nd
     for _, a, xw in monos:
         out += a * (xw @ y @ xw.conj().T)
     return out
-
-
-def apply_phi(
-    f: PositiveRegularFunction, x, y: np.ndarray
-) -> np.ndarray:
-    """Phi_{f,X}(Y) = sum a_w X_w Y X_w^* over the support of f."""
-    t = as_operator_tuple(x)
-    if t.n != f.n:
-        raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (t.dim, t.dim):
-        raise ValueError(f"argument must be {t.dim} x {t.dim}, got {y.shape}")
-    return _phi(_support_monomials(f, t), y)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ it sends grade L onto one contiguous run of grade L + |w|
 (`WordIndex.shift_block`).  Every shift is read off that grading: the
 column map (target row per column, weight) of V_w is closed form, and
 dense matrices are allocated only after checking their 16 (dim e)^2
-bytes against physical memory.  Distinct columns of V_w land in distinct
-rows, so the completely positive map Y -> sum_w a_w V_w Y V_w^* sends
-diagonal matrices to diagonal matrices and acts on a diagonal as a sum
-of scaled index scatters, and the grade-row sum over |w| = k of
-b_w V_w V_w^* is a gather: its diagonal at u is b_{u[:k]} b_{u[k:]} / b_u.
+bytes against physical memory.  `model_monomial` is the only accessor
+that hands out a dense V_w; the model keeps no dense tuple.  Distinct
+columns of V_w land in distinct rows, so the completely positive map
+Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
+and acts on a diagonal as a sum of scaled index scatters, and the
+grade-row sum over |w| = k of b_w V_w V_w^* is a gather: its diagonal
+at u is b_{u[:k]} b_{u[k:]} / b_u.
 
 The defining property of the truncation: applying (id - Phi_f)^m to the
 identity yields exactly the rank-one projection onto the vacuum vector,
@@ -56,7 +58,6 @@ class TruncatedModel:
         self.index = index
         self.weights = weights
         self.b = weights.aligned_values(index)
-        self._dense: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -65,21 +66,6 @@ class TruncatedModel:
     @property
     def dim(self) -> int:
         return self.index.dim
-
-    def creation(self, i: int) -> np.ndarray:
-        """Dense matrix of V_i (1-based index); cached."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"generator index {i} outside 1..{self.n}")
-        mat = self._dense.get(i)
-        if mat is None:
-            mat = map_to_dense(self.monomial_map((i,)), self.dim)
-            self._dense[i] = mat
-        return mat
-
-    @property
-    def V(self) -> tuple[np.ndarray, ...]:
-        """The dense tuple (V_1, .., V_n)."""
-        return tuple(self.creation(i) for i in range(1, self.n + 1))
 
     def _targets(self, word: Letters) -> np.ndarray:
         """Index of wu for the u with |u| <= N - |w|: the first basis vectors, or none."""

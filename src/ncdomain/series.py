@@ -20,15 +20,12 @@ bit-for-bit.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .words import (
     Letters,
-    WordIndex,
     _as_letters,
     capped_word_count,
     grade_letters,
@@ -402,49 +399,3 @@ def rescale_symbol(
             factor *= c[i - 1] * c[i - 1]
         out[w] = a / factor
     return PositiveRegularFunction(f.n, out)
-
-
-@dataclass(frozen=True)
-class ConvergenceProfile:
-    """Per-degree growth indicators for a series against a weight table.
-
-    per_degree[k-1] is ||sum over |w| = k of C_w* C_w / b_w||^(1/2k); the
-    tail estimate is the maximum over the last ceil(D/3) degrees, a proxy
-    for whether the series converges on the domain the weights define
-    (boundedness needs a tail estimate <= 1).
-    """
-
-    per_degree: tuple[float, ...]
-    tail_estimate: float
-
-    @property
-    def degrees(self) -> range:
-        return range(1, len(self.per_degree) + 1)
-
-
-def convergence_profile(series: FreeSeries, weights) -> ConvergenceProfile:
-    """Growth profile of ``series`` in the geometry given by ``weights``.
-
-    ``weights`` must cover every degree up to the series truncation
-    (a WeightTable built with N >= series.degree).
-    """
-    if weights.N < series.degree:
-        raise ValueError(
-            f"weight table covers length <= {weights.N}, series degree "
-            f"is {series.degree}"
-        )
-    e = series.coeff_dim
-    index = WordIndex(series.n, series.degree)
-    b = weights.aligned_values(index)
-    values = []
-    for k in range(1, series.degree + 1):
-        c = series.grade(k)
-        # sum over the grade of C_w^* C_w / b_w as one (e, e) product
-        scaled = c.conj() / b[index.offset(k) : index.offset(k + 1), None, None]
-        total = scaled.reshape(-1, e).T @ c.reshape(-1, e)
-        norm = float(np.linalg.norm(total, 2)) if np.any(total != 0) else 0.0
-        values.append(norm ** (1.0 / (2.0 * k)) if norm > 0 else 0.0)
-    if not values:
-        return ConvergenceProfile((), 0.0)
-    tail = max(values[-math.ceil(len(values) / 3):])
-    return ConvergenceProfile(tuple(values), tail)

@@ -18,7 +18,6 @@ from ncdomain.berezin import (
     berezin_kernel,
     berezin_transform_kernel,
     berezin_transform_resolvent,
-    radial_berezin,
 )
 from ncdomain.cp_maps import (
     defect_sequence,
@@ -27,11 +26,7 @@ from ncdomain.cp_maps import (
     sample_nilpotent_member,
 )
 from ncdomain.fock_model import build_model, model_monomial, monomial_pair
-from ncdomain.series import (
-    FreeSeries,
-    PositiveRegularFunction,
-    unit_ball_symbol,
-)
+from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
 
 
 def test_kernel_reproduces_identity_on_vacuum_state():
@@ -98,7 +93,7 @@ def test_szego_family_classical_values():
     f = unit_ball_symbol(1)
     N = 30
     model = build_model(f, 1, N)
-    s = model.creation(1)
+    s = model_monomial(model, (1,))
     for lam in (0.8, -0.8, 0.5j, 0.6 * np.exp(1j)):
         kernel = berezin_kernel(f, 1, [np.array([[lam]])], N)
         tail = abs(lam) ** (2 * N + 2)
@@ -181,7 +176,7 @@ def _right_creation_operators(f, m, N):
     model = build_model(reversed_f, m, N)
     words = list(model.index.words)
     perm = [words.index(w[::-1]) for w in words]
-    return tuple(model.creation(i)[np.ix_(perm, perm)] for i in range(1, f.n + 1))
+    return tuple(model_monomial(model, (i,))[np.ix_(perm, perm)] for i in range(1, f.n + 1))
 
 
 def _dense_resolvent_transform(f, m, x, g, N):
@@ -248,23 +243,6 @@ def test_right_creation_commutes_with_left():
     rights = _right_creation_operators(f, 1, 4)
     for i in (1, 2):
         for j in (1, 2):
-            left = model.creation(i)
+            left = model_monomial(model, (i,))
             right = rights[j - 1]
             assert np.max(np.abs(left @ right - right @ left)) < 1e-12
-
-
-def test_radial_berezin_scalar_series():
-    f = unit_ball_symbol(1)
-    s = FreeSeries(1, 3, {"": 1.0, "1": 2.0, "111": 1.0})
-    t = [np.array([[0.5]])]
-    values = radial_berezin(f, 1, t, s, [0.0, 0.5, 1.0])
-    assert values[0][0, 0] == pytest.approx(1.0)
-    assert values[1][0, 0] == pytest.approx(1.0 + 2.0 * 0.25 + 0.25 ** 3)
-    assert values[2][0, 0] == pytest.approx(1.0 + 2.0 * 0.5 + 0.5 ** 3)
-
-
-def test_radial_berezin_rejects_outsiders():
-    f = unit_ball_symbol(1)
-    s = FreeSeries(1, 1, {"1": 1.0})
-    with pytest.raises(ValueError, match="member"):
-        radial_berezin(f, 1, [np.array([[2.0]])], s, [0.5])

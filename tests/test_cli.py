@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ncdomain import FreeSeries, compose, fock_model
+from ncdomain import FreeSeries, compose, fock_model, rigidity
 from ncdomain.cli import COMMANDS, _digest, main, parse_config
 from ncdomain.io import FormatError
 
@@ -509,3 +509,14 @@ def test_dense_matrix_over_physical_memory_exits_two(readme_files, capsys, monke
     err = capsys.readouterr().err
     assert "bytes, more than the 1000 bytes of physical memory" in err
     assert f"{16 * 15**2} bytes" in err  # dim 15: the 2-ball at depth 3
+
+
+def test_linear_certificate_over_physical_memory_exits_two(readme_files, capsys, monkeypatch):
+    # the 2-ball at depth 3: top grade blocks of 8 x 8
+    need = rigidity._TOP_BLOCKS * 16 * 8**2
+    monkeypatch.setattr(rigidity, "physical_memory", lambda: need - 1)
+    row = next(r for r in README_ROWS if r.split()[0] == "biholo")
+    assert main(shlex.split(row)) == 2
+    err = capsys.readouterr().err
+    assert f"needs {need} bytes" in err
+    assert f"more than the {need - 1} bytes of physical memory" in err

@@ -15,7 +15,6 @@ from ncdomain import berezin, cp_maps
 from ncdomain.cp_maps import (
     OperatorTuple,
     agler_consistency,
-    apply_phi,
     defect_sequence,
     membership,
     monomial_product,
@@ -75,15 +74,6 @@ def test_membership_row_bound_scaling():
     verdict = membership(f, 1, [np.array([[1.5]])])
     assert verdict.member
     assert verdict.row_norm_bound == pytest.approx(4.0)
-
-
-def test_apply_phi_shape_checks():
-    f = unit_ball_symbol(2)
-    t = [np.eye(2), np.eye(2)]
-    with pytest.raises(ValueError):
-        apply_phi(f, [np.eye(2)], np.eye(2))
-    with pytest.raises(ValueError):
-        apply_phi(f, t, np.eye(3))
 
 
 def test_spectral_radius_scalar():

@@ -5,12 +5,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdomain import fock_model
 from ncdomain.fock_model import (
     _scatter_diagonal,
     _scatter_terms,
     build_model,
+    defect_diagonal,
     evaluate_on_model,
     grade_row_diagonal,
     hardy_norm_estimate,
@@ -28,7 +30,7 @@ from ncdomain.weights import binomial_constant, weights_direct
 def test_free_shift_is_unweighted():
     # f = Z1 + Z2, m = 1: all weights are 1, so V_i are plain shifts
     model = build_model(unit_ball_symbol(2), 1, 2)
-    v1 = model.creation(1)
+    v1 = model_monomial(model, (1,))
     e0 = np.zeros(model.dim)
     e0[0] = 1.0
     out = v1 @ e0
@@ -39,7 +41,7 @@ def test_free_shift_is_unweighted():
 def test_single_variable_weighted_shift_entries():
     # b_k = k + 1 gives V e_k = sqrt((k+1)/(k+2)) e_{k+1}
     model = build_model(unit_ball_symbol(1), 2, 4)
-    v = model.creation(1)
+    v = model_monomial(model, (1,))
     for k in range(4):
         col = v[:, k]
         assert col[k + 1] == pytest.approx(np.sqrt((k + 1.0) / (k + 2.0)))
@@ -51,15 +53,15 @@ def test_single_variable_weighted_shift_entries():
 def test_creation_rejects_bad_generator():
     model = build_model(unit_ball_symbol(2), 1, 2)
     with pytest.raises(ValueError):
-        model.creation(0)
+        model_monomial(model, (0,))
     with pytest.raises(ValueError):
-        model.creation(3)
+        model_monomial(model, (3,))
 
 
 def test_model_monomial_matches_products():
     f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "12": 0.25})
     model = build_model(f, 2, 3)
-    v1, v2 = model.creation(1), model.creation(2)
+    v1, v2 = model_monomial(model, (1,)), model_monomial(model, (2,))
     assert np.allclose(model_monomial(model, "12"), v1 @ v2)
     assert np.allclose(model_monomial(model, "211"), v2 @ v1 @ v1)
     assert np.allclose(model_monomial(model, ""), np.eye(model.dim))
@@ -67,7 +69,7 @@ def test_model_monomial_matches_products():
 
 def _creation_product(model, word):
     """Dense V_w as the product of the dense single-letter shifts."""
-    return reduce(np.matmul, (model.creation(i) for i in word), np.eye(model.dim))
+    return reduce(np.matmul, (model_monomial(model, (i,)) for i in word), np.eye(model.dim))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -112,7 +114,7 @@ def test_dense_allocations_check_physical_memory(monkeypatch):
     with pytest.raises(DimensionCapError, match=f"{16 * 15**2} bytes"):
         model_defect(model)
     with pytest.raises(DimensionCapError, match="physical memory"):
-        model.creation(1)
+        model_monomial(model, (1,))
 
 
 def test_apply_phi_matches_dense_sum():
@@ -137,6 +139,29 @@ def test_defect_is_vacuum_projection():
         want = np.zeros((model.dim, model.dim))
         want[0, 0] = 1.0
         assert np.max(np.abs(defect - want)) < 1e-12
+
+
+@st.composite
+def domains(draw):
+    """(f, m, N) with n <= 3, degree <= 3, m <= 3 and N <= 5."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(1, 96).map(lambda k: k / 97)
+    coeffs = {(i,): draw(coeff) for i in range(1, n + 1)}
+    for k in range(2, draw(st.integers(1, 3)) + 1):
+        for w in product(range(1, n + 1), repeat=k):
+            if draw(st.booleans()):
+                coeffs[w] = draw(coeff)
+    return PositiveRegularFunction(n, coeffs), draw(st.integers(1, 3)), draw(st.integers(0, 5))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=domains())
+def test_defect_diagonal_is_vacuum(case):
+    f, m, N = case
+    got = defect_diagonal(build_model(f, m, N))
+    want = np.zeros(got.size)
+    want[0] = 1.0
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_row_and_grade_diagonals():
@@ -169,9 +194,9 @@ def test_grade_row_diagonal_matches_dense_sum(n, m):
 def test_evaluate_on_model_is_creation():
     model = build_model(unit_ball_symbol(2), 1, 2)
     z1 = FreeSeries(2, 1, {"1": 1.0})
-    assert np.allclose(evaluate_on_model(z1, model), model.creation(1))
+    assert np.allclose(evaluate_on_model(z1, model), model_monomial(model, (1,)))
     half = evaluate_on_model(z1, model, r=0.5)
-    assert np.allclose(half, 0.5 * model.creation(1))
+    assert np.allclose(half, 0.5 * model_monomial(model, (1,)))
 
 
 @pytest.mark.parametrize("e", [1, 2])

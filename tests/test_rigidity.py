@@ -1,23 +1,31 @@
-"""Rigidity certificates: linear maps, nilpotent images, iteration probe."""
+"""Rigidity certificates: linear maps, nilpotent images, iteration probe.
+
+The linear certificate runs on grade blocks; its oracle is dense
+`membership` of the row action [V]U on the dense model tuple.
+"""
+
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ncdomain import rigidity
+from ncdomain import cp_maps, fock_model, rigidity
 from ncdomain.rigidity import (
     LinearMapCandidate,
     _drift,
     _first_violation,
     _witness_differences,
+    _grade_block_minima,
     _witness_word,
-    apply_row,
     cartan_iteration_probe,
     check_generator_images,
     check_linear_biholomorphism,
     nilpotent_image_check,
 )
-from ncdomain.cp_maps import OperatorTuple
-from ncdomain.fock_model import build_model, evaluate_on_model
+from ncdomain.cp_maps import OperatorTuple, as_operator_tuple, membership
+from ncdomain.fock_model import build_model, evaluate_on_model, model_monomial
 from ncdomain.series import (
     FreeSeries,
     PositiveRegularFunction,
@@ -25,6 +33,7 @@ from ncdomain.series import (
     rescale_symbol,
     unit_ball_symbol,
 )
+from ncdomain.words import DimensionCapError
 
 
 def test_candidate_rejects_singular_matrix():
@@ -32,6 +41,25 @@ def test_candidate_rejects_singular_matrix():
         LinearMapCandidate(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(ValueError):
         LinearMapCandidate(np.ones((2, 3)))
+
+
+def apply_row(x, u) -> OperatorTuple:
+    """Row action [X]U: component j is sum_i U[i, j] X_i."""
+    t = as_operator_tuple(x)
+    mat = u.matrix if isinstance(u, LinearMapCandidate) else np.asarray(u, dtype=complex)
+    if mat.shape != (t.n, t.n):
+        raise ValueError(
+            f"row action needs a {t.n} x {t.n} matrix, got {mat.shape}"
+        )
+    out = []
+    for j in range(t.n):
+        comp = np.zeros((t.dim, t.dim), dtype=complex)
+        for i in range(t.n):
+            c = mat[i, j]
+            if c != 0:
+                comp += c * t.mats[i]
+        out.append(comp)
+    return OperatorTuple(out)
 
 
 def test_apply_row_columns():
@@ -70,6 +98,101 @@ def test_certificate_symmetry_under_inverse():
     one = check_linear_biholomorphism(f, 1, g, 1, u, 3)
     two = check_linear_biholomorphism(g, 1, f, 1, np.linalg.inv(u), 3)
     assert one.passed == two.passed
+
+
+def _dense_minima(f, m, g, l, u, N):
+    """Defect minima of [V]U on the dense depth-N model of (f, m), in (g, l)."""
+    model = build_model(f, m, N)
+    v = [model_monomial(model, (i,)) for i in range(1, f.n + 1)]
+    return membership(g, l, apply_row(v, u)).min_eigenvalues
+
+
+@st.composite
+def certificate_cases(draw, depths=st.integers(1, 4)):
+    """Two symbols over n <= 3 letters (degree <= 3), orders <= 2, complex U."""
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(1, 96).map(lambda k: k / 97)
+
+    def symbol():
+        coeffs = {(i,): draw(coeff) for i in range(1, n + 1)}
+        for k in range(2, draw(st.integers(1, 3)) + 1):
+            for w in product(range(1, n + 1), repeat=k):
+                if draw(st.booleans()):
+                    coeffs[w] = draw(coeff)
+        return PositiveRegularFunction(n, coeffs)
+
+    f, g = symbol(), symbol()
+    entry = st.integers(-4, 4).map(lambda k: k / 4)
+    u = np.array([[complex(draw(entry), draw(entry)) for _ in range(n)]
+                  for _ in range(n)])
+    assume(abs(np.linalg.det(u)) >= 0.1)
+    return f, draw(st.integers(1, 2)), g, draw(st.integers(1, 2)), u, draw(depths)
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=certificate_cases())
+def test_grade_block_certificate_matches_dense_oracle(case):
+    f, m, g, l, u, N = case
+    cert = check_linear_biholomorphism(f, m, g, l, u, N)
+    cand = LinearMapCandidate(u)
+    for got, want in (
+        (cert.forward_eigenvalues, _dense_minima(f, m, g, l, cand.matrix, N)),
+        (cert.backward_eigenvalues, _dense_minima(g, l, f, m, cand.inverse, N)),
+    ):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    assert cert.forward_member == all(v >= -cert.tol for v in cert.forward_eigenvalues)
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=certificate_cases(depths=st.integers(1, 3)), extra=st.integers(1, 2))
+def test_grade_block_minima_do_not_depend_on_depth(case, extra):
+    f, m, g, l, u, N = case
+    low = _grade_block_minima(f, m, g, l, u, N)
+    high = _grade_block_minima(f, m, g, l, u, N + extra)
+    assert np.array_equal(low, high[:, : N + 1])
+
+
+def test_certificate_builds_no_dense_model(monkeypatch):
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+    for module, name in ((rigidity, "membership"), (cp_maps, "membership"),
+                         (cp_maps, "defect_sequence"), (rigidity, "build_model"),
+                         (fock_model, "build_model")):
+        spy(module, name)
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "12": 0.25})
+    cert = check_linear_biholomorphism(f, 2, f, 2, np.array([[0.5, 0.5j], [0.0, 1.0]]), 4)
+    assert cert.forward_eigenvalues and cert.backward_eigenvalues
+    assert calls == []
+
+
+def test_certificate_allocates_grade_blocks_only():
+    # n = 2, N = 8: the top grade block is 256 x 256, the dense model 511 x 511
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.75, "12": 0.25, "211": 0.125})
+    u = np.array([[0.75, 0.25j], [-0.25, 0.5]])
+    dim = 511
+    check_linear_biholomorphism(f, 2, f, 2, u, 3)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        check_linear_biholomorphism(f, 2, f, 2, u, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * dim**2
+
+
+def test_certificate_over_physical_memory_raises(monkeypatch):
+    f = unit_ball_symbol(2)
+    need = rigidity._TOP_BLOCKS * 16 * 2 ** (2 * 5)
+    monkeypatch.setattr(rigidity, "physical_memory", lambda: need - 1)
+    with pytest.raises(DimensionCapError, match=f"needs {need} bytes"):
+        check_linear_biholomorphism(f, 1, f, 1, np.eye(2), 5)
+    check_linear_biholomorphism(f, 1, f, 1, np.eye(2), 4)
 
 
 def test_certificate_requires_matching_generator_count():
@@ -177,7 +300,7 @@ def _loop_drifts(maps, f, m, p, count, tol=1e-9):
     witness, _ = _witness_word(maps, p, tol)
     model = build_model(f, m, p)
     idx0 = model.index.index_of(witness)
-    base_cols = [v.conj().T[:, idx0] for v in model.V]
+    base_cols = [model_monomial(model, (i,)).conj().T[:, idx0] for i in range(1, f.n + 1)]
     current = maps
     drifts = []
     for n in range(1, count + 1):

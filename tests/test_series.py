@@ -1,7 +1,5 @@
 """Free series arithmetic, composition, evaluation, and symbols."""
 
-from itertools import product
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +11,11 @@ from ncdomain.series import (
     RegularityError,
     ShapeMismatchError,
     compose,
-    convergence_profile,
     evaluate,
     multiply,
     rescale_symbol,
     unit_ball_symbol,
 )
-from ncdomain.weights import weights_direct
 from ncdomain.words import DimensionCapError
 
 
@@ -157,43 +153,6 @@ def test_rescale_symbol_example():
     assert g.coefficient("1") == pytest.approx(1.0 / 4.0)
     assert g.coefficient("2") == pytest.approx(1.0 / 9.0)
     assert g.coefficient("12") == pytest.approx(1.0 / 36.0)
-
-
-def test_convergence_profile_geometric():
-    # coefficients 2^k over the free disc weights: every indicator is 2
-    f = unit_ball_symbol(1)
-    table = weights_direct(f, 1, 4)
-    s = FreeSeries(1, 4, {(1,) * k: 2.0 ** k for k in range(1, 5)})
-    prof = convergence_profile(s, table)
-    assert all(abs(v - 2.0) < 1e-12 for v in prof.per_degree)
-    assert prof.tail_estimate == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("e", [1, 2])
-def test_convergence_profile_matches_per_word_loop(e):
-    rng = np.random.default_rng(11)
-    f = PositiveRegularFunction(2, {"1": 0.3, "2": 0.7, "21": 0.2})
-    table = weights_direct(f, 2, 5)
-    coeffs = {
-        w: rng.standard_normal((e, e)) + 1j * rng.standard_normal((e, e))
-        for k in range(1, 5) for w in product((1, 2), repeat=k) if rng.random() < 0.6
-    }
-    s = FreeSeries(2, 4, coeffs, e)
-    want = []
-    for k in range(1, 5):
-        total = sum(((c.conj().T @ c) / table[w] for w, c in s.grade_items(k)),
-                    np.zeros((e, e)))
-        want.append(float(np.linalg.norm(total, 2)) ** (1.0 / (2.0 * k)))
-    got = convergence_profile(s, table).per_degree
-    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-
-
-def test_convergence_profile_needs_deep_table():
-    f = unit_ball_symbol(1)
-    table = weights_direct(f, 1, 2)
-    s = FreeSeries(1, 4, {"1111": 1.0})
-    with pytest.raises(ValueError):
-        convergence_profile(s, table)
 
 
 def test_series_degree_is_bounded_by_the_cap():
