@@ -28,11 +28,12 @@ import numpy as np
 
 from .cp_maps import (
     OperatorTuple,
+    Support,
+    _defect_sequence,
     _graded_monomials,
-    _support_monomials,
+    _spectral_radius_estimate,
+    _support,
     as_operator_tuple,
-    defect_sequence,
-    spectral_radius_estimate,
 )
 from .defaults import EIGENVALUE_TOL
 from .linalg import psd_root
@@ -41,6 +42,7 @@ from .weights import weights_direct
 from .words import WordIndex, enumerate_words
 
 
+@dataclass(eq=False, slots=True)
 class BerezinKernel:
     """The kernel K: C^d -> F_N (x) C^d attached to (f, m, T, N).
 
@@ -49,27 +51,14 @@ class BerezinKernel:
     in Fock-major order.
     """
 
-    __slots__ = ("f", "m", "tuple", "N", "index", "blocks", "delta_root", "delta_sq")
-
-    def __init__(
-        self,
-        f: PositiveRegularFunction,
-        m: int,
-        operator_tuple: OperatorTuple,
-        N: int,
-        index: WordIndex,
-        blocks: np.ndarray,
-        delta_root: np.ndarray,
-        delta_sq: np.ndarray,
-    ):
-        self.f = f
-        self.m = m
-        self.tuple = operator_tuple
-        self.N = N
-        self.index = index
-        self.blocks = blocks
-        self.delta_root = delta_root
-        self.delta_sq = delta_sq
+    f: PositiveRegularFunction
+    m: int
+    tuple: OperatorTuple
+    N: int
+    index: WordIndex
+    blocks: np.ndarray
+    delta_root: np.ndarray
+    delta_sq: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -100,17 +89,12 @@ class BerezinKernel:
         return np.einsum("vab,vac->bc", self.blocks.conj(), mixed)
 
 
-def _defect_root(
-    f: PositiveRegularFunction, m: int, t: OperatorTuple, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _defect_root(support: Support, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(Delta, Delta^2) from the order-m defect; ValueError off the domain."""
-    defect = defect_sequence(f, m, t).deltas[m]
     try:
-        return psd_root(defect, tol)
+        return psd_root(_defect_sequence(support, m).deltas[m], tol)
     except ValueError as exc:
-        raise ValueError(
-            f"tuple lies outside the order-{m} domain: {exc}"
-        ) from exc
+        raise ValueError(f"tuple lies outside the order-{m} domain: {exc}") from exc
 
 
 def berezin_kernel(
@@ -129,10 +113,8 @@ def berezin_kernel(
     per grade, so the word list of the index is never built.
     """
     t = as_operator_tuple(t)
-    if t.n != f.n:
-        raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
+    root, clipped = _defect_root(_support(f, t), m, tol)
     index = enumerate_words(f.n, N)
-    root, clipped = _defect_root(f, m, t, tol)
     b = weights_direct(f, m, N).aligned_values(index)
     adjoints = _graded_monomials(t, N).conj().swapaxes(1, 2)
     blocks = np.sqrt(b)[:, None, None] * (root @ adjoints)
@@ -176,12 +158,11 @@ def berezin_transform_resolvent(
     by Lam_{w~}, adds into a strided slice of grade L + |w|.
     R^* (g (x) Delta^2) R is then compressed back to the coefficient
     space.  Requires T in the domain with estimated joint spectral radius
-    below 1.
+    below 1.  The radius, the defect and the right shifts share one support.
     """
     t = as_operator_tuple(t)
-    if t.n != f.n:
-        raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
-    radius = spectral_radius_estimate(f, t)
+    support = _support(f, t)
+    radius = _spectral_radius_estimate(support, 12)
     if radius.overflowed or radius.final >= 1.0:
         raise ValueError(
             "resolvent form needs joint spectral radius < 1; estimate "
@@ -195,13 +176,13 @@ def berezin_transform_resolvent(
         raise ValueError(
             f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
         )
-    _, delta_sq = _defect_root(f, m, t, tol)
+    _, delta_sq = _defect_root(support, m, tol)
     b = weights_direct(f, m, N).aligned_values(index)
-    support = [(w, a, t_w.conj().T) for w, a, t_w in _support_monomials(f, t)]
+    terms = list(zip(f.support(), support[1], support[2].conj().swapaxes(1, 2)))
     steps = []
     for length in range(N + 1):
         src = slice(index.offset(length), index.offset(length + 1))
-        for word, a, t_adj in support:
+        for word, a, t_adj in terms:
             if length + len(word) <= N:
                 dst = index.shift_block(word, length, right=True)
                 scale = a * np.sqrt(b[src] / b[dst])

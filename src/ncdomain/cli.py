@@ -10,7 +10,8 @@ command's own (each command registers only the flags it reads), loads
 the config with the ``--depth`` override, resolves the tolerance, and
 hands ``(ns, cfg, tol, report)`` to the handler.  Only `compose` and
 `selftest` draw random numbers, so only they take ``--seed`` and only
-their reports carry a seed; a config's ``seed`` is checked but unused.
+their reports carry a seed; a config's ``seed`` key is checked (an
+integer >= 0) and then dropped.
 Input values pass one gate whether they come from a config file or a
 flag: `_check_depth` (>= 1, basis under the cap), `_check_seed` (>= 0) and
 `_check_tolerance` (finite and > 0).
@@ -82,7 +83,8 @@ TOLERANCE_DEFAULTS = {
 class DomainConfig:
     """Validated parameters of one domain: symbol, order, depth, tolerances.
 
-    ``seed`` is validated so that existing configs load; no command reads it.
+    A config file's ``seed`` key is validated so that existing configs
+    load, but it is not kept: no command reads it.
     """
 
     n: int
@@ -90,7 +92,6 @@ class DomainConfig:
     depth: int
     symbol: PositiveRegularFunction
     tolerances: dict
-    seed: int
 
 
 def _check_depth(n: int, depth: int, where: str) -> int:
@@ -152,8 +153,9 @@ def parse_config(path) -> DomainConfig:
                 f"known: {sorted(TOLERANCE_DEFAULTS)}"
             )
         tolerances[name] = _check_tolerance(value, f"{path}: tolerance {name!r}")
-    seed = _require_int(data, "seed", path) if "seed" in data else 0
-    return DomainConfig(n, m, depth, f, tolerances, _check_seed(seed, f"{path}: seed"))
+    if "seed" in data:
+        _check_seed(_require_int(data, "seed", path), f"{path}: seed")
+    return DomainConfig(n, m, depth, f, tolerances)
 
 
 def _jsonable(x):
@@ -401,14 +403,13 @@ def _cmd_compose(ns, cfg: None, tol: float, report: Report):
 def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
     eig_tol = cfg.tolerances["eigenvalue"]
     mats = load_tuple(ns.tuple_path)
-    model = build_model(cfg.symbol, cfg.m, cfg.depth)
     if ns.g is not None:
         g = load_matrix(ns.g)
         g_label = ns.g
     else:
         alpha = parse_word(ns.alpha, cfg.n)
         beta = parse_word(ns.beta, cfg.n)
-        g = monomial_pair(model, alpha, beta)
+        g = monomial_pair(build_model(cfg.symbol, cfg.m, cfg.depth), alpha, beta)
         g_label = f"V_{ns.alpha or 'unit'} V_{ns.beta or 'unit'}^*"
     report.inputs["tuple"] = mats
     report.inputs["g"] = g

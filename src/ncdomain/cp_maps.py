@@ -10,6 +10,13 @@ An n-tuple belongs to the order-m domain of f when the iterated defects
 here is a finite-dimensional numerical test: defects are symmetrized
 before their spectra are read off, and verdicts always carry the
 eigenvalue tolerance they were judged against.
+
+The support of f at X is three arrays in `f.items()` order (`_support`):
+word lengths, coefficients a_w and the stacked monomials X_w.  One Phi
+step (`_phi`) forms every a_w X_w Y X_w^* in one batched product and adds
+them in support order, bit-identical to a word-by-word sum; the defects,
+the radius estimate, the Agler check and the sampler's ray polynomials
+all run on it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +32,9 @@ from .defaults import EIGENVALUE_TOL
 from .fock_model import build_model, monomial_pair
 from .linalg import hermitian_part, min_eigenvalue, operator_norm
 from .series import PositiveRegularFunction, unit_ball_symbol
-from .words import Letters, _as_letters, enumerate_words, word_products
+from .words import _as_letters, enumerate_words, word_products
+
+Support = tuple[np.ndarray, np.ndarray, np.ndarray]  # |w| (s,), a_w (s,), X_w (s, d, d)
 
 
 class OperatorTuple:
@@ -80,21 +88,21 @@ def as_operator_tuple(x) -> OperatorTuple:
 def monomial_product(x: OperatorTuple | Sequence[np.ndarray], word) -> np.ndarray:
     """X_w = X_{i1} .. X_{ik} for w = (i1, .., ik); identity for the unit."""
     t = as_operator_tuple(x)
-    return _monomials(t, [_as_letters(word, t.n)])[0]
-
-
-def _monomials(t: OperatorTuple, words) -> list[np.ndarray]:
-    """X_w for each word, built over shared suffixes."""
     unit = {(): np.eye(t.dim, dtype=complex)}
-    return word_products(words, t.mats, np.matmul, unit)
+    return word_products([_as_letters(word, t.n)], t.mats, np.matmul, unit)[0]
 
 
-def _support_monomials(
-    f: PositiveRegularFunction, t: OperatorTuple
-) -> list[tuple[Letters, float, np.ndarray]]:
-    items = f.items()
-    monos = _monomials(t, [w for w, _ in items])
-    return [(w, a, xw) for (w, a), xw in zip(items, monos)]
+def _support(f: PositiveRegularFunction, x) -> Support:
+    """f's support at X in `f.items()` order; the one check that X has f.n entries.
+
+    X_w comes from `word_products`, one product per suffix, so sparse
+    high-degree symbols stay cheap."""
+    t = as_operator_tuple(x)
+    if t.n != f.n:
+        raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
+    words, coeffs = zip(*f.items())
+    monos = word_products(words, t.mats, np.matmul, {(): np.eye(t.dim, dtype=complex)})
+    return np.array([len(w) for w in words]), np.array(coeffs), np.array(monos)
 
 
 def _graded_monomials(t: OperatorTuple, N: int) -> np.ndarray:
@@ -110,12 +118,13 @@ def _graded_monomials(t: OperatorTuple, N: int) -> np.ndarray:
     return np.concatenate(grades)
 
 
-def _phi(monos: list[tuple[Letters, float, np.ndarray]], y: np.ndarray) -> np.ndarray:
-    """sum a_w X_w Y X_w^* over precomputed support monomials."""
-    out = np.zeros_like(y)
-    for _, a, xw in monos:
-        out += a * (xw @ y @ xw.conj().T)
-    return out
+def _phi(support: Support, y: np.ndarray, part: slice = slice(None)) -> np.ndarray:
+    """sum a_w X_w Y X_w^* over the support words in ``part``: the terms come
+    from one batched product and are added in support order, so the result
+    is bit-identical to a word-by-word sum."""
+    a, x = support[1][part], support[2][part]
+    terms = a[:, None, None] * (x @ y @ x.conj().swapaxes(1, 2))
+    return reduce(np.add, terms, np.zeros_like(y))
 
 
 @dataclass(frozen=True)
@@ -136,14 +145,16 @@ def defect_sequence(f: PositiveRegularFunction, m: int, x) -> DefectSequence:
     Each iterate is Hermitian-symmetrized before use so roundoff cannot
     leak non-Hermitian parts into the spectra.
     """
+    return _defect_sequence(_support(f, x), m)
+
+
+def _defect_sequence(support: Support, m: int) -> DefectSequence:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    t = as_operator_tuple(x)
-    monos = _support_monomials(f, t)
-    deltas = [np.eye(t.dim, dtype=complex)]
+    deltas = [np.eye(support[2].shape[-1], dtype=complex)]
     mins = []
     for _ in range(m):
-        nxt = hermitian_part(deltas[-1] - _phi(monos, deltas[-1]))
+        nxt = hermitian_part(deltas[-1] - _phi(support, deltas[-1]))
         deltas.append(nxt)
         mins.append(min_eigenvalue(nxt))
     return DefectSequence(tuple(deltas), tuple(mins))
@@ -215,24 +226,29 @@ def spectral_radius_estimate(
     No extrapolation is applied: the caller sees the raw sequence.
     Overflow is reported, not raised.
     """
+    return _spectral_radius_estimate(_support(f, x), kmax)
+
+
+def _spectral_radius_estimate(support: Support, kmax: int) -> SpectralRadiusEstimate:
+    """Phi steps up to the first non-finite or zero iterate, then one batched SVD."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    t = as_operator_tuple(x)
-    monos = _support_monomials(f, t)
-    y = np.eye(t.dim, dtype=complex)
+    d = support[2].shape[-1]
+    iterates, y = [], np.eye(d, dtype=complex)
+    while len(iterates) < kmax and y.any():
+        y = _phi(support, y)
+        if not np.all(np.isfinite(y)):
+            break
+        iterates.append(y)
+    norms = np.linalg.svd(np.reshape(iterates, (-1, d, d)), compute_uv=False)[:, 0].tolist()
+    if not np.all(np.isfinite(y)):  # the last step overflowed
+        norms.append(math.inf)
     values = []
-    overflowed = False
-    for k in range(1, kmax + 1):
-        y = _phi(monos, y)
-        norm = operator_norm(y) if np.all(np.isfinite(y)) else float("inf")
-        if not np.isfinite(norm):
-            overflowed = True
-            values.append(float("inf"))
-            break
+    for k, norm in enumerate(norms, start=1):
         values.append(norm ** (1.0 / (2.0 * k)) if norm > 0 else 0.0)
-        if norm == 0.0:
+        if math.isinf(norm):
             break
-    return SpectralRadiusEstimate(tuple(values), values[-1], overflowed)
+    return SpectralRadiusEstimate(tuple(values), values[-1], math.isinf(values[-1]))
 
 
 def agler_consistency(m: int, x) -> float:
@@ -249,7 +265,7 @@ def agler_consistency(m: int, x) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     t = as_operator_tuple(x)
     d = t.dim
-    linear = _support_monomials(unit_ball_symbol(t.n), t)
+    linear = _support(unit_ball_symbol(t.n), t)
     iterated = np.eye(d, dtype=complex)
     for _ in range(m):
         iterated = iterated - _phi(linear, iterated)
@@ -258,9 +274,9 @@ def agler_consistency(m: int, x) -> float:
     monos = _graded_monomials(t, m)
     expanded = np.zeros((d, d), dtype=complex)
     for k in range(m + 1):
-        grade = np.zeros((d, d), dtype=complex)
-        for pos in index.grade(k):
-            grade += monos[pos] @ monos[pos].conj().T
+        block = monos[index.offset(k) : index.offset(k + 1)]
+        terms = block @ block.conj().swapaxes(1, 2)
+        grade = reduce(np.add, terms, np.zeros((d, d), dtype=complex))
         expanded += ((-1) ** k) * math.comb(m, k) * grade
     return float(np.max(np.abs(iterated - expanded)))
 
@@ -331,16 +347,16 @@ def _ray_defects(
     support words of length j, so Delta_k has degree at most k deg f.
     Entry k - 1 stacks the coefficients of Delta_k, constant term first.
     """
-    monos = _support_monomials(f, base)
-    parts = [(j, list(g)) for j, g in groupby(monos, key=lambda e: len(e[0]))]
-    degree = parts[-1][0]
+    support = _support(f, base)
+    lengths = support[0]
+    parts = [(j, slice(*np.searchsorted(lengths, [j, j + 1]))) for j in np.unique(lengths)]
     prev = np.eye(base.dim, dtype=complex)[None]
     out = []
     for _ in range(m):
-        out.append(np.pad(prev, ((0, degree), (0, 0), (0, 0))))
+        out.append(np.pad(prev, ((0, lengths[-1]), (0, 0), (0, 0))))
         for p, c in enumerate(prev):
-            for j, group in parts:
-                out[-1][p + j] -= _phi(group, c)
+            for j, part in parts:
+                out[-1][p + j] -= _phi(support, c, part)
         prev = out[-1]
     return out
 

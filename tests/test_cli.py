@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ncdomain import FreeSeries, compose, fock_model, rigidity
+from ncdomain import FreeSeries, cli, compose, fock_model, rigidity
 from ncdomain.cli import COMMANDS, _digest, main, parse_config
 from ncdomain.io import FormatError
 
@@ -74,7 +74,7 @@ def test_parse_config_reads_overrides(tmp_path):
         tmp_path, extra={"seed": 3, "tolerances": {"eigenvalue": 1e-7}}
     )
     cfg = parse_config(path)
-    assert cfg.seed == 3
+    assert not hasattr(cfg, "seed")  # validated, then dropped: no command reads it
     assert cfg.tolerances["eigenvalue"] == 1e-7
     assert cfg.tolerances["oracle"] == 1e-12
 
@@ -153,6 +153,18 @@ def test_member_verdict_exit_codes(tmp_path, capsys):
     assert main(["member", "--config", str(cfg),
                  "--tuple", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n, mats", [
+    (2, [[[0.5]]]),
+    (1, [[[0.5]], [[3.0]]]),
+], ids=["ball-one-matrix", "disc-two-matrices"])
+def test_member_rejects_a_tuple_of_the_wrong_size(tmp_path, capsys, n, mats):
+    coeffs = {str(i): 1.0 for i in range(1, n + 1)}
+    cfg = write_config(tmp_path, n=n, m=1, depth=3, coeffs=coeffs)
+    point = write_tuple(tmp_path, mats)
+    assert main(["member", "--config", str(cfg), "--tuple", str(point)]) == 2
+    assert f"symbol over n={n} applied to a {len(mats)}-tuple" in capsys.readouterr().err
 
 
 def test_member_report_carries_tolerances(tmp_path, capsys):
@@ -386,6 +398,22 @@ def test_berezin_forms_agree_in_report(tmp_path, capsys):
     check = payload["report"]["checks"][0]
     assert check["name"] == "form_agreement"
     assert check["passed"] is True
+    capsys.readouterr()
+
+
+def test_berezin_builds_the_model_only_for_word_observables(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.build_model
+    monkeypatch.setattr(cli, "build_model", lambda *a: calls.append(a) or real(*a))
+    cfg = write_config(tmp_path, m=1, depth=3)
+    point = write_tuple(tmp_path, [[[0.5]]])
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"matrix": np.eye(4).tolist()}))
+    base = ["berezin", "--config", str(cfg), "--tuple", str(point)]
+    assert main(base + ["--g", str(g)]) == 0
+    assert calls == []
+    assert main(base + ["--alpha", "1", "--beta", "1"]) == 0
+    assert len(calls) == 1
     capsys.readouterr()
 
 

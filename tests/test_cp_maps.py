@@ -23,6 +23,7 @@ from ncdomain.cp_maps import (
     spectral_radius_estimate,
     von_neumann_gap,
 )
+from ncdomain.linalg import operator_norm
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
 from ncdomain.words import enumerate_words, word_products
 
@@ -183,9 +184,9 @@ def _oracle_scale_into_domain(f, m, base, tol):
 
 
 @st.composite
-def symbols(draw, max_degree=3):
-    """A symbol over n <= 3 letters of degree <= 3, dyadic or not."""
-    n = draw(st.integers(1, 3))
+def symbols(draw, max_degree=3, max_n=3):
+    """A symbol over n <= max_n letters of degree <= max_degree, dyadic or not."""
+    n = draw(st.integers(1, max_n))
     degree = draw(st.integers(1, max_degree))
     if draw(st.booleans()):
         coeff = st.integers(1, 64).map(lambda k: k / 64)
@@ -295,3 +296,113 @@ def test_scale_into_domain_gives_up_without_a_member():
     f = PositiveRegularFunction(1, {(1,): 1e60})
     with pytest.raises(RuntimeError, match="no member"):
         cp_maps._scale_into_domain(f, 1, OperatorTuple([np.eye(2)]), 1e-10)
+
+
+@pytest.mark.parametrize("n, d, k", [(2, 2, 1), (1, 1, 2)],
+                         ids=["ball-one-matrix", "disc-two-matrices"])
+def test_library_rejects_a_tuple_of_the_wrong_size(n, d, k):
+    f = unit_ball_symbol(n)
+    x = [0.5 * np.eye(d)] * k
+    g = np.eye(enumerate_words(n, 2).dim)
+    calls = [
+        lambda: membership(f, 1, x),
+        lambda: defect_sequence(f, 1, x),
+        lambda: spectral_radius_estimate(f, x),
+        lambda: von_neumann_gap(f, 1, x, [((), (), 1.0)], N=2),
+        lambda: berezin.berezin_kernel(f, 1, x, 2),
+        lambda: berezin.berezin_transform_resolvent(f, 1, x, g, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"symbol over n={n} applied to a {k}-tuple"):
+            call()
+
+
+def _phi_per_word(items, t, y):
+    """sum a_w X_w Y X_w^* over (word, a_w) items, one word at a time."""
+    out = np.zeros_like(y)
+    for w, a in items:
+        xw = monomial_product(t, w)
+        out += a * (xw @ y @ xw.conj().T)
+    return out
+
+
+def _random_tuple(n, d, seed, scale=1.0, nilpotent=False):
+    rng = np.random.default_rng(seed)
+    mats = [scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for _ in range(n)]
+    return OperatorTuple([np.triu(a, k=1) for a in mats] if nilpotent else mats)
+
+
+@settings(deadline=None, max_examples=60)
+@given(f=symbols(max_n=4), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 2))
+def test_phi_matches_the_per_word_sum_bit_for_bit(f, d, seed):
+    t = _random_tuple(f.n, d, seed)
+    y = _random_tuple(1, d, seed + 1)[0]
+    items = f.items()
+    support = cp_maps._support(f, t)
+    assert np.array_equal(cp_maps._phi(support, y), _phi_per_word(items, t, y))
+    for j in range(1, f.degree + 1):
+        part = slice(*np.searchsorted(support[0], [j, j + 1]))
+        assert np.array_equal(cp_maps._phi(support, y, part),
+                              _phi_per_word(items[part], t, y))
+
+
+def _radius_per_iterate(f, t, kmax):
+    """r_k = ||Phi^k(I)||^(1/2k) with one `operator_norm` per iterate."""
+    y = np.eye(t.dim, dtype=complex)
+    values = []
+    overflowed = False
+    for k in range(1, kmax + 1):
+        y = _phi_per_word(f.items(), t, y)
+        norm = operator_norm(y) if np.all(np.isfinite(y)) else float("inf")
+        if not np.isfinite(norm):
+            overflowed = True
+            values.append(float("inf"))
+            break
+        values.append(norm ** (1.0 / (2.0 * k)) if norm > 0 else 0.0)
+        if norm == 0.0:
+            break
+    return tuple(values), overflowed
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    f=symbols(max_n=4),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 0.2, 1.0, 1e60, 1e150]),
+    nilpotent=st.booleans(),
+    kmax=st.integers(1, 12),
+)
+def test_spectral_radius_matches_per_iterate_norms(f, d, seed, scale, nilpotent, kmax):
+    t = _random_tuple(f.n, d, seed, scale, nilpotent)
+    with np.errstate(all="ignore"):
+        est = spectral_radius_estimate(f, t, kmax=kmax)
+        values, overflowed = _radius_per_iterate(f, t, kmax)
+    assert est.values == values
+    assert est.overflowed == overflowed
+    assert est.final == values[-1]
+
+
+def test_spectral_radius_stops_at_the_first_non_finite_iterate():
+    f = unit_ball_symbol(2)
+    t = [np.array([[1e100]]), np.array([[1.0]])]
+    with np.errstate(all="ignore"):
+        est = spectral_radius_estimate(f, t, kmax=12)
+    # Phi(I) = 1e200 + 1 is finite; Phi^2(I) overflows
+    assert est.values[0] == pytest.approx(1e100)
+    assert est.values[1:] == (float("inf"),)
+    assert est.overflowed
+
+
+def test_resolvent_builds_the_support_once(monkeypatch):
+    calls = []
+    real = cp_maps.word_products
+    monkeypatch.setattr(cp_maps, "word_products",
+                        lambda *args: calls.append(args) or real(*args))
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "21": 0.75, "122": 0.25})
+    x = sample_member(f, 2, 3, np.random.default_rng(7))
+    calls.clear()
+    g = np.eye(enumerate_words(2, 4).dim)
+    berezin.berezin_transform_resolvent(f, 2, x, g, 4)
+    assert len(calls) == 1
