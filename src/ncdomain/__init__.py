@@ -24,7 +24,6 @@ from .cp_maps import (
     von_neumann_gap,
 )
 from .fock_model import (
-    TruncatedModel,
     build_model,
     evaluate_on_model,
     hardy_norm_estimate,
@@ -61,7 +60,6 @@ __all__ = [
     "FreeSeries",
     "OperatorTuple",
     "PositiveRegularFunction",
-    "TruncatedModel",
     "WeightTable",
     "WordIndex",
     "agler_consistency",

@@ -34,12 +34,13 @@ from .cp_maps import (
     _spectral_radius_estimate,
     _support,
     as_operator_tuple,
+    require_defects,
 )
 from .defaults import EIGENVALUE_TOL
 from .linalg import psd_root
 from .series import PositiveRegularFunction
 from .weights import weights_direct
-from .words import WordIndex, enumerate_words
+from .words import WordIndex
 
 
 @dataclass(eq=False, slots=True)
@@ -47,8 +48,7 @@ class BerezinKernel:
     """The kernel K: C^d -> F_N (x) C^d attached to (f, m, T, N).
 
     ``blocks[v]`` is the d x d block of K at the Fock basis vector with
-    index v, namely sqrt(b_v) Delta T_v^*; ``matrix`` stacks the blocks
-    in Fock-major order.
+    index v, namely sqrt(b_v) Delta T_v^*.
     """
 
     f: PositiveRegularFunction
@@ -57,21 +57,10 @@ class BerezinKernel:
     N: int
     index: WordIndex
     blocks: np.ndarray
-    delta_root: np.ndarray
-    delta_sq: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.index.dim
-
-    @property
-    def space_dim(self) -> int:
-        return self.tuple.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        d = self.space_dim
-        return self.blocks.reshape(self.dim * d, d)
 
     def gram(self) -> np.ndarray:
         """K^* K, the transform of the identity."""
@@ -90,11 +79,13 @@ class BerezinKernel:
 
 
 def _defect_root(support: Support, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Delta, Delta^2) from the order-m defect; ValueError off the domain."""
-    try:
-        return psd_root(_defect_sequence(support, m).deltas[m], tol)
-    except ValueError as exc:
-        raise ValueError(f"tuple lies outside the order-{m} domain: {exc}") from exc
+    """(Delta, Delta^2) from the order-m defect; ValueError off the domain.
+
+    Every Delta_k, k = 1..m, must pass the `membership` rule, not Delta_m
+    alone."""
+    seq = _defect_sequence(support, m)
+    require_defects(seq.min_eigenvalues, m, tol)
+    return psd_root(seq.deltas[m], tol)
 
 
 def berezin_kernel(
@@ -113,12 +104,11 @@ def berezin_kernel(
     per grade, so the word list of the index is never built.
     """
     t = as_operator_tuple(t)
-    root, clipped = _defect_root(_support(f, t), m, tol)
-    index = enumerate_words(f.n, N)
-    b = weights_direct(f, m, N).aligned_values(index)
+    root, _ = _defect_root(_support(f, t), m, tol)
+    table = weights_direct(f, m, N)
     adjoints = _graded_monomials(t, N).conj().swapaxes(1, 2)
-    blocks = np.sqrt(b)[:, None, None] * (root @ adjoints)
-    return BerezinKernel(f, m, t, N, index, blocks, root, clipped)
+    blocks = np.sqrt(table.values)[:, None, None] * (root @ adjoints)
+    return BerezinKernel(f, m, t, N, table.index, blocks)
 
 
 def berezin_transform_kernel(
@@ -161,23 +151,23 @@ def berezin_transform_resolvent(
     below 1.  The radius, the defect and the right shifts share one support.
     """
     t = as_operator_tuple(t)
-    support = _support(f, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        support = _support(f, t)
     radius = _spectral_radius_estimate(support, 12)
     if radius.overflowed or radius.final >= 1.0:
         raise ValueError(
             "resolvent form needs joint spectral radius < 1; estimate "
             f"{radius.final:.6f}"
         )
-    index = enumerate_words(f.n, N)
-    dim = index.dim
-    d = t.dim
+    table = weights_direct(f, m, N)
+    index, b = table.index, table.values
+    dim, d = index.dim, t.dim
     g = np.asarray(g, dtype=complex)
     if g.shape != (dim, dim):
         raise ValueError(
             f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
         )
     _, delta_sq = _defect_root(support, m, tol)
-    b = weights_direct(f, m, N).aligned_values(index)
     terms = list(zip(f.support(), support[1], support[2].conj().swapaxes(1, 2)))
     steps = []
     for length in range(N + 1):

@@ -124,10 +124,7 @@ def parse_config(path) -> DomainConfig:
     data = _read_json(path)
     n = _require_int(data, "n", path)
     m = _require_int(data, "m", path)
-    key = "N" if "N" in data else "depth"
-    if key not in data:
-        raise FormatError(f"{path}: missing field 'N'")
-    depth = _require_int(data, key, path)
+    depth = _require_int(data, "N", path)
     if n < 1:
         raise FormatError(f"{path}: n must be >= 1, got {n}")
     if m < 1:
@@ -314,7 +311,7 @@ def _cmd_weights(ns, cfg: DomainConfig, tol: float, report: Report):
 def _cmd_model(ns, cfg: DomainConfig, tol: float, report: Report):
     model = build_model(cfg.symbol, cfg.m, cfg.depth)
     defect = defect_diagonal(model)
-    vacuum = np.zeros(model.dim)
+    vacuum = np.zeros(model.index.dim)
     vacuum[0] = 1.0
     defect_gap = float(np.max(np.abs(defect - vacuum)))
     row_excess = float(np.max(symbol_row_diagonal(model))) - 1.0
@@ -322,7 +319,7 @@ def _cmd_model(ns, cfg: DomainConfig, tol: float, report: Report):
     for k in range(1, cfg.depth + 1):
         top = float(np.max(grade_row_diagonal(model, k)))
         grade_excess = max(grade_excess, top - binomial_constant(k, cfg.m))
-    report.results["dim"] = model.dim
+    report.results["dim"] = model.index.dim
     report.results["defect_rank"] = int(np.count_nonzero(np.abs(defect) > 1e-8))
     report.add_check(
         "defect_rank_one", defect_gap, tol, defect_gap <= tol,
@@ -405,7 +402,7 @@ def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
     mats = load_tuple(ns.tuple_path)
     if ns.g is not None:
         g = load_matrix(ns.g)
-        g_label = ns.g
+        g_label = "matrix file"  # its bytes are in inputs_digest, its path is not
     else:
         alpha = parse_word(ns.alpha, cfg.n)
         beta = parse_word(ns.beta, cfg.n)

@@ -197,16 +197,20 @@ def membership(
     )
 
 
+def require_defects(min_eigenvalues: Sequence[float], m: int, tol: float) -> None:
+    """Raise ValueError unless every defect eigenvalue passes the `membership` rule."""
+    if not all(v >= -tol for v in min_eigenvalues):
+        raise ValueError(
+            f"tuple lies outside the order-{m} domain: not a member within "
+            f"tolerance; worst defect eigenvalue {min(min_eigenvalues):.3e}"
+        )
+
+
 def require_member(
     f: PositiveRegularFunction, m: int, t: OperatorTuple, tol: float
 ) -> None:
     """Raise ValueError unless T passes the order-m membership test."""
-    verdict = membership(f, m, t, tol=tol)
-    if not verdict.member:
-        raise ValueError(
-            f"tuple lies outside the order-{m} domain: not a member within "
-            f"tolerance; worst defect eigenvalue {min(verdict.min_eigenvalues):.3e}"
-        )
+    require_defects(defect_sequence(f, m, t).min_eigenvalues, m, tol)
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,9 @@ def spectral_radius_estimate(
     No extrapolation is applied: the caller sees the raw sequence.
     Overflow is reported, not raised.
     """
-    return _spectral_radius_estimate(_support(f, x), kmax)
+    with np.errstate(over="ignore", invalid="ignore"):
+        support = _support(f, x)
+    return _spectral_radius_estimate(support, kmax)
 
 
 def _spectral_radius_estimate(support: Support, kmax: int) -> SpectralRadiusEstimate:
@@ -235,12 +241,14 @@ def _spectral_radius_estimate(support: Support, kmax: int) -> SpectralRadiusEsti
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     d = support[2].shape[-1]
     iterates, y = [], np.eye(d, dtype=complex)
-    while len(iterates) < kmax and y.any():
-        y = _phi(support, y)
-        if not np.all(np.isfinite(y)):
-            break
-        iterates.append(y)
-    norms = np.linalg.svd(np.reshape(iterates, (-1, d, d)), compute_uv=False)[:, 0].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(iterates) < kmax and y.any():
+            y = _phi(support, y)
+            if not np.all(np.isfinite(y)):
+                break
+            iterates.append(y)
+        norms = np.linalg.svd(np.reshape(iterates, (-1, d, d)), compute_uv=False)[:, 0]
+    norms = norms.tolist()
     if not np.all(np.isfinite(y)):  # the last step overflowed
         norms.append(math.inf)
     values = []
@@ -325,7 +333,7 @@ def von_neumann_gap(
             raise ValueError("hereditary coefficients must share one shape")
         parsed.append((a, b, cm))
     lhs_sum = np.zeros((t.dim * e, t.dim * e), dtype=complex)
-    rhs_sum = np.zeros((model.dim * e, model.dim * e), dtype=complex)
+    rhs_sum = np.zeros((model.index.dim * e, model.index.dim * e), dtype=complex)
     for a, b, cm in parsed:
         xa = monomial_product(t, a) @ monomial_product(t, b).conj().T
         va = monomial_pair(model, a, b)

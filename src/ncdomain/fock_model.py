@@ -7,19 +7,20 @@ length <= N:
     V_i e_w = sqrt(b_w / b_{iw}) e_{iw}   for |w| < N,
     V_i e_w = 0                           for |w| = N,
 
-with b the weight table of (f, m).  The ratios telescope, so the product
-V_w sends e_u to sqrt(b_u / b_{wu}) e_{wu}, and in the graded-lex index
-it sends grade L onto one contiguous run of grade L + |w|
-(`WordIndex.shift_block`).  Every shift is read off that grading: the
-column map (target row per column, weight) of V_w is closed form, and
-dense matrices are allocated only after checking their 16 (dim e)^2
-bytes against physical memory.  `model_monomial` is the only accessor
-that hands out a dense V_w; the model keeps no dense tuple.  Distinct
-columns of V_w land in distinct rows, so the completely positive map
-Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
-and acts on a diagonal as a sum of scaled index scatters, and the
-grade-row sum over |w| = k of b_w V_w V_w^* is a gather: its diagonal
-at u is b_{u[:k]} b_{u[k:]} / b_u.
+with b the weight table of (f, m).  The weights fix every V_i, so the
+model *is* the depth-N `WeightTable`: `build_model` returns one, and the
+functions here read f, m, N, its word index and its ``values`` off it.
+The ratios telescope, so the product V_w sends e_u to
+sqrt(b_u / b_{wu}) e_{wu}, and in the graded-lex index it sends grade L
+onto one contiguous run of grade L + |w| (`WordIndex.shift_block`); the
+targets of V_w are those runs.  Dense matrices are allocated only after
+checking their 16 (dim e)^2 bytes against physical memory:
+`monomial_pair` scatters V_alpha V_beta^* from two target arrays, and
+`model_monomial` is V_w V_unit^*.  Distinct columns of V_w land in
+distinct rows, so the completely positive map Y -> sum_w a_w V_w Y V_w^*
+sends diagonal matrices to diagonal matrices and acts on a diagonal as a
+sum of scaled index scatters, and the grade-row sum over |w| = k of
+b_w V_w V_w^* is a gather: its diagonal at u is b_{u[:k]} b_{u[k:]} / b_u.
 
 The defining property of the truncation: applying (id - Phi_f)^m to the
 identity yields exactly the rank-one projection onto the vacuum vector,
@@ -36,50 +37,13 @@ from .defaults import physical_memory
 from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
 from .weights import WeightTable, weights_direct
-from .words import DimensionCapError, Letters, WordIndex, _as_letters, enumerate_words
-
-ColumnMap = tuple[np.ndarray, np.ndarray]  # (target row per column or -1, weight)
+from .words import DimensionCapError, Letters, WordIndex, _as_letters
 
 
-class TruncatedModel:
-    """The n-tuple of weighted creation operators truncated at depth N."""
-
-    def __init__(
-        self,
-        f: PositiveRegularFunction,
-        m: int,
-        N: int,
-        index: WordIndex,
-        weights: WeightTable,
-    ):
-        self.f = f
-        self.m = m
-        self.N = N
-        self.index = index
-        self.weights = weights
-        self.b = weights.aligned_values(index)
-
-    @property
-    def n(self) -> int:
-        return self.f.n
-
-    @property
-    def dim(self) -> int:
-        return self.index.dim
-
-    def _targets(self, word: Letters) -> np.ndarray:
-        """Index of wu for the u with |u| <= N - |w|: the first basis vectors, or none."""
-        runs = [self.index.shift_block(word, k) for k in range(self.N - len(word) + 1)]
-        return np.concatenate([np.arange(0)] + [np.arange(s.start, s.stop) for s in runs])
-
-    def monomial_map(self, word) -> ColumnMap:
-        """Column map of V_w: e_u goes to sqrt(b_u / b_{wu}) e_{wu}, or to 0."""
-        hit = self._targets(_as_letters(word, self.n))
-        t = np.full(self.dim, -1, dtype=np.int64)
-        w = np.zeros(self.dim)
-        t[: hit.size] = hit
-        w[: hit.size] = np.sqrt(self.b[: hit.size] / self.b[hit])
-        return t, w
+def _targets(model: WeightTable, word: Letters) -> np.ndarray:
+    """Index of wu for the u with |u| <= N - |w|: the first basis vectors, or none."""
+    runs = [model.index.shift_block(word, k) for k in range(model.N - len(word) + 1)]
+    return np.concatenate([np.arange(0)] + [np.arange(s.start, s.stop) for s in runs])
 
 
 def _dense_zeros(size: int, what: str) -> np.ndarray:
@@ -94,62 +58,58 @@ def _dense_zeros(size: int, what: str) -> np.ndarray:
     return np.zeros((size, size), dtype=complex)
 
 
-def map_to_dense(column_map: ColumnMap, dim: int) -> np.ndarray:
-    t, w = column_map
-    mat = _dense_zeros(dim, "a model operator")
-    cols = np.nonzero(t >= 0)[0]
-    mat[t[cols], cols] = w[cols]
-    return mat
-
-
 def build_model(
     f: PositiveRegularFunction,
     m: int,
     N: int,
     weight_table: WeightTable | None = None,
-) -> TruncatedModel:
-    """Construct the depth-N model of (f, m).
+) -> WeightTable:
+    """The depth-N model of (f, m): its weight table, which fixes every V_w.
 
     Weights come from the direct factorization sum unless a precomputed
-    table is supplied (it must cover depth N for the same f and m).
+    table is supplied (it must cover depth N for the same f and m); a
+    deeper table is cut to its depth-N prefix.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    index = enumerate_words(f.n, N)
     if weight_table is None:
-        weight_table = weights_direct(f, m, N)
-    else:
-        if weight_table.N < N:
-            raise ValueError(
-                f"weight table covers N={weight_table.N}, model needs {N}"
-            )
-        if weight_table.m != m or weight_table.f != f:
-            raise ValueError("weight table was built for a different domain")
-    return TruncatedModel(f, m, N, index, weight_table)
+        return weights_direct(f, m, N)
+    if weight_table.N < N:
+        raise ValueError(f"weight table covers N={weight_table.N}, model needs {N}")
+    if weight_table.m != m or weight_table.f != f:
+        raise ValueError("weight table was built for a different domain")
+    if weight_table.N == N:
+        return weight_table
+    index = WordIndex(f.n, N)
+    return WeightTable(f, m, index, weight_table.values[: index.dim])
 
 
-def model_monomial(model: TruncatedModel, word) -> np.ndarray:
+def model_monomial(model: WeightTable, word) -> np.ndarray:
     """Dense matrix of the product V_w (empty word gives the identity)."""
-    return map_to_dense(model.monomial_map(word), model.dim)
+    return monomial_pair(model, word, ())
 
 
-def monomial_pair(model: TruncatedModel, alpha, beta) -> np.ndarray:
-    """Dense V_alpha V_beta^*, one scatter of the two column maps.
+def monomial_pair(model: WeightTable, alpha, beta) -> np.ndarray:
+    """Dense V_alpha V_beta^*, one scatter from the two target arrays.
 
     For each basis vector e_u kept by both, V_beta^* sends e_{beta u} to
-    w_beta(u) e_u and V_alpha sends that on to w_alpha(u) e_{alpha u}; the
-    weights are real, and every other column is zero.
+    sqrt(b_u / b_{beta u}) e_u and V_alpha sends that on to
+    sqrt(b_u / b_{alpha u}) e_{alpha u}; the weights are real, and every
+    other column is zero.  The kept u are the first min(|t_alpha|,
+    |t_beta|) basis vectors.
     """
-    t_a, w_a = model.monomial_map(alpha)
-    t_b, w_b = model.monomial_map(beta)
-    out = _dense_zeros(model.dim, "the observable V_alpha V_beta^*")
-    u = np.nonzero((t_a >= 0) & (t_b >= 0))[0]
-    out[t_a[u], t_b[u]] = w_a[u] * w_b[u]
+    n, b = model.f.n, model.values
+    t_a = _targets(model, _as_letters(alpha, n))
+    t_b = _targets(model, _as_letters(beta, n))
+    out = _dense_zeros(model.index.dim, "the model operator V_alpha V_beta^*")
+    k = min(t_a.size, t_b.size)
+    t_a, t_b = t_a[:k], t_b[:k]
+    out[t_a, t_b] = np.sqrt(b[:k] / b[t_a]) * np.sqrt(b[:k] / b[t_b])
     return out
 
 
 def _scatter_terms(
-    model: TruncatedModel, terms: Iterable[tuple[Letters, float]]
+    model: WeightTable, terms: Iterable[tuple[Letters, float]]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(index of wu, c_w b_u / b_{wu}) over the u that V_w keeps, per term.
 
@@ -157,8 +117,8 @@ def _scatter_terms(
     """
     out = []
     for word, c in terms:
-        t = model._targets(word)
-        out.append((t, c * model.b[: t.size] / model.b[t]))
+        t = _targets(model, word)
+        out.append((t, c * model.values[: t.size] / model.values[t]))
     return out
 
 
@@ -171,28 +131,28 @@ def _scatter_diagonal(terms: list, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def defect_diagonal(model: TruncatedModel) -> np.ndarray:
+def defect_diagonal(model: WeightTable) -> np.ndarray:
     """Diagonal of (id - Phi_f)^m applied to the identity."""
     terms = _scatter_terms(model, model.f.items())
-    y = np.ones(model.dim)
+    y = np.ones(model.index.dim)
     for _ in range(model.m):
         y = y - _scatter_diagonal(terms, y)
     return y
 
 
-def model_defect(model: TruncatedModel) -> np.ndarray:
+def model_defect(model: WeightTable) -> np.ndarray:
     """(id - Phi_f)^m applied to the identity, as a dense diagonal matrix.
 
     On the truncation this equals the rank-one projection onto the
     vacuum basis vector exactly, which the tests assert entrywise.
     """
-    out = _dense_zeros(model.dim, "the model defect")
+    out = _dense_zeros(model.index.dim, "the model defect")
     np.fill_diagonal(out, defect_diagonal(model))
     return out
 
 
 def evaluate_on_model(
-    series: FreeSeries, model: TruncatedModel, r: float = 1.0
+    series: FreeSeries, model: WeightTable, r: float = 1.0
 ) -> np.ndarray:
     """sum_w r^|w| V_w (x) C_w as a dense matrix on C^dim (x) C^e.
 
@@ -201,16 +161,16 @@ def evaluate_on_model(
     as an (n^k, n^L) grid, so each grade pair is one scatter.  No entry
     is reached twice, so the result does not depend on the order.
     """
-    if series.n != model.n:
+    if series.n != model.f.n:
         raise ValueError(
-            f"series over {series.n} letters on a model with {model.n} generators"
+            f"series over {series.n} letters on a model with {model.f.n} generators"
         )
     if series.degree > model.N:
         raise ValueError(
             f"series degree {series.degree} exceeds model depth {model.N}"
         )
-    n, e, dim, b = model.n, series.coeff_dim, model.dim, model.b
-    index = model.index
+    n, e, b, index = model.f.n, series.coeff_dim, model.values, model.index
+    dim = index.dim
     out = _dense_zeros(dim * e, "a series evaluated on the model")
     view = out.reshape(dim, e, dim, e)
     for k, c in series._nonzero_grades():
@@ -252,12 +212,12 @@ def hardy_norm_estimate(
     return [operator_norm(evaluate_on_model(series, model, r)) for r in grid]
 
 
-def symbol_row_diagonal(model: TruncatedModel) -> np.ndarray:
+def symbol_row_diagonal(model: WeightTable) -> np.ndarray:
     """Diagonal of sum over support words of a_w V_w V_w^*."""
-    return _scatter_diagonal(_scatter_terms(model, model.f.items()), np.ones(model.dim))
+    return _scatter_diagonal(_scatter_terms(model, model.f.items()), np.ones(model.index.dim))
 
 
-def grade_row_diagonal(model: TruncatedModel, k: int) -> np.ndarray:
+def grade_row_diagonal(model: WeightTable, k: int) -> np.ndarray:
     """Diagonal of sum over |w| = k of b_w V_w V_w^*.
 
     V_w V_w^* e_u is (b_{u[k:]} / b_u) e_u if w = u[:k], else 0.  The
@@ -265,8 +225,8 @@ def grade_row_diagonal(model: TruncatedModel, k: int) -> np.ndarray:
     """
     if not 0 <= k <= model.N:
         raise ValueError(f"grade {k} outside 0..{model.N}")
-    index, b = model.index, model.b
-    out = np.zeros(model.dim)
+    index, b = model.index, model.values
+    out = np.zeros(index.dim)
     for length in range(k, model.N + 1):
         prefix, suffix = index.split(length, k)
         u = slice(index.offset(length), index.offset(length + 1))

@@ -51,7 +51,7 @@ from .words import DimensionCapError, Letters, grade_letters
 class LinearMapCandidate:
     """An invertible n x n matrix acting on tuples by row multiplication."""
 
-    __slots__ = ("matrix", "inverse", "condition")
+    __slots__ = ("matrix", "inverse")
 
     def __init__(self, matrix):
         u = np.asarray(matrix, dtype=complex)
@@ -71,7 +71,6 @@ class LinearMapCandidate:
             )
         self.matrix = u
         self.inverse = inv
-        self.condition = cond
 
     @property
     def n(self) -> int:

@@ -9,8 +9,10 @@ For f = sum_w a_w Z_w the weight of a word w is
 with b of the unit equal to 1.  These are exactly the word coefficients
 of the formal inverse power (1 - f)^(-m), which is how the independent
 oracle computes them.  The weights define the weighted shifts of the
-truncated model: they are strictly positive because every letter of the
-alphabet carries a strictly positive coefficient.
+truncated model, so a depth-N `WeightTable` is the depth-N model
+(`fock_model.build_model` returns one).  They are strictly positive
+because every letter of the alphabet carries a strictly positive
+coefficient.
 
 Two implementations are provided on purpose.  `weights_direct` sums over
 factorizations of each word into support words of f, peeled off the
@@ -48,7 +50,9 @@ def binomial_constant(k: int, m: int) -> int:
 class WeightTable:
     """Weights b_w for all words of length <= N, one array in `WordIndex` order.
 
-    ``values`` is read-only; ``index`` is the word index of depth N.
+    ``values`` is read-only; ``index`` is the word index of depth N.  The
+    table is also the depth-N model of (f, m): V_w e_u is
+    sqrt(b_u / b_{wu}) e_{wu}.
     """
 
     __slots__ = ("f", "m", "N", "index", "values")
@@ -94,7 +98,7 @@ def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
         raise ValueError(f"m must be >= 1, got {m}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    n = f.n
+    n, index = f.n, WordIndex(f.n, N)  # the basis cap is checked before any work
     support = [(len(g), word_num(g, n), a) for g, a in f.items()]
     binom = np.array([float(binomial_constant(j, m)) for j in range(N + 1)])
     c = [np.ones((1, 1))]
@@ -110,7 +114,7 @@ def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
         c.append(grade)
         if length >= f.degree:
             c[length - f.degree] = None
-    return WeightTable(f, m, WordIndex(n, N), np.concatenate(values))
+    return WeightTable(f, m, index, np.concatenate(values))
 
 
 def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:

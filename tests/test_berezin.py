@@ -34,7 +34,7 @@ def test_kernel_reproduces_identity_on_vacuum_state():
     f = unit_ball_symbol(2)
     k = berezin_kernel(f, 1, [np.zeros((2, 2)), np.zeros((2, 2))], 3)
     model = build_model(f, 1, 3)
-    g = np.diag(np.arange(model.dim, dtype=float))
+    g = np.diag(np.arange(model.index.dim, dtype=float))
     out = k.transform(g)
     assert np.allclose(out, g[0, 0] * np.eye(2))
 
@@ -42,7 +42,7 @@ def test_kernel_reproduces_identity_on_vacuum_state():
 def test_gram_equals_transform_of_identity():
     f = unit_ball_symbol(1)
     k = berezin_kernel(f, 2, [np.array([[0.4]])], 6)
-    dim = build_model(f, 2, 6).dim
+    dim = build_model(f, 2, 6).index.dim
     assert np.allclose(k.gram(), k.transform(np.eye(dim)))
 
 
@@ -51,7 +51,7 @@ def test_transform_of_identity_contracts_at_members():
     rng = np.random.default_rng(8)
     x = [0.1 * rng.standard_normal((3, 3)) for _ in range(2)]
     assert membership(f, 2, x).member
-    dim = build_model(f, 2, 4).dim
+    dim = build_model(f, 2, 4).index.dim
     out = berezin_transform_kernel(f, 2, x, np.eye(dim), 4)
     eigs = np.linalg.eigvalsh((out + out.conj().T) / 2.0)
     assert eigs.min() > -1e-12
@@ -97,7 +97,7 @@ def test_szego_family_classical_values():
     for lam in (0.8, -0.8, 0.5j, 0.6 * np.exp(1j)):
         kernel = berezin_kernel(f, 1, [np.array([[lam]])], N)
         tail = abs(lam) ** (2 * N + 2)
-        got_i = kernel.transform(np.eye(model.dim))[0, 0]
+        got_i = kernel.transform(np.eye(model.index.dim))[0, 0]
         assert abs(got_i - 1.0) <= tail + 1e-12
         got_s = kernel.transform(s @ s.conj().T)[0, 0]
         assert abs(got_s - abs(lam) ** 2) <= tail + 1e-12
@@ -106,7 +106,7 @@ def test_szego_family_classical_values():
 def test_forms_agree_on_random_tuples():
     f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25})
     rng = np.random.default_rng(21)
-    dim = build_model(f, 2, 4).dim
+    dim = build_model(f, 2, 4).index.dim
     for _ in range(3):
         x = [
             0.12 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -122,7 +122,7 @@ def test_forms_agree_on_random_tuples():
 def test_forms_agree_single_variable_deep():
     f = unit_ball_symbol(1)
     x = [np.array([[0.55, 0.3], [0.0, -0.2]])]
-    dim = build_model(f, 1, 8).dim
+    dim = build_model(f, 1, 8).index.dim
     g = np.eye(dim)
     kv = berezin_transform_kernel(f, 1, x, g, 8)
     rv, diag = berezin_transform_resolvent(f, 1, x, g, 8, with_diagnostics=True)
@@ -151,7 +151,8 @@ def transform_cases(draw):
     alpha = draw(word(N))
     beta = draw(word(min(N, d - 1)))
     model = build_model(f, m, N)
-    h = rng.standard_normal((model.dim,) * 2) + 1j * rng.standard_normal((model.dim,) * 2)
+    shape = (model.index.dim,) * 2
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     g = h + h.conj().T + monomial_pair(model, alpha, beta)
     return f, m, N, t, g
 
@@ -207,7 +208,7 @@ def test_resolvent_matches_dense_oracle(m, N):
         for _ in range(2)
     ]
     assert membership(f, m, x).member
-    dim = build_model(f, m, N).dim
+    dim = build_model(f, m, N).index.dim
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     g = h + h.conj().T
     want = _dense_resolvent_transform(f, m, x, g, N)
@@ -232,9 +233,31 @@ def test_resolvent_rejects_non_member():
     # nilpotent, so the radius estimate is 0, but the defect has eigenvalue -3
     f = unit_ball_symbol(2)
     x = [np.array([[0.0, 2.0], [0.0, 0.0]]), np.zeros((2, 2))]
-    dim = build_model(f, 1, 3).dim
+    dim = build_model(f, 1, 3).index.dim
     with pytest.raises(ValueError, match="outside the order-1 domain"):
         berezin_transform_resolvent(f, 1, x, np.eye(dim), 3)
+
+
+# On the disc at m = 2: [[2.0]] has Delta_1 = -3 but Delta_2 = 9; the Jordan
+# block has spectral radius estimate 0.948 and min eigenvalues -0.184
+# (Delta_1) and -0.097 (Delta_2), so at tol = 0.1 only Delta_1 fails.
+NON_MEMBERS = [([[2.0]], 1e-9), ([[0.8, 0.5], [0.0, 0.8]], 0.1)]
+
+
+@pytest.mark.parametrize("x, tol", NON_MEMBERS, ids=["scalar", "jordan"])
+def test_kernel_form_checks_every_defect(x, tol):
+    f, x = unit_ball_symbol(1), [np.array(x)]
+    assert not membership(f, 2, x, tol=tol).member
+    with pytest.raises(ValueError, match="worst defect eigenvalue -"):
+        berezin_kernel(f, 2, x, 4, tol=tol)
+
+
+def test_resolvent_form_checks_every_defect():
+    f, (x, tol) = unit_ball_symbol(1), NON_MEMBERS[1]
+    x = [np.array(x)]
+    assert not membership(f, 2, x, tol=tol).member
+    with pytest.raises(ValueError, match="worst defect eigenvalue -1.84"):
+        berezin_transform_resolvent(f, 2, x, np.eye(5), 4, tol=tol)
 
 
 def test_right_creation_commutes_with_left():

@@ -144,6 +144,15 @@ def test_weights_bad_config_exits_two(tmp_path, capsys):
     assert "constant term must vanish" in capsys.readouterr().err
 
 
+def test_config_without_n_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "depth.json"
+    path.write_text(json.dumps(
+        {"n": 1, "m": 1, "depth": 3, "symbol": {"n": 1, "coeffs": {"1": 1.0}}}
+    ))
+    assert main(["weights", "--config", str(path)]) == 2
+    assert "missing field 'N'" in capsys.readouterr().err
+
+
 def test_member_verdict_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path, m=1, depth=4)
     good = write_tuple(tmp_path, [[[0.5]]], "good.json")
@@ -429,6 +438,39 @@ def test_berezin_outside_domain_exits_two(tmp_path, capsys, form):
         point = write_tuple(tmp_path, mats)
         assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
                      "--form", form]) == 2
+    capsys.readouterr()
+
+
+def test_berezin_kernel_rejects_a_failed_lower_defect(tmp_path, capsys):
+    # on the disc at m = 2, [[2.0]] has Delta_2 = 9 >= 0 but Delta_1 = -3
+    cfg = write_config(tmp_path, m=2, depth=4)
+    point = write_tuple(tmp_path, [[[2.0]]])
+    assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
+                 "--form", "kernel"]) == 2
+    assert "worst defect eigenvalue -3.000e+00" in capsys.readouterr().err
+
+
+def test_berezin_resolvent_overflow_exits_two(tmp_path, capsys):
+    # Phi(I) overflows at [[1e200]]; the radius estimate reports it, no warning
+    cfg = write_config(tmp_path, m=1, depth=4)
+    point = write_tuple(tmp_path, [[[1e200]]])
+    assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
+                 "--form", "resolvent"]) == 2
+    assert "joint spectral radius < 1" in capsys.readouterr().err
+
+
+def test_berezin_g_body_does_not_depend_on_the_file_path(tmp_path, capsys):
+    cfg = write_config(tmp_path, m=1, depth=3)
+    point = write_tuple(tmp_path, [[[0.5]]])
+    bodies = []
+    for name in ("g.json", "copy-of-g.json"):
+        (tmp_path / name).write_text(json.dumps({"matrix": np.eye(4).tolist()}))
+        out = tmp_path / f"{name}.report"
+        assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
+                     "--g", str(tmp_path / name), "--format", "json",
+                     "--out", str(out)]) == 0
+        bodies.append(json.dumps(json.loads(out.read_text())["report"]))
+    assert bodies[0] == bodies[1]
     capsys.readouterr()
 
 

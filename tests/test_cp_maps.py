@@ -376,8 +376,8 @@ def _radius_per_iterate(f, t, kmax):
 )
 def test_spectral_radius_matches_per_iterate_norms(f, d, seed, scale, nilpotent, kmax):
     t = _random_tuple(f.n, d, seed, scale, nilpotent)
+    est = spectral_radius_estimate(f, t, kmax=kmax)
     with np.errstate(all="ignore"):
-        est = spectral_radius_estimate(f, t, kmax=kmax)
         values, overflowed = _radius_per_iterate(f, t, kmax)
     assert est.values == values
     assert est.overflowed == overflowed
@@ -387,8 +387,7 @@ def test_spectral_radius_matches_per_iterate_norms(f, d, seed, scale, nilpotent,
 def test_spectral_radius_stops_at_the_first_non_finite_iterate():
     f = unit_ball_symbol(2)
     t = [np.array([[1e100]]), np.array([[1.0]])]
-    with np.errstate(all="ignore"):
-        est = spectral_radius_estimate(f, t, kmax=12)
+    est = spectral_radius_estimate(f, t, kmax=12)  # no RuntimeWarning escapes
     # Phi(I) = 1e200 + 1 is finite; Phi^2(I) overflows
     assert est.values[0] == pytest.approx(1e100)
     assert est.values[1:] == (float("inf"),)

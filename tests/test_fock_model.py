@@ -16,7 +16,6 @@ from ncdomain.fock_model import (
     evaluate_on_model,
     grade_row_diagonal,
     hardy_norm_estimate,
-    map_to_dense,
     model_defect,
     model_monomial,
     monomial_pair,
@@ -31,7 +30,7 @@ def test_free_shift_is_unweighted():
     # f = Z1 + Z2, m = 1: all weights are 1, so V_i are plain shifts
     model = build_model(unit_ball_symbol(2), 1, 2)
     v1 = model_monomial(model, (1,))
-    e0 = np.zeros(model.dim)
+    e0 = np.zeros(model.index.dim)
     e0[0] = 1.0
     out = v1 @ e0
     assert out[model.index.index_of("1")] == pytest.approx(1.0)
@@ -64,24 +63,26 @@ def test_model_monomial_matches_products():
     v1, v2 = model_monomial(model, (1,)), model_monomial(model, (2,))
     assert np.allclose(model_monomial(model, "12"), v1 @ v2)
     assert np.allclose(model_monomial(model, "211"), v2 @ v1 @ v1)
-    assert np.allclose(model_monomial(model, ""), np.eye(model.dim))
+    assert np.allclose(model_monomial(model, ""), np.eye(model.index.dim))
 
 
 def _creation_product(model, word):
     """Dense V_w as the product of the dense single-letter shifts."""
-    return reduce(np.matmul, (model_monomial(model, (i,)) for i in word), np.eye(model.dim))
+    eye = np.eye(model.index.dim)
+    return reduce(np.matmul, (model_monomial(model, (i,)) for i in word), eye)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_monomial_map_matches_creation_products(n, N):
-    # closed-form sqrt(b_u / b_{wu}) against the telescoping product
+    # V_w read off the weight table, sqrt(b_u / b_{wu}), against the
+    # telescoping product of the single-letter shifts
     coeffs = {(i,): 1.0 / (i + 1) for i in range(1, n + 1)}
     coeffs.update({(1, n): 0.125, (n, 1, 1): 0.0625})
     model = build_model(PositiveRegularFunction(n, coeffs), 2, N)
     for k in range(N + 1):
         for word in product(range(1, n + 1), repeat=k):
-            got = map_to_dense(model.monomial_map(word), model.dim)
+            got = model_monomial(model, word)
             np.testing.assert_allclose(
                 got, _creation_product(model, word), rtol=1e-15, atol=0
             )
@@ -104,7 +105,7 @@ def test_dense_allocations_check_physical_memory(monkeypatch):
     series = FreeSeries(2, 1, {"1": 1.0}, coeff_dim=2)
     monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 30**2 - 1)
     monomial_pair(model, "1", "2")
-    map_to_dense(model.monomial_map("1"), model.dim)
+    model_monomial(model, "1")
     with pytest.raises(DimensionCapError, match=f"{16 * 30**2} bytes"):
         evaluate_on_model(series, model)  # (dim * e)^2 entries, e = 2
     model_defect(model)
@@ -117,13 +118,19 @@ def test_dense_allocations_check_physical_memory(monkeypatch):
         model_monomial(model, (1,))
 
 
+def test_build_model_enforces_the_basis_cap(monkeypatch):
+    monkeypatch.setenv("NCDOMAIN_DIM_CAP", "100")
+    with pytest.raises(DimensionCapError, match="127 words"):
+        build_model(unit_ball_symbol(2), 1, 6)
+
+
 def test_apply_phi_matches_dense_sum():
     # Phi on a diagonal is the diagonal scatter; the dense sum stays diagonal
     f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.25, "21": 0.125})
     model = build_model(f, 1, 3)
     rng = np.random.default_rng(5)
-    y = rng.standard_normal(model.dim)
-    want = np.zeros((model.dim, model.dim), dtype=complex)
+    y = rng.standard_normal(model.index.dim)
+    want = np.zeros((model.index.dim, model.index.dim), dtype=complex)
     for word, a in f.items():
         vw = model_monomial(model, word)
         want += a * (vw @ np.diag(y) @ vw.conj().T)
@@ -136,7 +143,7 @@ def test_defect_is_vacuum_projection():
     for m in (1, 2, 3):
         model = build_model(f, m, 3)
         defect = model_defect(model)
-        want = np.zeros((model.dim, model.dim))
+        want = np.zeros((model.index.dim, model.index.dim))
         want[0, 0] = 1.0
         assert np.max(np.abs(defect - want)) < 1e-12
 
@@ -168,7 +175,7 @@ def test_row_and_grade_diagonals():
     f = PositiveRegularFunction(1, {"1": 1.0, "11": 0.5})
     model = build_model(f, 2, 4)
     row = symbol_row_diagonal(model)
-    assert row.shape == (model.dim,)
+    assert row.shape == (model.index.dim,)
     assert np.max(row) <= 1.0 + 1e-12
     for k in range(1, 5):
         grade = grade_row_diagonal(model, k)
@@ -182,10 +189,10 @@ def test_grade_row_diagonal_matches_dense_sum(n, m):
     coeffs.update({(1, 1): 0.25, (n, 1): 0.125, (1, n, n): 0.0625})
     model = build_model(PositiveRegularFunction(n, coeffs), m, 4 if n < 3 else 3)
     for k in range(model.N + 1):
-        want = np.zeros((model.dim, model.dim), dtype=complex)
+        want = np.zeros((model.index.dim, model.index.dim), dtype=complex)
         for i in model.index.grade(k):
             vw = model_monomial(model, model.index.letters_of(i))
-            want += model.weights[model.index.letters_of(i)] * (vw @ vw.conj().T)
+            want += model[model.index.letters_of(i)] * (vw @ vw.conj().T)
         got = grade_row_diagonal(model, k)
         assert np.array_equal(want, np.diag(np.diag(want)))
         np.testing.assert_allclose(got, np.diag(want).real, rtol=1e-13, atol=0)
@@ -276,8 +283,14 @@ def test_hardy_norm_rejects_nan_radius(grid):
 def test_weight_table_reuse():
     f = unit_ball_symbol(1)
     table = weights_direct(f, 2, 4)
-    model = build_model(f, 2, 4, weight_table=table)
-    assert model.weights is table
+    assert build_model(f, 2, 4, weight_table=table) is table
     wrong = weights_direct(f, 1, 4)
     with pytest.raises(ValueError):
         build_model(f, 2, 4, weight_table=wrong)
+    with pytest.raises(ValueError, match="covers N=4"):
+        build_model(f, 2, 5, weight_table=table)
+    # a deeper table is cut to the read-only prefix of its values
+    prefix = build_model(f, 2, 2, weight_table=table)
+    assert (prefix.N, prefix.index.dim) == (2, 3)
+    assert np.shares_memory(prefix.values, table.values)
+    assert prefix.values.tolist() == [1.0, 2.0, 3.0] and not prefix.values.flags.writeable

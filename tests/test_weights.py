@@ -175,8 +175,8 @@ def test_hot_path_leaves_words_unbuilt():
     model = build_model(f, 2, 4)
     for k in range(5):
         grade_row_diagonal(model, k)
-    tables = [model.weights, weights_direct(f, 2, 4), weights_oracle(f, 2, 4)]
-    assert all(index._words is None for index in [model.index] + [t.index for t in tables])
+    tables = [model, weights_direct(f, 2, 4), weights_oracle(f, 2, 4)]
+    assert all(t.index._words is None for t in tables)
 
 
 def test_getitem_accepts_strings():

@@ -16,6 +16,7 @@ from ncdomain import (
     build_model,
     compose,
     evaluate,
+    fock_model,
     membership,
     model_defect,
     monomial_product,
@@ -127,9 +128,8 @@ def test_index_arrays_match_per_word_loops(n):
     f = PositiveRegularFunction(n, {(i,): 1.0 for i in range(1, n + 1)})
     model = build_model(f, 1, N)
     for i in range(1, n + 1):
-        targets, _ = model.monomial_map((i,))
-        want = [pos[(i,) + w] if len(w) < N else -1 for w in loop]
-        assert targets.tolist() == want
+        want = [pos[(i,) + w] for w in loop if len(w) < N]
+        assert fock_model._targets(model, (i,)).tolist() == want
 
 
 def test_dimension_cap_enforced(monkeypatch):
@@ -171,7 +171,7 @@ def test_word_products_leave_no_cycles():
         model = build_model(f, 2, 4)
         model_defect(model)
         grade_row_diagonal(model, 3)
-        g = np.eye(model.dim)
+        g = np.eye(model.index.dim)
         berezin_transform_kernel(f, 2, x, g, 4)
         berezin_transform_resolvent(f, 2, x, g, 4)
         assert gc.collect() == 0
