@@ -16,8 +16,9 @@ of one grade are every n^|w|-th index of a higher grade
 from the index arithmetic and f's own weight table.  On the common
 truncation both forms are the same finite sum, so their agreement is a
 genuine cross-check of two different code paths (monomial adjoints
-versus forward substitution on right shifts).  Tensor factors are
-ordered Fock slot first, coefficient space second, throughout.
+versus forward substitution on right shifts).  Both admit a tuple by
+the `membership` rule alone.  Tensor factors are ordered Fock slot
+first, coefficient space second, throughout.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .cp_maps import (
     Support,
     _defect_sequence,
     _graded_monomials,
-    _spectral_radius_estimate,
     _support,
     as_operator_tuple,
     require_defects,
@@ -98,7 +98,7 @@ def berezin_kernel(
     """Build the depth-N Berezin kernel at the tuple T.
 
     The defect (id - Phi)^m(I) must be PSD within tol; its principal
-    square root enters every block.  Eigenvalues in (-tol, 0) are
+    square root enters every block.  Eigenvalues in [-tol, 0) are
     clipped to zero so boundary tuples stay admissible.  The monomials
     T_w come grade by grade from `_graded_monomials`, one batched matmul
     per grade, so the word list of the index is never built.
@@ -125,10 +125,9 @@ def berezin_transform_kernel(
 
 @dataclass(frozen=True)
 class ResolventDiagnostics:
-    """Growth and spectral-radius evidence for a resolvent solve."""
+    """Growth evidence for a resolvent solve."""
 
     growth_estimate: float  # largest |entry| of R; >= 1, its vacuum block is I_d
-    radius_estimate: float
 
 
 def berezin_transform_resolvent(
@@ -147,18 +146,13 @@ def berezin_transform_resolvent(
     solved by forward substitution, grade by grade: grade L of R, moved
     by Lam_{w~}, adds into a strided slice of grade L + |w|.
     R^* (g (x) Delta^2) R is then compressed back to the coefficient
-    space.  Requires T in the domain with estimated joint spectral radius
-    below 1.  The radius, the defect and the right shifts share one support.
+    space.  Admits exactly the members the kernel form admits: the
+    substitution is unit triangular, so it is finite for every T, and
+    only its growth is checked.  The defect and the right shifts share
+    one support.
     """
     t = as_operator_tuple(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        support = _support(f, t)
-    radius = _spectral_radius_estimate(support, 12)
-    if radius.overflowed or radius.final >= 1.0:
-        raise ValueError(
-            "resolvent form needs joint spectral radius < 1; estimate "
-            f"{radius.final:.6f}"
-        )
+    support = _support(f, t)
     table = weights_direct(f, m, N)
     index, b = table.index, table.values
     dim, d = index.dim, t.dim
@@ -191,5 +185,5 @@ def berezin_transform_resolvent(
     mixed = np.einsum("ab,vbc->vac", delta_sq, mixed)
     out = np.einsum("vab,vac->bc", r.conj(), mixed)
     if with_diagnostics:
-        return out, ResolventDiagnostics(growth, radius.final)
+        return out, ResolventDiagnostics(growth)
     return out

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .berezin import berezin_transform_kernel, berezin_transform_resolvent
-from .cp_maps import _gaussian_tuple, membership
+from .cp_maps import _gaussian_tuple, membership, spectral_radius_estimate
 from .defaults import (
     EIGENVALUE_TOL,
     ENTRYWISE_TOL,
@@ -425,7 +425,9 @@ def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
         )
         report.results["resolvent"] = rv
         report.results["growth_estimate"] = diag.growth_estimate
-        report.results["radius_estimate"] = diag.radius_estimate
+        report.results["radius_estimate"] = spectral_radius_estimate(
+            cfg.symbol, mats
+        ).final
     if ns.form == "both":
         gap = float(np.max(np.abs(kv - rv)))
         report.add_check(

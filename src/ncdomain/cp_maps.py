@@ -17,13 +17,20 @@ step (`_phi`) forms every a_w X_w Y X_w^* in one batched product and adds
 them in support order, bit-identical to a word-by-word sum; the defects,
 the radius estimate, the Agler check and the sampler's ray polynomials
 all run on it.
+
+Overflow has one policy (`_nonfinite_ok`): the support, the Phi step, the
+defect recursion and `membership` run with numpy's overflow and
+invalid-value warnings off, and their non-finite results are read as
+verdicts instead: a non-finite defect has minimum eigenvalue -inf, a
+non-finite row sum has norm inf, and the radius estimate stops at the
+first non-finite iterate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from typing import Sequence
 
 import numpy as np
@@ -92,6 +99,19 @@ def monomial_product(x: OperatorTuple | Sequence[np.ndarray], word) -> np.ndarra
     return word_products([_as_letters(word, t.n)], t.mats, np.matmul, unit)[0]
 
 
+def _nonfinite_ok(func):
+    """Run func with numpy's overflow and invalid-value warnings off; each
+    call enters its own context, so nested calls restore the caller's state."""
+
+    @wraps(func)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return func(*args, **kwargs)
+
+    return quiet
+
+
+@_nonfinite_ok
 def _support(f: PositiveRegularFunction, x) -> Support:
     """f's support at X in `f.items()` order; the one check that X has f.n entries.
 
@@ -118,6 +138,7 @@ def _graded_monomials(t: OperatorTuple, N: int) -> np.ndarray:
     return np.concatenate(grades)
 
 
+@_nonfinite_ok
 def _phi(support: Support, y: np.ndarray, part: slice = slice(None)) -> np.ndarray:
     """sum a_w X_w Y X_w^* over the support words in ``part``: the terms come
     from one batched product and are added in support order, so the result
@@ -148,7 +169,9 @@ def defect_sequence(f: PositiveRegularFunction, m: int, x) -> DefectSequence:
     return _defect_sequence(_support(f, x), m)
 
 
+@_nonfinite_ok
 def _defect_sequence(support: Support, m: int) -> DefectSequence:
+    """A non-finite Delta_k has minimum eigenvalue -inf."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     deltas = [np.eye(support[2].shape[-1], dtype=complex)]
@@ -156,7 +179,7 @@ def _defect_sequence(support: Support, m: int) -> DefectSequence:
     for _ in range(m):
         nxt = hermitian_part(deltas[-1] - _phi(support, deltas[-1]))
         deltas.append(nxt)
-        mins.append(min_eigenvalue(nxt))
+        mins.append(min_eigenvalue(nxt) if np.isfinite(nxt).all() else -math.inf)
     return DefectSequence(tuple(deltas), tuple(mins))
 
 
@@ -178,14 +201,18 @@ class MembershipVerdict:
     bound_ok: bool
 
 
+@_nonfinite_ok
 def membership(
     f: PositiveRegularFunction, m: int, x, tol: float = EIGENVALUE_TOL
 ) -> MembershipVerdict:
-    """Decide whether X lies in the order-m domain of f, within tol."""
+    """Decide whether X lies in the order-m domain of f, within tol.
+
+    A non-finite row sum sum_i X_i X_i^* has norm inf."""
     t = as_operator_tuple(x)
     seq = defect_sequence(f, m, t)
     member = all(v >= -tol for v in seq.min_eigenvalues)
-    row = operator_norm(sum(a @ a.conj().T for a in t.mats))
+    rows = sum(a @ a.conj().T for a in t.mats)
+    row = operator_norm(rows) if np.isfinite(rows).all() else math.inf
     bound = 1.0 / f.min_linear_coefficient
     return MembershipVerdict(
         member=member,
@@ -227,27 +254,21 @@ def spectral_radius_estimate(
 ) -> SpectralRadiusEstimate:
     """Estimate the joint spectral radius of X relative to f.
 
-    No extrapolation is applied: the caller sees the raw sequence.
-    Overflow is reported, not raised.
+    Phi steps run up to the first non-finite or zero iterate, then one
+    batched SVD gives every norm.  No extrapolation is applied: the
+    caller sees the raw sequence.  Overflow is reported, not raised.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        support = _support(f, x)
-    return _spectral_radius_estimate(support, kmax)
-
-
-def _spectral_radius_estimate(support: Support, kmax: int) -> SpectralRadiusEstimate:
-    """Phi steps up to the first non-finite or zero iterate, then one batched SVD."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
+    support = _support(f, x)
     d = support[2].shape[-1]
     iterates, y = [], np.eye(d, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(iterates) < kmax and y.any():
-            y = _phi(support, y)
-            if not np.all(np.isfinite(y)):
-                break
-            iterates.append(y)
-        norms = np.linalg.svd(np.reshape(iterates, (-1, d, d)), compute_uv=False)[:, 0]
+    while len(iterates) < kmax and y.any():
+        y = _phi(support, y)
+        if not np.all(np.isfinite(y)):
+            break
+        iterates.append(y)
+    norms = np.linalg.svd(np.reshape(iterates, (-1, d, d)), compute_uv=False)[:, 0]
     norms = norms.tolist()
     if not np.all(np.isfinite(y)):  # the last step overflowed
         norms.append(math.inf)

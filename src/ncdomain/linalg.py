@@ -33,13 +33,13 @@ def min_eigenvalue(a: np.ndarray) -> float:
 def psd_root(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Principal square root of a nearly-PSD Hermitian matrix.
 
-    Eigenvalues in (-tol, 0) are clipped to zero; an eigenvalue at or
-    below -tol raises ValueError.  Returns ``(root, clipped)`` where
+    Eigenvalues in [-tol, 0) are clipped to zero; an eigenvalue below
+    -tol raises ValueError, the rule `membership` judges defects by.  Returns ``(root, clipped)`` where
     ``clipped`` is the PSD matrix actually rooted.
     """
     sym = hermitian_part(a)
     eigs, vecs = np.linalg.eigh(sym)
-    if eigs[0] <= -tol:
+    if eigs[0] < -tol:
         raise ValueError(
             f"matrix is not positive semidefinite within tolerance: "
             f"minimum eigenvalue {eigs[0]:.3e} vs -{tol:.1e}"

@@ -24,6 +24,7 @@ from ncdomain.cp_maps import (
     membership,
     monomial_product,
     sample_nilpotent_member,
+    spectral_radius_estimate,
 )
 from ncdomain.fock_model import build_model, model_monomial, monomial_pair
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
@@ -127,7 +128,7 @@ def test_forms_agree_single_variable_deep():
     kv = berezin_transform_kernel(f, 1, x, g, 8)
     rv, diag = berezin_transform_resolvent(f, 1, x, g, 8, with_diagnostics=True)
     assert np.max(np.abs(kv - rv)) < 1e-10
-    assert diag.radius_estimate < 1.0
+    assert spectral_radius_estimate(f, x).final < 1.0
     assert diag.growth_estimate >= 1.0
 
 
@@ -218,8 +219,41 @@ def test_resolvent_matches_dense_oracle(m, N):
 
 def test_resolvent_rejects_large_radius():
     f = unit_ball_symbol(1)
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match="outside the order-1 domain"):
         berezin_transform_resolvent(f, 1, [np.array([[1.2]])], np.eye(4), 3)
+
+
+def test_forms_agree_at_a_member_whose_radius_estimate_reads_one():
+    # the 13 x 13 shift is a member of the disc with joint spectral radius 0,
+    # but ||S^12 S^12*||^(1/24) = 1: membership alone admits it
+    f, x = unit_ball_symbol(1), [np.eye(13, k=1)]
+    assert membership(f, 1, x).member
+    assert spectral_radius_estimate(f, x).final == 1.0
+    rng = np.random.default_rng(13)
+    h = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    g = h + h.conj().T
+    kv = berezin_transform_kernel(f, 1, x, g, 8)
+    rv = berezin_transform_resolvent(f, 1, x, g, 8)
+    assert np.max(np.abs(kv - rv)) < 1e-12
+
+
+def test_kernel_admits_what_membership_admits_at_a_loose_tolerance():
+    # on the disc [[1.5]] has Delta_1 = -1.25, a member at tol = 1.25
+    f, x = unit_ball_symbol(1), [np.array([[1.5]])]
+    assert membership(f, 1, x, tol=1.25).member
+    kernel = berezin_kernel(f, 1, x, 3, tol=1.25)
+    assert np.array_equal(kernel.gram(), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("form", ["kernel", "resolvent"])
+def test_forms_refuse_an_overflowing_tuple_without_a_warning(form):
+    # Phi(I) overflows at [[1e200]]; the defect reads -inf (warnings are errors)
+    f, x = unit_ball_symbol(1), [np.array([[1e200]])]
+    with pytest.raises(ValueError, match="outside the order-1 domain"):
+        if form == "kernel":
+            berezin_kernel(f, 1, x, 3)
+        else:
+            berezin_transform_resolvent(f, 1, x, np.eye(4), 3)
 
 
 def test_kernel_rejects_non_psd_defect():

@@ -164,6 +164,20 @@ def test_member_verdict_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_member_overflow_is_a_non_member_without_a_warning(tmp_path, capsys, recwarn):
+    # Phi(I) overflows at [[1e200]]: the defect reads -inf and the row norm
+    # inf, not NaN
+    cfg = write_config(tmp_path, m=1, depth=4)
+    point = write_tuple(tmp_path, [[[1e200]]])
+    out = tmp_path / "r.json"
+    assert main(["member", "--config", str(cfg), "--tuple", str(point),
+                 "--format", "json", "--out", str(out)]) == 1
+    assert len(recwarn) == 0
+    results = json.loads(out.read_text())["report"]["results"]
+    assert results["row_norm"] == float("inf")
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n, mats", [
     (2, [[[0.5]]]),
     (1, [[[0.5]], [[3.0]]]),
@@ -450,13 +464,29 @@ def test_berezin_kernel_rejects_a_failed_lower_defect(tmp_path, capsys):
     assert "worst defect eigenvalue -3.000e+00" in capsys.readouterr().err
 
 
-def test_berezin_resolvent_overflow_exits_two(tmp_path, capsys):
-    # Phi(I) overflows at [[1e200]]; the radius estimate reports it, no warning
+def test_berezin_resolvent_overflow_exits_two(tmp_path, capsys, recwarn):
+    # Phi(I) overflows at [[1e200]]; the defect gate refuses it, no warning
     cfg = write_config(tmp_path, m=1, depth=4)
     point = write_tuple(tmp_path, [[[1e200]]])
     assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
                  "--form", "resolvent"]) == 2
-    assert "joint spectral radius < 1" in capsys.readouterr().err
+    assert "outside the order-1 domain" in capsys.readouterr().err
+    assert len(recwarn) == 0
+
+
+def test_berezin_both_forms_at_the_13_by_13_shift(tmp_path, capsys):
+    # a disc member whose 12-step radius estimate reads 1
+    cfg = write_config(tmp_path, m=1, depth=8)
+    point = write_tuple(tmp_path, [np.eye(13, k=1).tolist()])
+    out = tmp_path / "r.json"
+    assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
+                 "--alpha", "1", "--beta", "1", "--form", "both",
+                 "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["results"]["radius_estimate"] == 1.0
+    agreement = [c for c in report["checks"] if c["name"] == "form_agreement"]
+    assert agreement[0]["value"] <= 1e-12
+    capsys.readouterr()
 
 
 def test_berezin_g_body_does_not_depend_on_the_file_path(tmp_path, capsys):

@@ -394,6 +394,14 @@ def test_spectral_radius_stops_at_the_first_non_finite_iterate():
     assert est.overflowed
 
 
+def test_membership_reads_an_overflow_as_minus_inf():
+    # Phi(I) overflows at [[1e200]] (warnings are errors under the suite)
+    v = membership(unit_ball_symbol(1), 2, [np.array([[1e200]])])
+    assert v.min_eigenvalues == (-math.inf, -math.inf)
+    assert v.row_norm == math.inf
+    assert not v.member and not v.bound_ok
+
+
 def test_resolvent_builds_the_support_once(monkeypatch):
     calls = []
     real = cp_maps.word_products
