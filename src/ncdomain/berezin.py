@@ -19,6 +19,14 @@ genuine cross-check of two different code paths (monomial adjoints
 versus forward substitution on right shifts).  Both admit a tuple by
 the `membership` rule alone.  Tensor factors are ordered Fock slot
 first, coefficient space second, throughout.
+
+Both forms read the weight table (`weights_direct`) and the support,
+defects and defect root at T (`cp_maps._point_state`) from one-deep
+memos keyed by value, so at one point `membership`, `build_model` and
+the first form pay for them and the second form reads them; what the
+memos hold is read-only and shared.  Each form ends in the same two
+GEMMs (`_sandwich`): g against the (dim, d^2) blocks, then the sum over
+the Fock slot and one coefficient slot.
 """
 
 from __future__ import annotations
@@ -29,15 +37,14 @@ import numpy as np
 
 from .cp_maps import (
     OperatorTuple,
-    Support,
-    _defect_sequence,
+    PointState,
     _graded_monomials,
-    _support,
+    _point_state,
     as_operator_tuple,
     require_defects,
 )
 from .defaults import EIGENVALUE_TOL
-from .linalg import psd_root
+from .linalg import require_psd
 from .series import PositiveRegularFunction
 from .weights import weights_direct
 from .words import WordIndex
@@ -62,9 +69,14 @@ class BerezinKernel:
     def dim(self) -> int:
         return self.index.dim
 
+    def _columns(self) -> np.ndarray:
+        """K as a (dim d) x d matrix, rows (v, a)."""
+        return self.blocks.reshape(-1, self.blocks.shape[-1])
+
     def gram(self) -> np.ndarray:
         """K^* K, the transform of the identity."""
-        return np.einsum("vab,vac->bc", self.blocks.conj(), self.blocks)
+        k = self._columns()
+        return k.conj().T @ k
 
     def transform(self, g: np.ndarray) -> np.ndarray:
         """K^* (g (x) I_d) K without forming the Kronecker product."""
@@ -74,18 +86,33 @@ class BerezinKernel:
                 f"g must be {self.dim} x {self.dim} on the truncated Fock "
                 f"space, got {g.shape}"
             )
-        mixed = np.tensordot(g, self.blocks, axes=([1], [0]))
-        return np.einsum("vab,vac->bc", self.blocks.conj(), mixed)
+        return _sandwich(self._columns().conj(), g, self.blocks)
 
 
-def _defect_root(support: Support, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _sandwich(left_bar: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_{v,u} left_v^* g[v, u] right_u, two GEMMs.
+
+    ``right`` is (dim, d, d) and ``left_bar`` the entrywise conjugate of
+    the left factor as a (dim d) x d matrix, rows (v, a), so a caller
+    that owns it conjugates in place.  g acts on the Fock slot of right
+    as one (dim, dim) by (dim, d^2) product, and the Fock and first
+    coefficient slots are then summed in one (d, dim d) by (dim d, d)
+    product.
+    """
+    dim, d = right.shape[0], right.shape[-1]
+    mixed = (g @ right.reshape(dim, d * d)).reshape(dim * d, d)
+    return left_bar.T @ mixed
+
+
+def _defect_root(state: PointState, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(Delta, Delta^2) from the order-m defect; ValueError off the domain.
 
     Every Delta_k, k = 1..m, must pass the `membership` rule, not Delta_m
     alone."""
-    seq = _defect_sequence(support, m)
-    require_defects(seq.min_eigenvalues, m, tol)
-    return psd_root(seq.deltas[m], tol)
+    require_defects(state.defects.min_eigenvalues, m, tol)
+    least, root, clipped = state.root()
+    require_psd(least, tol)
+    return root, clipped
 
 
 def berezin_kernel(
@@ -104,7 +131,7 @@ def berezin_kernel(
     per grade, so the word list of the index is never built.
     """
     t = as_operator_tuple(t)
-    root, _ = _defect_root(_support(f, t), m, tol)
+    root, _ = _defect_root(_point_state(f, m, t), m, tol)
     table = weights_direct(f, m, N)
     adjoints = _graded_monomials(t, N).conj().swapaxes(1, 2)
     blocks = np.sqrt(table.values)[:, None, None] * (root @ adjoints)
@@ -152,7 +179,7 @@ def berezin_transform_resolvent(
     one support.
     """
     t = as_operator_tuple(t)
-    support = _support(f, t)
+    state = _point_state(f, m, t)
     table = weights_direct(f, m, N)
     index, b = table.index, table.values
     dim, d = index.dim, t.dim
@@ -161,8 +188,9 @@ def berezin_transform_resolvent(
         raise ValueError(
             f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
         )
-    _, delta_sq = _defect_root(support, m, tol)
-    terms = list(zip(f.support(), support[1], support[2].conj().swapaxes(1, 2)))
+    _, delta_sq = _defect_root(state, m, tol)
+    _, coeffs, monos = state.support
+    terms = list(zip(f.support(), coeffs, monos.conj().swapaxes(1, 2)))
     steps = []
     for length in range(N + 1):
         src = slice(index.offset(length), index.offset(length + 1))
@@ -181,9 +209,8 @@ def berezin_transform_resolvent(
         raise ValueError(
             f"resolvent solve is unstable; growth estimate {growth:.3e}"
         )
-    mixed = np.tensordot(g, r, axes=([1], [0]))
-    mixed = np.einsum("ab,vbc->vac", delta_sq, mixed)
-    out = np.einsum("vab,vac->bc", r.conj(), mixed)
+    left = (delta_sq @ r).reshape(dim * d, d)
+    out = _sandwich(np.conjugate(left, out=left), g, r)
     if with_diagnostics:
         return out, ResolventDiagnostics(growth)
     return out

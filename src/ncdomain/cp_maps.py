@@ -18,17 +18,25 @@ them in support order, bit-identical to a word-by-word sum; the defects,
 the radius estimate, the Agler check and the sampler's ray polynomials
 all run on it.
 
+The support and the defect sequence of (f, m, X), with the root of
+Delta_m once a Berezin form asks for it, are one `PointState`, memoized
+one deep by value (`_point_state`, keyed by f, m and the bytes of X):
+`membership` and both Berezin forms at one point build it once.  Its
+arrays, and the `DefectSequence` that `defect_sequence` returns, are
+read-only and shared.
+
 Overflow has one policy (`_nonfinite_ok`): the support, the Phi step, the
-defect recursion and `membership` run with numpy's overflow and
-invalid-value warnings off, and their non-finite results are read as
-verdicts instead: a non-finite defect has minimum eigenvalue -inf, a
-non-finite row sum has norm inf, and the radius estimate stops at the
-first non-finite iterate.
+defect recursion, `membership` and `agler_consistency` run with numpy's
+overflow and invalid-value warnings off, and their non-finite results
+are read as verdicts instead: a non-finite defect has minimum eigenvalue
+-inf, a non-finite row sum has norm inf, a non-finite Agler gap is inf,
+and the radius estimate stops at the first non-finite iterate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce, wraps
 from typing import Sequence
@@ -37,7 +45,8 @@ import numpy as np
 
 from .defaults import EIGENVALUE_TOL
 from .fock_model import build_model, monomial_pair
-from .linalg import hermitian_part, min_eigenvalue, operator_norm
+from .linalg import hermitian_part, min_eigenvalue, operator_norm, psd_root
+from .memo import OneDeep
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .words import _as_letters, enumerate_words, word_products
 
@@ -111,15 +120,19 @@ def _nonfinite_ok(func):
     return quiet
 
 
+def _require_arity(f: PositiveRegularFunction, t: OperatorTuple) -> None:
+    if t.n != f.n:
+        raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
+
+
 @_nonfinite_ok
 def _support(f: PositiveRegularFunction, x) -> Support:
-    """f's support at X in `f.items()` order; the one check that X has f.n entries.
+    """f's support at X in `f.items()` order.
 
     X_w comes from `word_products`, one product per suffix, so sparse
     high-degree symbols stay cheap."""
     t = as_operator_tuple(x)
-    if t.n != f.n:
-        raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
+    _require_arity(f, t)
     words, coeffs = zip(*f.items())
     monos = word_products(words, t.mats, np.matmul, {(): np.eye(t.dim, dtype=complex)})
     return np.array([len(w) for w in words]), np.array(coeffs), np.array(monos)
@@ -164,16 +177,15 @@ def defect_sequence(f: PositiveRegularFunction, m: int, x) -> DefectSequence:
     """Compute Delta_0 = I, Delta_k = Delta_{k-1} - Phi(Delta_{k-1}).
 
     Each iterate is Hermitian-symmetrized before use so roundoff cannot
-    leak non-Hermitian parts into the spectra.
+    leak non-Hermitian parts into the spectra.  The sequence is the
+    memoized `_point_state` of (f, m, X): read-only and shared.
     """
-    return _defect_sequence(_support(f, x), m)
+    return _point_state(f, m, x).defects
 
 
 @_nonfinite_ok
 def _defect_sequence(support: Support, m: int) -> DefectSequence:
     """A non-finite Delta_k has minimum eigenvalue -inf."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     deltas = [np.eye(support[2].shape[-1], dtype=complex)]
     mins = []
     for _ in range(m):
@@ -181,6 +193,54 @@ def _defect_sequence(support: Support, m: int) -> DefectSequence:
         deltas.append(nxt)
         mins.append(min_eigenvalue(nxt) if np.isfinite(nxt).all() else -math.inf)
     return DefectSequence(tuple(deltas), tuple(mins))
+
+
+class PointState:
+    """What the layers read of f at one tuple X for order m.
+
+    ``support`` is `_support` at X and ``defects`` the `DefectSequence`;
+    `root` gives (least eigenvalue, root, clipped) of Delta_m from
+    `psd_root`, computed on first request.  Every array is read-only.
+    """
+
+    __slots__ = ("support", "defects", "_root")
+
+    def __init__(self, support: Support, defects: DefectSequence):
+        for a in (*support, *defects.deltas):
+            a.setflags(write=False)
+        self.support, self.defects, self._root = support, defects, None
+
+    def root(self) -> tuple[float, np.ndarray, np.ndarray]:
+        if self._root is None:
+            least, root, clipped = psd_root(self.defects.deltas[-1])
+            root.setflags(write=False)
+            clipped.setflags(write=False)
+            self._root = least, root, clipped
+        return self._root
+
+
+_POINTS = OneDeep()  # the state of the last (f, m, X) given to _point_state
+
+
+def _point_state(f: PositiveRegularFunction, m: int, x) -> PointState:
+    """The support and defects of f at X, memoized one deep by value.
+
+    The key is f, m, d and the bytes of X, so an equal symbol built anew
+    hits and a matrix changed in place misses.  The arity of X and m are
+    checked on every call, before the lookup.
+    """
+    t = as_operator_tuple(x)
+    _require_arity(f, t)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    m = operator.index(m)
+    key = (f, m, t.dim, b"".join([a.tobytes() for a in t.mats]))
+    return _POINTS.get(key, _new_point_state, f, m, t)
+
+
+def _new_point_state(f: PositiveRegularFunction, m: int, t: OperatorTuple) -> PointState:
+    support = _support(f, t)
+    return PointState(support, _defect_sequence(support, m))
 
 
 @dataclass(frozen=True)
@@ -280,6 +340,7 @@ def spectral_radius_estimate(
     return SpectralRadiusEstimate(tuple(values), values[-1], math.isinf(values[-1]))
 
 
+@_nonfinite_ok
 def agler_consistency(m: int, x) -> float:
     """Deviation between two expansions of the order-m defect for the ball.
 
@@ -288,7 +349,8 @@ def agler_consistency(m: int, x) -> float:
         (id - Phi_q)^m (I) = sum_{k=0..m} (-1)^k C(m, k) sum_{|w|=k} X_w X_w^*
 
     holds identically; the return value is the maximum entrywise gap
-    between the iterated and the binomial-expanded sides.
+    between the iterated and the binomial-expanded sides.  A non-finite
+    gap reads inf.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -307,7 +369,8 @@ def agler_consistency(m: int, x) -> float:
         terms = block @ block.conj().swapaxes(1, 2)
         grade = reduce(np.add, terms, np.zeros((d, d), dtype=complex))
         expanded += ((-1) ** k) * math.comb(m, k) * grade
-    return float(np.max(np.abs(iterated - expanded)))
+    gap = np.abs(iterated - expanded)
+    return float(np.max(gap)) if np.isfinite(gap).all() else math.inf
 
 
 @dataclass(frozen=True)

@@ -30,21 +30,26 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(a))[0])
 
 
-def psd_root(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def psd_root(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Principal square root of a nearly-PSD Hermitian matrix.
 
-    Eigenvalues in [-tol, 0) are clipped to zero; an eigenvalue below
-    -tol raises ValueError, the rule `membership` judges defects by.  Returns ``(root, clipped)`` where
-    ``clipped`` is the PSD matrix actually rooted.
+    Returns ``(least, root, clipped)``: the smallest eigenvalue of the
+    Hermitian part, its root with every negative eigenvalue clipped to
+    zero, and the PSD matrix actually rooted.  Whether the clipping is
+    admissible is judged by `require_psd` against an explicit tolerance.
     """
-    sym = hermitian_part(a)
-    eigs, vecs = np.linalg.eigh(sym)
-    if eigs[0] < -tol:
+    eigs, vecs = np.linalg.eigh(hermitian_part(a))
+    clipped_eigs = np.clip(eigs, 0.0, None)
+    root = (vecs * np.sqrt(clipped_eigs)) @ vecs.conj().T
+    clipped = (vecs * clipped_eigs) @ vecs.conj().T
+    return float(eigs[0]), hermitian_part(root), hermitian_part(clipped)
+
+
+def require_psd(least: float, tol: float) -> None:
+    """Raise ValueError when the smallest eigenvalue is below -tol, the rule
+    `membership` judges defects by."""
+    if least < -tol:
         raise ValueError(
             f"matrix is not positive semidefinite within tolerance: "
-            f"minimum eigenvalue {eigs[0]:.3e} vs -{tol:.1e}"
+            f"minimum eigenvalue {least:.3e} vs -{tol:.1e}"
         )
-    eigs = np.clip(eigs, 0.0, None)
-    root = (vecs * np.sqrt(eigs)) @ vecs.conj().T
-    clipped = (vecs * eigs) @ vecs.conj().T
-    return hermitian_part(root), hermitian_part(clipped)

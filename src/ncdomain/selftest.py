@@ -58,7 +58,7 @@ from .series import (
     rescale_symbol,
     unit_ball_symbol,
 )
-from .weights import binomial_constant, weights_direct, weights_oracle
+from .weights import _VALUES, binomial_constant, weights_direct, weights_oracle
 from .words import word_count, word_text
 
 
@@ -580,6 +580,7 @@ def check_agler_identity(profile: SelftestProfile, seed: int) -> CheckResult:
 
 
 def _fingerprint(seed: int) -> str:
+    _VALUES.clear()  # so a second fingerprint sums its table anew
     rng = _rng(seed, 15)
     f = random_symbol(2, 3, rng)
     table = weights_direct(f, 2, 4)

@@ -23,14 +23,21 @@ order, so the sum is one vector add per (grade, support word).
 `weights_oracle` accumulates the truncated powers f^j with binomial
 prefactors.  They share nothing but the coefficient lookup, and the
 test suite demands relative agreement to 1e-12.
+
+`weights_direct` is memoized one deep by value (`memo.OneDeep`): a call
+with the (f, m, N) of the previous call, f equal by value, shares its
+read-only values array instead of summing again.  `weights_oracle` is
+never memoized, so the oracle check stays genuine.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
+from .memo import OneDeep
 from .series import FreeSeries, PositiveRegularFunction
 from .words import Letters, WordIndex, word_num
 
@@ -82,8 +89,26 @@ class WeightTable:
         return self.values[: index.dim]
 
 
+_VALUES = OneDeep()  # the values of the last (f, m, N) given to weights_direct
+
+
 def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     """Weights by direct summation over support-word factorizations.
+
+    m, N and the basis cap are checked on every call, before the memo
+    lookup, and every call gets its own table and word index.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    m, N = operator.index(m), operator.index(N)
+    index = WordIndex(f.n, N)  # the basis cap is checked before any lookup
+    return WeightTable(f, m, index, _VALUES.get((f, m, N), _direct_values, f, m, N))
+
+
+def _direct_values(f: PositiveRegularFunction, m: int, N: int) -> np.ndarray:
+    """The uncached sum behind `weights_direct`.
 
     Row j of c[L] holds, for every word of grade L, the sum over its
     splittings into j support words of the coefficient products.  The
@@ -94,11 +119,7 @@ def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     is read only by the next f.degree grades, so older ones are dropped
     (for n = 1, c would otherwise hold N^2 / 2 numbers).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    n, index = f.n, WordIndex(f.n, N)  # the basis cap is checked before any work
+    n = f.n
     support = [(len(g), word_num(g, n), a) for g, a in f.items()]
     binom = np.array([float(binomial_constant(j, m)) for j in range(N + 1)])
     c = [np.ones((1, 1))]
@@ -114,7 +135,7 @@ def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
         c.append(grade)
         if length >= f.degree:
             c[length - f.degree] = None
-    return WeightTable(f, m, index, np.concatenate(values))
+    return np.concatenate(values)
 
 
 def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:

@@ -402,6 +402,13 @@ def test_membership_reads_an_overflow_as_minus_inf():
     assert not v.member and not v.bound_ok
 
 
+def test_agler_consistency_reads_an_overflow_as_inf():
+    # both sides overflow at [[1e200]]; their gap is inf, not NaN, and no
+    # RuntimeWarning escapes (warnings are errors under the suite)
+    assert agler_consistency(1, [np.array([[1e200]])]) == math.inf
+    assert agler_consistency(2, [np.array([[0.5]])]) < 1e-15
+
+
 def test_resolvent_builds_the_support_once(monkeypatch):
     calls = []
     real = cp_maps.word_products
