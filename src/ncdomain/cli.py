@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .berezin import berezin_transform_kernel, berezin_transform_resolvent
-from .cp_maps import _gaussian_tuple, membership, spectral_radius_estimate
+from .cp_maps import _gaussian_tuple, _point_state, _radius_estimate, membership
 from .defaults import (
     EIGENVALUE_TOL,
     ENTRYWISE_TOL,
@@ -425,9 +425,9 @@ def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
         )
         report.results["resolvent"] = rv
         report.results["growth_estimate"] = diag.growth_estimate
-        report.results["radius_estimate"] = spectral_radius_estimate(
-            cfg.symbol, mats
-        ).final
+        # the support the resolvent form just read, from the point memo
+        state = _point_state(cfg.symbol, cfg.m, mats)
+        report.results["radius_estimate"] = _radius_estimate(state.support).final
     if ns.form == "both":
         gap = float(np.max(np.abs(kv - rv)))
         report.add_check(

@@ -45,7 +45,7 @@ import numpy as np
 
 from .defaults import EIGENVALUE_TOL
 from .fock_model import build_model, monomial_pair
-from .linalg import hermitian_part, min_eigenvalue, operator_norm, psd_root
+from .linalg import hermitian_part, kron, min_eigenvalue, operator_norm, psd_root
 from .memo import OneDeep
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .words import _as_letters, enumerate_words, word_products
@@ -309,8 +309,11 @@ class SpectralRadiusEstimate:
     overflowed: bool
 
 
+_RADIUS_STEPS = 12  # Phi steps of a radius estimate unless the caller says
+
+
 def spectral_radius_estimate(
-    f: PositiveRegularFunction, x, kmax: int = 12
+    f: PositiveRegularFunction, x, kmax: int = _RADIUS_STEPS
 ) -> SpectralRadiusEstimate:
     """Estimate the joint spectral radius of X relative to f.
 
@@ -320,7 +323,12 @@ def spectral_radius_estimate(
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    support = _support(f, x)
+    return _radius_estimate(_support(f, x), kmax)
+
+
+def _radius_estimate(support: Support, kmax: int = _RADIUS_STEPS) -> SpectralRadiusEstimate:
+    """`spectral_radius_estimate` on a support already built, such as the
+    one a `PointState` holds."""
     d = support[2].shape[-1]
     iterates, y = [], np.eye(d, dtype=complex)
     while len(iterates) < kmax and y.any():
@@ -421,8 +429,8 @@ def von_neumann_gap(
     for a, b, cm in parsed:
         xa = monomial_product(t, a) @ monomial_product(t, b).conj().T
         va = monomial_pair(model, a, b)
-        lhs_sum += np.kron(xa, cm)
-        rhs_sum += np.kron(va, cm)
+        lhs_sum += kron(xa, cm)
+        rhs_sum += kron(va, cm)
     return VonNeumannGap(operator_norm(lhs_sum), operator_norm(rhs_sum))
 
 

@@ -16,11 +16,16 @@ onto one contiguous run of grade L + |w| (`WordIndex.shift_block`); the
 targets of V_w are those runs.  Dense matrices are allocated only after
 checking their 16 (dim e)^2 bytes against physical memory:
 `monomial_pair` scatters V_alpha V_beta^* from two target arrays, and
-`model_monomial` is V_w V_unit^*.  Distinct columns of V_w land in
-distinct rows, so the completely positive map Y -> sum_w a_w V_w Y V_w^*
-sends diagonal matrices to diagonal matrices and acts on a diagonal as a
-sum of scaled index scatters, and the grade-row sum over |w| = k of
-b_w V_w V_w^* is a gather: its diagonal at u is b_{u[:k]} b_{u[k:]} / b_u.
+`model_monomial` is V_w V_unit^*.  A series sum_w r^|w| V_w (x) C_w
+is planned on the model once (`_SeriesPlan`: flat targets and aligned
+factors per grade, one dense buffer), and that one plan serves
+`evaluate_on_model`, `hardy_norm_estimate` at every radius and the
+generator images of `rigidity.check_generator_images`.  Distinct
+columns of V_w land in distinct rows, so the completely positive map
+Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
+and acts on a diagonal as a sum of scaled index scatters, and the
+grade-row sum over |w| = k of b_w V_w V_w^* is a gather: its diagonal
+at u is b_{u[:k]} b_{u[k:]} / b_u.
 
 The defining property of the truncation: applying (id - Phi_f)^m to the
 identity yields exactly the rank-one projection onto the vacuum vector,
@@ -151,40 +156,74 @@ def model_defect(model: WeightTable) -> np.ndarray:
     return out
 
 
+class _SeriesPlan:
+    """sum_w r^|w| V_w (x) C_w for one series on one model, at any r.
+
+    For |w| = k and |u| = L the entry at (wu, u) is r^k sqrt(b_u / b_{wu})
+    C_w; over L = 0..N - k the pairs (wu, u) of one grade k form an
+    (n^k, dim_{N-k}) grid, with u running over the first dim_{N-k} basis
+    vectors.  The plan holds, per nonzero grade, the flat indices of
+    those entries in the (dim e)^2 matrix with the coefficient and weight
+    factors aligned to them, and one dense buffer, so each r is one
+    multiply and one scatter per grade.  No entry is reached twice, and
+    every r writes the same entries, so the buffer is refilled in place.
+    """
+
+    __slots__ = ("e", "out", "grades")
+
+    def __init__(self, series: FreeSeries, model: WeightTable):
+        if series.n != model.f.n:
+            raise ValueError(
+                f"series over {series.n} letters on a model with {model.f.n} generators"
+            )
+        if series.degree > model.N:
+            raise ValueError(
+                f"series degree {series.degree} exceeds model depth {model.N}"
+            )
+        n, e, b, index = model.f.n, series.coeff_dim, model.values, model.index
+        size = index.dim * e
+        self.e = e
+        self.out = _dense_zeros(size, "a series evaluated on the model")
+        self.grades = []
+        for k, c in series._nonzero_grades():
+            top = model.N - k
+            rows = np.hstack([
+                np.arange(index.offset(L + k), index.offset(L + k + 1)).reshape(n**k, n**L)
+                for L in range(top + 1)
+            ])
+            cols = np.arange(index.offset(top + 1))
+            w = np.sqrt(b[cols] / b[rows])
+            if e == 1:
+                self.grades.append((k, rows * size + cols, c[:, 0, :], w))
+            else:
+                # entry (wu, p; u, q) of the matrix, as (n^k, dim_{N-k}, e, e)
+                p = np.arange(e)
+                flat = ((rows * e)[..., None, None] + p[:, None]) * size
+                flat = flat + (cols * e)[:, None, None] + p
+                self.grades.append((k, flat, c[:, None], w[..., None, None]))
+
+    def at(self, r: float) -> np.ndarray:
+        """The buffer filled at r, in the arithmetic order of a per-word sum:
+        (r^k c) w for e = 1, (r^k w) c for e > 1."""
+        flat = self.out.reshape(-1)
+        for k, target, c, w in self.grades:
+            scale = r**k
+            vals = (scale * c) * w if self.e == 1 else (scale * w) * c
+            vals += 0.0  # -0.0 reads 0.0, as a sum onto the zero matrix gives
+            flat[target] = vals
+        return self.out
+
+
 def evaluate_on_model(
     series: FreeSeries, model: WeightTable, r: float = 1.0
 ) -> np.ndarray:
     """sum_w r^|w| V_w (x) C_w as a dense matrix on C^dim (x) C^e.
 
-    For |w| = k and |u| = L the entry at (wu, u) is r^k sqrt(b_u / b_{wu})
-    C_w, and the pairs (wu, u) of one grade pair (k, L) fill grade L + k
-    as an (n^k, n^L) grid, so each grade pair is one scatter.  No entry
-    is reached twice, so the result does not depend on the order.
+    One `_SeriesPlan`, filled once: each grade of the series is one
+    scatter.  No entry is reached twice, so the result does not depend
+    on the order.
     """
-    if series.n != model.f.n:
-        raise ValueError(
-            f"series over {series.n} letters on a model with {model.f.n} generators"
-        )
-    if series.degree > model.N:
-        raise ValueError(
-            f"series degree {series.degree} exceeds model depth {model.N}"
-        )
-    n, e, b, index = model.f.n, series.coeff_dim, model.values, model.index
-    dim = index.dim
-    out = _dense_zeros(dim * e, "a series evaluated on the model")
-    view = out.reshape(dim, e, dim, e)
-    for k, c in series._nonzero_grades():
-        scale = r**k
-        for length in range(model.N - k + 1):
-            grade = index.grade(length + k)
-            rows = np.arange(grade.start, grade.stop).reshape(n**k, n**length)
-            cols = np.arange(index.offset(length), index.offset(length + 1))
-            w = np.sqrt(b[cols] / b[rows])
-            if e == 1:
-                out[rows, cols] += (scale * c[:, 0, :]) * w
-            else:
-                view[rows, :, cols, :] += (scale * w)[..., None, None] * c[:, None]
-    return out
+    return _SeriesPlan(series, model).at(r)
 
 
 def hardy_norm_estimate(
@@ -198,7 +237,8 @@ def hardy_norm_estimate(
 
     Each value is a lower bound for the supremum norm of the series over
     the domain of (f, m); the sequence is nondecreasing in r and in N.
-    The grid must be nondecreasing inside [0, 1).
+    The grid must be nondecreasing inside [0, 1).  One plan and one
+    dense buffer serve every r.
     """
     grid = [float(r) for r in r_grid]
     if not grid:
@@ -208,8 +248,8 @@ def hardy_norm_estimate(
             raise ValueError("r_grid must be nondecreasing")
     if not all(0.0 <= r < 1.0 for r in grid):
         raise ValueError("r_grid values must lie in [0, 1)")
-    model = build_model(f, m, N)
-    return [operator_norm(evaluate_on_model(series, model, r)) for r in grid]
+    plan = _SeriesPlan(series, build_model(f, m, N))
+    return [operator_norm(plan.at(r)) for r in grid]
 
 
 def symbol_row_diagonal(model: WeightTable) -> np.ndarray:

@@ -19,6 +19,13 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2-D arrays as one broadcast product, bit for bit:
+    entry (i p, j q) is a[i, j] * b[p, q], a the left operand."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(a + a*) / 2."""
     a = np.asarray(a, dtype=complex)

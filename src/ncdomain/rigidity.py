@@ -41,8 +41,8 @@ import numpy as np
 
 from .cp_maps import MembershipVerdict, membership
 from .defaults import EIGENVALUE_TOL, physical_memory
-from .fock_model import build_model, evaluate_on_model
-from .linalg import hermitian_part, min_eigenvalue
+from .fock_model import _SeriesPlan, build_model, evaluate_on_model
+from .linalg import hermitian_part, kron, min_eigenvalue
 from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
 from .weights import weights_direct
 from .words import DimensionCapError, Letters, grade_letters
@@ -140,7 +140,10 @@ def _grade_block_minima(
         if k > N:
             break
         words, a = zip(*group)
-        cols = np.array([reduce(np.kron, [u[:, i - 1] for i in w]) for w in words]).T
+        cols = np.array([
+            reduce(lambda x, y: np.multiply.outer(x, y).ravel(), [u[:, i - 1] for i in w])
+            for w in words
+        ]).T
         blocks[k] = (cols * np.array(a)) @ cols.conj().T
     z = [np.diag(b).astype(complex) for b in grades]  # Y = I
     out = np.empty((l, N + 1))
@@ -149,7 +152,7 @@ def _grade_block_minima(
             for k, mk in blocks.items():
                 if k > J:
                     break
-                z[J] -= np.kron(mk, z[J - k])
+                z[J] -= kron(mk, z[J - k])
             z[J] = hermitian_part(z[J])
             root = np.sqrt(grades[J])
             out[step, J] = min_eigenvalue(z[J] / np.outer(root, root))
@@ -476,7 +479,8 @@ def check_generator_images(
     For each r in the grid the tuple (phi_1(rV), .., phi_n(rV)) is
     formed on the depth-N model of (g, l) and run through the order-m
     membership test for f.  Maps must be polynomials of degree <= N
-    over g's letters.
+    over g's letters.  Each map is planned on the model once
+    (`_SeriesPlan`) and refilled at every r.
     """
     maps = _validate_map_tuple(maps, g.n, f.n)
     for s in maps:
@@ -491,8 +495,8 @@ def check_generator_images(
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"r_grid values must lie in [0, 1], got {r}")
     model = build_model(g, l, N)
-    verdicts = []
-    for r in grid:
-        images = [evaluate_on_model(s, model, r=r) for s in maps]
-        verdicts.append(membership(f, m, images, tol=tol))
-    return GeneratorImageReport(grid, tuple(verdicts))
+    plans = [_SeriesPlan(s, model) for s in maps]
+    verdicts = tuple(
+        membership(f, m, [plan.at(r) for plan in plans], tol=tol) for r in grid
+    )
+    return GeneratorImageReport(grid, verdicts)

@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .linalg import kron
 from .words import (
     Letters,
     _as_letters,
@@ -289,7 +290,7 @@ def evaluate(series: FreeSeries, point: Sequence[np.ndarray]) -> np.ndarray:
         if e == 1:
             out += complex(c[0, 0]) * x_w
         else:
-            out += np.kron(x_w, c)
+            out += kron(x_w, c)
     return out
 
 

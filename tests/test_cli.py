@@ -12,7 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from ncdomain import FreeSeries, cli, compose, fock_model, rigidity
+from ncdomain import FreeSeries, cli, compose, cp_maps, fock_model, rigidity
+from ncdomain.cp_maps import spectral_radius_estimate
 from ncdomain.cli import COMMANDS, _digest, main, parse_config
 from ncdomain.io import FormatError
 
@@ -486,6 +487,26 @@ def test_berezin_both_forms_at_the_13_by_13_shift(tmp_path, capsys):
     assert report["results"]["radius_estimate"] == 1.0
     agreement = [c for c in report["checks"] if c["name"] == "form_agreement"]
     assert agreement[0]["value"] <= 1e-12
+    capsys.readouterr()
+
+
+def test_berezin_both_builds_the_support_once(tmp_path, capsys, monkeypatch):
+    # the report's radius estimate reads the support the resolvent form built
+    calls = []
+    real = cp_maps._support
+    monkeypatch.setattr(cp_maps, "_support", lambda *a: calls.append(a) or real(*a))
+    cp_maps._POINTS.clear()
+    cfg = write_config(tmp_path, n=2, m=1, depth=3, coeffs={"1": 1.0, "2": 1.0})
+    point = write_tuple(tmp_path, [[[0.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]])
+    out = tmp_path / "r.json"
+    assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
+                 "--alpha", "1", "--beta", "2", "--form", "both",
+                 "--format", "json", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    mats = [np.array(x, dtype=complex) for x in json.loads(point.read_text())["matrices"]]
+    report = json.loads(out.read_text())["report"]
+    assert report["results"]["radius_estimate"] == spectral_radius_estimate(
+        parse_config(cfg).symbol, mats).final
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 """Truncated weighted-shift models on Fock space."""
 
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -21,6 +22,7 @@ from ncdomain.fock_model import (
     monomial_pair,
     symbol_row_diagonal,
 )
+from ncdomain.linalg import operator_norm
 from ncdomain.words import DimensionCapError
 from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
 from ncdomain.weights import binomial_constant, weights_direct
@@ -227,6 +229,109 @@ def test_evaluate_on_model_matches_per_word_sum(n, e):
     )
     got = evaluate_on_model(series, model, r=r)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _scatter_oracle(series, model, r):
+    """sum_w r^|w| V_w (x) C_w by the former scatter, one per grade pair (k, L).
+
+    For |w| = k and |u| = L the entry at (wu, u) is r^k sqrt(b_u / b_{wu})
+    C_w; the pairs of one grade pair fill grade L + k as an (n^k, n^L) grid.
+    """
+    n, e, b, index = model.f.n, series.coeff_dim, model.values, model.index
+    dim = index.dim
+    out = np.zeros((dim * e, dim * e), dtype=complex)
+    view = out.reshape(dim, e, dim, e)
+    for k, c in series._nonzero_grades():
+        scale = r**k
+        for length in range(model.N - k + 1):
+            grade = index.grade(length + k)
+            rows = np.arange(grade.start, grade.stop).reshape(n**k, n**length)
+            cols = np.arange(index.offset(length), index.offset(length + 1))
+            w = np.sqrt(b[cols] / b[rows])
+            if e == 1:
+                out[rows, cols] += (scale * c[:, 0, :]) * w
+            else:
+                view[rows, :, cols, :] += (scale * w)[..., None, None] * c[:, None]
+    return out
+
+
+@st.composite
+def planned_cases(draw):
+    """A symbol, a series of degree <= N and a nondecreasing grid in [0, 1).
+
+    Coefficients mix complex values, negative reals (whose products with
+    r = 0 are -0.0) and zeros inside nonzero grades."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(0, 4 if n < 3 else 3))
+    e = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    symbol = {(i,): float(rng.uniform(0.1, 1.0)) for i in range(1, n + 1)}
+    symbol[tuple(rng.integers(1, n + 1, size=2))] = float(rng.uniform(0.0, 0.5))
+    coeffs = {}
+    for k in range(degree + 1):
+        for word in product(range(1, n + 1), repeat=k):
+            kind = rng.integers(4)
+            if kind == 0:
+                coeffs[word] = rng.standard_normal((e, e)) + 1j * rng.standard_normal((e, e))
+            elif kind == 1:
+                coeffs[word] = -float(rng.integers(1, 4)) * np.eye(e)
+            elif kind == 2:
+                coeffs[word] = np.zeros((e, e))
+    grid = sorted([0.0] + [float(v) for v in rng.uniform(0.0, 1.0, size=draw(st.integers(0, 3)))])
+    f = PositiveRegularFunction(n, symbol)
+    return f, m, N, FreeSeries(n, degree, coeffs, coeff_dim=e), grid
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=planned_cases())
+def test_plan_matches_the_per_grade_pair_scatter_bit_for_bit(case):
+    f, m, N, series, grid = case
+    model = build_model(f, m, N)
+    for r in grid + [1.0]:
+        got, want = evaluate_on_model(series, model, r), _scatter_oracle(series, model, r)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+    want = [operator_norm(_scatter_oracle(series, model, r)) for r in grid]
+    assert hardy_norm_estimate(series, f, m, N, grid) == want
+
+
+def test_hardy_norm_plans_once_over_the_grid(monkeypatch):
+    plans, tables = [], []
+    real_plan, real_weights = fock_model._SeriesPlan, fock_model.weights_direct
+    monkeypatch.setattr(fock_model, "_SeriesPlan",
+                        lambda *a: plans.append(a) or real_plan(*a))
+    monkeypatch.setattr(fock_model, "weights_direct",
+                        lambda *a: tables.append(a) or real_weights(*a))
+    f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "21": 0.25})
+    s = FreeSeries(2, 2, {"1": 1.0, "12": -2.0, "22": 0.5j}, coeff_dim=1)
+    norms = hardy_norm_estimate(s, f, 2, 4, [0.0, 0.2, 0.4, 0.6, 0.8])
+    assert len(norms) == 5
+    assert len(plans) == 1 and len(tables) == 1
+
+
+def test_hardy_norm_refuses_the_dense_matrix_before_allocating(monkeypatch):
+    # n = 2, N = 8, e = 2: dim 511, a 1022 x 1022 complex matrix of 16.7 MB
+    f = unit_ball_symbol(2)
+    s = FreeSeries(2, 2, {"1": 1.0, "21": 0.5}, coeff_dim=2)
+    need = 16 * 1022**2
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: need - 1)
+
+    def unplanned(self):
+        raise AssertionError("the plan was built before the memory check")
+
+    monkeypatch.setattr(FreeSeries, "_nonzero_grades", unplanned)
+    weights_direct(f, 1, 8)  # the table may be allocated; the matrix may not
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError, match=f"needs a dense 1022 x 1022 complex "
+                                                    f"matrix of {need} bytes"):
+            hardy_norm_estimate(s, f, 1, 8, [0.0, 0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need // 100
 
 
 def test_evaluate_on_model_requires_depth():

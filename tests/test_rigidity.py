@@ -289,6 +289,23 @@ def test_generator_images_detect_escape():
     assert not report.passed
 
 
+def test_generator_images_plan_each_map_once(monkeypatch):
+    plans = []
+    real = rigidity._SeriesPlan
+    monkeypatch.setattr(rigidity, "_SeriesPlan", lambda *a: plans.append(a) or real(*a))
+    f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25})
+    g = unit_ball_symbol(2)
+    maps = [FreeSeries(2, 2, {"1": 0.5, "21": 0.25}), FreeSeries(2, 2, {"2": 0.5, "11": -0.25})]
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    report = check_generator_images(f, 2, g, 1, maps, N=3, r_grid=grid)
+    assert len(plans) == len(maps)
+    # the verdicts of a fresh evaluation per (map, r), bit for bit
+    model = build_model(g, 1, 3)
+    for r, verdict in zip(grid, report.verdicts):
+        want = membership(f, 2, [evaluate_on_model(s, model, r=r) for s in maps])
+        assert verdict == want
+
+
 def _loop_drifts(maps, f, m, p, count, tol=1e-9):
     """Witness word and drifts of F^1..F^count by repeated composition.
 
