@@ -18,10 +18,12 @@ flag: `_check_depth` (>= 1, basis under the cap), `_check_seed` (>= 0) and
 
 Reports are deterministic: the same inputs (and seed, where one is
 taken) produce a byte-identical body (wall time lives outside it).
-Every judged numeric carries the tolerance it was judged against.  Exit
-codes: 0 on success (for verdict commands: verdict holds), 1 when a
-check or verdict fails, 2 on computation errors and rejected input
-values, 64 on usage errors.
+Every judged numeric is a `selftest.CheckResult`, the package's one
+check record, and carries the tolerance it was judged against; where
+selftest judges the same identity, both call one measuring function.
+Exit codes: 0 on success (for verdict commands: verdict holds), 1 when
+a check fails (for `member`: when the tuple is not a member), 2 on
+computation errors and rejected input values, 64 on usage errors.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from .defaults import (
     ORACLE_REL_TOL,
 )
 from .fock_model import (
+    bound_excesses,
     build_model,
     defect_diagonal,
-    grade_row_diagonal,
     hardy_norm_estimate,
     monomial_pair,
-    symbol_row_diagonal,
+    vacuum_gap,
 )
 from .io import (
     FormatError,
@@ -66,9 +68,9 @@ from .io import (
     symbol_from_mapping,
 )
 from .rigidity import cartan_iteration_probe, check_linear_biholomorphism
-from .selftest import run_selftest
-from .series import PositiveRegularFunction, compose, evaluate
-from .weights import binomial_constant, weights_direct, weights_oracle
+from .selftest import CheckResult, run_selftest
+from .series import PositiveRegularFunction, compose, nested_evaluation_gap
+from .weights import oracle_gap, weights_direct, weights_oracle
 from .words import capped_word_count, parse_word, word_text
 
 TOLERANCE_DEFAULTS = {
@@ -202,33 +204,25 @@ class Report:
     inputs: dict
     seed: int | None
     results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-
-    def add_check(
-        self, name: str, value, tol: float, passed: bool, detail: str = ""
-    ) -> None:
-        self.checks.append(
-            {
-                "name": name,
-                "value": _jsonable(value),
-                "tol": tol,
-                "passed": bool(passed),
-                "detail": detail,
-            }
-        )
+    checks: list[CheckResult] = field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def body(self) -> dict:
         seed = {} if self.seed is None else {"seed": self.seed}
+        checks = [
+            {"name": c.name, "value": _jsonable(c.value), "tol": c.tol,
+             "passed": bool(c.passed), "detail": c.detail}
+            for c in self.checks
+        ]
         return {
             "command": self.command,
             "inputs_digest": _digest(self.inputs),
             **seed,
             "results": _jsonable(self.results),
-            "checks": self.checks,
+            "checks": checks,
         }
 
 
@@ -299,40 +293,34 @@ def _config_inputs(cfg: DomainConfig) -> dict:
 def _cmd_weights(ns, cfg: DomainConfig, tol: float, report: Report):
     direct = weights_direct(cfg.symbol, cfg.m, cfg.depth)
     oracle = weights_oracle(cfg.symbol, cfg.m, cfg.depth)
-    rel = float(np.max(np.abs(direct.values - oracle.values) / oracle.values))
     report.results["dim"] = len(direct)
     report.results["table"] = {word_text(w): v for w, v in direct.items()}
-    report.add_check(
-        "oracle_agreement", rel, tol, rel <= tol,
+    report.checks.append(CheckResult.at_most(
+        "oracle_agreement", oracle_gap(direct, oracle), tol,
         "largest relative difference against the series oracle",
-    )
+    ))
 
 
 def _cmd_model(ns, cfg: DomainConfig, tol: float, report: Report):
     model = build_model(cfg.symbol, cfg.m, cfg.depth)
     defect = defect_diagonal(model)
-    vacuum = np.zeros(model.index.dim)
-    vacuum[0] = 1.0
-    defect_gap = float(np.max(np.abs(defect - vacuum)))
-    row_excess = float(np.max(symbol_row_diagonal(model))) - 1.0
-    grade_excess = -np.inf
-    for k in range(1, cfg.depth + 1):
-        top = float(np.max(grade_row_diagonal(model, k)))
-        grade_excess = max(grade_excess, top - binomial_constant(k, cfg.m))
+    row_excess, grade_excess = bound_excesses(model)
     report.results["dim"] = model.index.dim
     report.results["defect_rank"] = int(np.count_nonzero(np.abs(defect) > 1e-8))
-    report.add_check(
-        "defect_rank_one", defect_gap, tol, defect_gap <= tol,
-        "entrywise gap between the m-fold defect and the vacuum projection",
-    )
-    report.add_check(
-        "row_contraction", row_excess, tol, row_excess <= tol,
-        "excess of sum a_w V_w V_w^* over the identity",
-    )
-    report.add_check(
-        "grade_bounds", grade_excess, tol, grade_excess <= tol,
-        "largest excess of a grade row sum over its binomial bound",
-    )
+    report.checks += [
+        CheckResult.at_most(
+            "defect_rank_one", vacuum_gap(defect), tol,
+            "entrywise gap between the m-fold defect and the vacuum projection",
+        ),
+        CheckResult.at_most(
+            "row_contraction", row_excess, tol,
+            "excess of sum a_w V_w V_w^* over the identity",
+        ),
+        CheckResult.at_most(
+            "grade_bounds", grade_excess, tol,
+            "largest excess of a grade row sum over its binomial bound",
+        ),
+    ]
 
 
 def _cmd_member(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
@@ -343,14 +331,15 @@ def _cmd_member(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
     report.results["row_norm"] = verdict.row_norm
     report.results["row_norm_bound"] = verdict.row_norm_bound
     for k, value in enumerate(verdict.min_eigenvalues, start=1):
-        report.add_check(
+        report.checks.append(CheckResult(
             f"defect_level_{k}", value, tol, value >= -tol,
             "min eigenvalue of (id - Phi)^k(I)",
-        )
-    report.add_check(
+        ))
+    report.checks.append(CheckResult(
         "row_bound", verdict.row_norm - verdict.row_norm_bound, tol,
         verdict.bound_ok, "excess of the row norm over 1 / min_i a_i",
-    )
+    ))
+    # the exit follows the membership verdict, not the row bound
     return 0 if verdict.member else 1
 
 
@@ -365,10 +354,9 @@ def _cmd_norm(ns, cfg: DomainConfig, tol: float, report: Report):
     worst = max(
         (a - b for a, b in zip(norms, norms[1:])), default=0.0
     )
-    report.add_check(
-        "monotone_in_r", worst, tol, worst <= tol,
-        "largest decrease between consecutive radii",
-    )
+    report.checks.append(CheckResult.at_most(
+        "monotone_in_r", worst, tol, "largest decrease between consecutive radii"
+    ))
 
 
 def _cmd_compose(ns, cfg: None, tol: float, report: Report):
@@ -383,18 +371,14 @@ def _cmd_compose(ns, cfg: None, tol: float, report: Report):
     rng = np.random.default_rng([report.seed, 97])
     d = composed.degree + 1
     x = [np.triu(a, k=1) / 2.0 for a in _gaussian_tuple(composed.n, d, rng)]
-    lhs = evaluate(composed, x)
-    rhs = evaluate(outer, [evaluate(s, x) for s in inner])
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    rel = float(np.max(np.abs(lhs - rhs))) / scale
     # the report embeds the series file payloads, so they can be reused
     report.inputs["outer"] = series_payload(outer)
     report.inputs["inner"] = [series_payload(s) for s in inner]
     report.results["series"] = series_payload(composed)
-    report.add_check(
-        "nested_evaluation", rel, tol, rel <= tol,
+    report.checks.append(CheckResult.at_most(
+        "nested_evaluation", nested_evaluation_gap(outer, inner, composed, x), tol,
         "relative gap to nested evaluation at a random nilpotent tuple",
-    )
+    ))
 
 
 def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
@@ -429,14 +413,13 @@ def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
         state = _point_state(cfg.symbol, cfg.m, mats)
         report.results["radius_estimate"] = _radius_estimate(state.support).final
     if ns.form == "both":
-        gap = float(np.max(np.abs(kv - rv)))
-        report.add_check(
-            "form_agreement", gap, tol, gap <= tol,
+        report.checks.append(CheckResult.at_most(
+            "form_agreement", float(np.max(np.abs(kv - rv))), tol,
             "entrywise gap between the kernel and resolvent forms",
-        )
+        ))
 
 
-def _cmd_biholo(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
+def _cmd_biholo(ns, cfg: DomainConfig, tol: float, report: Report):
     target = parse_config(ns.target_config)
     u = load_matrix(ns.map_path)
     cert = check_linear_biholomorphism(
@@ -446,20 +429,19 @@ def _cmd_biholo(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
     report.inputs["map"] = u
     report.results["forward_member"] = cert.forward_member
     report.results["backward_member"] = cert.backward_member
-    fwd = min(cert.forward_eigenvalues)
-    bwd = min(cert.backward_eigenvalues)
-    report.add_check(
-        "forward", fwd, tol, cert.forward_member,
-        "min defect eigenvalue of the image model in the codomain",
-    )
-    report.add_check(
-        "backward", bwd, tol, cert.backward_member,
-        "min defect eigenvalue of the inverse image in the domain",
-    )
-    return 0 if cert.passed else 1
+    report.checks += [
+        CheckResult(
+            "forward", min(cert.forward_eigenvalues), tol, cert.forward_member,
+            "min defect eigenvalue of the image model in the codomain",
+        ),
+        CheckResult(
+            "backward", min(cert.backward_eigenvalues), tol, cert.backward_member,
+            "min defect eigenvalue of the inverse image in the domain",
+        ),
+    ]
 
 
-def _cmd_probe_cartan(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
+def _cmd_probe_cartan(ns, cfg: DomainConfig, tol: float, report: Report):
     maps = [load_series(path) for path in ns.maps]
     order = ns.order
     if order is None:
@@ -476,12 +458,11 @@ def _cmd_probe_cartan(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
         word_text(result.witness_word) if result.witness_word is not None else None
     )
     report.results["iterations_run"] = result.iterations_run
-    report.add_check(
+    report.checks.append(CheckResult(
         "identity_consistency", result.drift - result.bound, tol,
         result.status != "violation",
         "drift of the witness vector minus the row bound (negative is safe)",
-    )
-    return 1 if result.status == "violation" else 0
+    ))
 
 
 def _cmd_selftest(ns, cfg: None, tol: None, report: Report):
@@ -489,8 +470,7 @@ def _cmd_selftest(ns, cfg: None, tol: None, report: Report):
     report.inputs["profile"] = ns.profile
     report.results["profile"] = outcome.profile
     report.results["passed"] = outcome.passed
-    for c in outcome.checks:
-        report.add_check(c.name, c.value, c.tol, c.passed, c.detail)
+    report.checks += outcome.checks
 
 
 def _flag(*names: str, **options) -> tuple:

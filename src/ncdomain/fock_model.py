@@ -41,7 +41,7 @@ import numpy as np
 from .defaults import physical_memory
 from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
-from .weights import WeightTable, weights_direct
+from .weights import WeightTable, binomial_constant, weights_direct
 from .words import DimensionCapError, Letters, WordIndex, _as_letters
 
 
@@ -143,6 +143,13 @@ def defect_diagonal(model: WeightTable) -> np.ndarray:
     for _ in range(model.m):
         y = y - _scatter_diagonal(terms, y)
     return y
+
+
+def vacuum_gap(defect: np.ndarray) -> float:
+    """Largest entrywise gap of a defect diagonal to the vacuum projection."""
+    vacuum = np.zeros(defect.size)
+    vacuum[0] = 1.0
+    return float(np.max(np.abs(defect - vacuum)))
 
 
 def model_defect(model: WeightTable) -> np.ndarray:
@@ -272,3 +279,17 @@ def grade_row_diagonal(model: WeightTable, k: int) -> np.ndarray:
         u = slice(index.offset(length), index.offset(length + 1))
         out[u] = b[prefix] * b[suffix] / b[u]
     return out
+
+
+def bound_excesses(model: WeightTable) -> tuple[float, float]:
+    """Excess of the row sum over 1 and largest excess of a grade row sum.
+
+    The row sum is sum over support words of a_w V_w V_w^*, bounded by
+    the identity; the grade-k row sum is bounded by C(k+m-1, m-1).
+    """
+    row = float(np.max(symbol_row_diagonal(model))) - 1.0
+    grade = -np.inf
+    for k in range(1, model.N + 1):
+        top = float(np.max(grade_row_diagonal(model, k)))
+        grade = max(grade, top - binomial_constant(k, model.m))
+    return row, grade

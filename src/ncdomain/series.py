@@ -294,6 +294,24 @@ def evaluate(series: FreeSeries, point: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def nested_evaluation_gap(
+    outer: FreeSeries,
+    inner: Sequence[FreeSeries],
+    composed: FreeSeries,
+    x: Sequence[np.ndarray],
+) -> float:
+    """Gap between ``composed`` and nested evaluation of outer at inner, at x.
+
+    The entrywise gap of evaluate(composed, x) to evaluate(outer,
+    [evaluate(s, x) for s in inner]), relative to the larger of 1 and the
+    largest entry of the nested value.
+    """
+    lhs = evaluate(composed, x)
+    rhs = evaluate(outer, [evaluate(s, x) for s in inner])
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs))) / scale
+
+
 class PositiveRegularFunction:
     """A symbol f = sum_w a_w Z_w defining an operator domain.
 

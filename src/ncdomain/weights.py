@@ -138,6 +138,11 @@ def _direct_values(f: PositiveRegularFunction, m: int, N: int) -> np.ndarray:
     return np.concatenate(values)
 
 
+def oracle_gap(direct: WeightTable, oracle: WeightTable) -> float:
+    """Largest relative difference of a table to its oracle, word by word."""
+    return float(np.max(np.abs(direct.values - oracle.values) / oracle.values))
+
+
 def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     """Weights as word coefficients of (1 - f)^(-m), truncated at N.
 
