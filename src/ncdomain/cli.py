@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -229,6 +230,8 @@ class Report:
 def _render(value) -> str:
     if isinstance(value, str):
         return value
+    if type(value) is float and math.isfinite(value):
+        return repr(value)  # the text json.dumps writes, without its encoder
     text = json.dumps(_jsonable(value))
     if len(text) > 160:
         text = text[:157] + "..."

@@ -239,13 +239,15 @@ def hardy_norm_estimate(
     m: int,
     N: int,
     r_grid: Sequence[float],
+    weight_table: WeightTable | None = None,
 ) -> list[float]:
     """Norms of the series evaluated at the scaled model, r by r.
 
     Each value is a lower bound for the supremum norm of the series over
     the domain of (f, m); the sequence is nondecreasing in r and in N.
     The grid must be nondecreasing inside [0, 1).  One plan and one
-    dense buffer serve every r.
+    dense buffer serve every r.  The model is `build_model(f, m, N,
+    weight_table)`, so a table of depth >= N is cut, not summed again.
     """
     grid = [float(r) for r in r_grid]
     if not grid:
@@ -255,7 +257,7 @@ def hardy_norm_estimate(
             raise ValueError("r_grid must be nondecreasing")
     if not all(0.0 <= r < 1.0 for r in grid):
         raise ValueError("r_grid values must lie in [0, 1)")
-    plan = _SeriesPlan(series, build_model(f, m, N))
+    plan = _SeriesPlan(series, build_model(f, m, N, weight_table))
     return [operator_norm(plan.at(r)) for r in grid]
 
 

@@ -14,6 +14,7 @@ Conventions shared with the CLI:
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
@@ -28,17 +29,26 @@ class FormatError(ValueError):
 
 
 def _decode_scalar(value, where: str) -> complex:
+    """A finite number or [re, im] pair; `json` reads NaN and Infinity too."""
     if isinstance(value, bool):
         raise FormatError(f"{where}: expected a number or [re, im] pair")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (
+        parts = [value]
+    elif (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in value)
     ):
-        return complex(value[0], value[1])
-    raise FormatError(f"{where}: expected a number or [re, im] pair")
+        parts = value
+    else:
+        raise FormatError(f"{where}: expected a number or [re, im] pair")
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise FormatError(f"{where} is not finite")
+    return z
 
 
 def _encode_scalar(z: complex) -> list[float]:

@@ -379,8 +379,10 @@ def check_hardy_monotonicity(profile: SelftestProfile, seed: int) -> CheckResult
                     f = random_symbol(n, 2, rng)
                     deg = int(rng.integers(0, base_depth + 1))
                     poly = random_polynomial(n, deg, rng)
-                    lo = hardy_norm_estimate(poly, f, m, base_depth, grid)
-                    hi = hardy_norm_estimate(poly, f, m, base_depth + 1, grid)
+                    # one table per polynomial; depth base_depth is its prefix
+                    table = weights_direct(f, m, base_depth + 1)
+                    lo = hardy_norm_estimate(poly, f, m, base_depth, grid, table)
+                    hi = hardy_norm_estimate(poly, f, m, base_depth + 1, grid, table)
                     for a, b in zip(lo, lo[1:]):
                         worst = max(worst, a - b)
                     for a, b in zip(hi, hi[1:]):

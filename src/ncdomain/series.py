@@ -372,9 +372,19 @@ class PositiveRegularFunction:
         return min(self._coeffs[(i,)] for i in range(1, self.n + 1))
 
     def as_series(self, degree: int | None = None) -> FreeSeries:
+        """The symbol as a scalar series truncated at ``degree`` (default: its own).
+
+        The coefficients were checked on construction, so they are
+        written straight into the grades.
+        """
         deg = self.degree if degree is None else degree
-        coeffs = {w: a for w, a in self._coeffs.items() if len(w) <= deg}
-        return FreeSeries(self.n, deg, coeffs, 1)
+        if deg < 0:
+            raise ValueError(f"degree must be >= 0, got {deg}")
+        grades = _zero_grades(self.n, deg, 1)
+        for w, a in self._coeffs.items():
+            if len(w) <= deg:
+                grades[len(w)][word_num(w, self.n)] = a
+        return FreeSeries._from_grades(self.n, 1, grades)
 
     def __eq__(self, other) -> bool:
         return (

@@ -8,11 +8,11 @@ For f = sum_w a_w Z_w the weight of a word w is
 
 with b of the unit equal to 1.  These are exactly the word coefficients
 of the formal inverse power (1 - f)^(-m), which is how the independent
-oracle computes them.  The weights define the weighted shifts of the
-truncated model, so a depth-N `WeightTable` is the depth-N model
-(`fock_model.build_model` returns one).  They are strictly positive
-because every letter of the alphabet carries a strictly positive
-coefficient.
+oracle computes them: it solves (1 - f)^m B = 1.  The weights define
+the weighted shifts of the truncated model, so a depth-N `WeightTable`
+is the depth-N model (`fock_model.build_model` returns one).  They are
+strictly positive because every letter of the alphabet carries a
+strictly positive coefficient.
 
 Two implementations are provided on purpose.  `weights_direct` sums over
 factorizations of each word into support words of f, peeled off the
@@ -20,9 +20,12 @@ front, so factors with zero coefficient never appear.  In graded-lex
 order the words of length L that start with a support word g form one
 contiguous block of the index, whose suffixes are grade L - |g| in
 order, so the sum is one vector add per (grade, support word).
-`weights_oracle` accumulates the truncated powers f^j with binomial
-prefactors.  They share nothing but the coefficient lookup, and the
-test suite demands relative agreement to 1e-12.
+`weights_oracle` solves (1 - f)^m B = 1 by m right inversions of
+(1 - f), grade by grade, peeling support words off the back of each
+word in the row order of `series.multiply`; it uses no binomial
+coefficient, so it checks the binomials of `weights_direct` too.  The
+two share only the coefficient lookup and the base-n row convention,
+and the test suite demands relative agreement to 1e-12.
 
 `weights_direct` is memoized one deep by value (`memo.OneDeep`): a call
 with the (f, m, N) of the previous call, f equal by value, shares its
@@ -38,7 +41,7 @@ import operator
 import numpy as np
 
 from .memo import OneDeep
-from .series import FreeSeries, PositiveRegularFunction
+from .series import PositiveRegularFunction
 from .words import Letters, WordIndex, word_num
 
 
@@ -146,19 +149,32 @@ def oracle_gap(direct: WeightTable, oracle: WeightTable) -> float:
 def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     """Weights as word coefficients of (1 - f)^(-m), truncated at N.
 
-    Accumulates sum_{j=0..N} C(j+m-1, m-1) f^j by repeated truncated
-    series multiplication; powers beyond N cannot contribute because f
-    has zero constant term.
+    Solves (1 - f)^m B = 1 by m right inversions: X_0 = 1 and
+    X_j (1 - f) = X_{j-1}, that is X_j = X_{j-1} + X_j f, so B = X_m.
+    Grade K of X_j f adds X_j[K - k] (x) f_k for each nonzero grade k of
+    ``f.as_series()``, in the row order of `series.multiply`: the word uv
+    with |v| = k sits at row num(u) n^k + num(v), so support words come
+    off the back of each word.  Grade K of X_j reads only lower grades
+    of X_j and grade K of X_{j-1}, so each inversion updates one array in
+    place, grade by grade from the unit up.  No binomial coefficient is
+    used.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    fs = f.as_series(degree=N)
-    acc = FreeSeries.constant(1.0, f.n, N)
-    power = FreeSeries.constant(1.0, f.n, N)
-    for j in range(1, N + 1):
-        power = power * fs
-        acc = acc + binomial_constant(j, m) * power
-    grades = [acc.grade(k)[:, 0, 0].real for k in range(N + 1)]
-    return WeightTable(f, m, WordIndex(f.n, N), np.concatenate(grades))
+    m, N = operator.index(m), operator.index(N)
+    index = WordIndex(f.n, N)  # the basis cap is checked before any allocation
+    support = [(k, g[:, 0, 0].real) for k, g in f.as_series()._nonzero_grades()]
+    start = [index.offset(K) for K in range(N + 2)]
+    x = np.zeros(index.dim)
+    x[0] = 1.0
+    for _ in range(m):
+        for K in range(1, N + 1):
+            for k, a in support:
+                if k > K:
+                    break
+                # row num(u) n^k + num(v) of grade K is the word uv
+                block = x[start[K] : start[K + 1]].reshape(-1, a.size)
+                block += x[start[K - k] : start[K - k + 1], None] * a
+    return WeightTable(f, m, index, x)

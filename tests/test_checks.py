@@ -122,6 +122,9 @@ def test_shared_measurements_match_the_inline_formulas(n, m, N, seed):
         (selftest.check_weight_oracle_equivalence, 32),  # one table per (f, m, N)
         (selftest.check_rank_one_defect, 8),  # one table per (f, m)
         (selftest.check_row_grade_bounds, 8),
+        # one table per polynomial (40); two draw the symbol of the one
+        # before, which the one-deep memo serves
+        (selftest.check_hardy_monotonicity, 38),
     ],
 )
 def test_grid_checks_sum_one_table_per_symbol(monkeypatch, check, tables):

@@ -376,6 +376,46 @@ def test_non_finite_coefficient_exits_two(readme_files, tmp_path, capsys, where,
         assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "[0.5, NaN]",
+                                   "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "nan-pair", "int-beyond-float"])
+@pytest.mark.parametrize("run, entry", [
+    ("member --config c.json --tuple bad.json", "matrices[0][0][1]"),
+    ("berezin --config c.json --tuple bad.json --alpha 1 --beta 1", "matrices[0][0][1]"),
+    ("berezin --config c.json --tuple x.json --g bad.json", "matrix[0][1]"),
+    ("biholo --config src.json --target-config dst.json --map bad.json", "matrix[0][1]"),
+], ids=["member", "berezin-tuple", "berezin-g", "biholo-map"])
+def test_non_finite_matrix_entry_exits_two(readme_files, capsys, run, entry, value):
+    # json reads NaN and Infinity; a NaN tuple would otherwise be judged a non-member
+    rows = f"[[0.0, {value}], [0.0, 0.0]]"
+    text = (f'{{"matrix": {rows}}}' if entry.startswith("matrix[")
+            else f'{{"matrices": [{rows}, [[0.0, 0.0], [0.0, 0.0]]]}}')
+    Path("bad.json").write_text(text)
+    assert main(shlex.split(run)) == 2
+    assert f"bad.json: {entry} is not finite" in capsys.readouterr().err
+
+
+def _render_by_json(value):
+    """The report renderer as it was: json.dumps for every non-string value."""
+    if isinstance(value, str):
+        return value
+    text = json.dumps(cli._jsonable(value))
+    return text[:157] + "..." if len(text) > 160 else text
+
+
+def test_human_lines_render_like_json(monkeypatch):
+    values = [-0.0, 5e-324, 1e300, 1 / 3, float("nan"), float("inf"), float("-inf"),
+              True, False, 7, -2**70, "text", None, np.float64(0.1), [0.25, 1e-7]]
+    body = {"command": "weights", "inputs_digest": "0" * 64,
+            "results": {"table": {str(k): v for k, v in enumerate(values)},
+                        **{f"r{k}": v for k, v in enumerate(values)}},
+            "checks": [{"name": "c", "value": v, "tol": 1e-12, "passed": True,
+                        "detail": ""} for v in values]}
+    lines = cli._human_lines(body)
+    monkeypatch.setattr(cli, "_render", _render_by_json)
+    assert lines == cli._human_lines(body)
+
+
 def _compose_report(tmp_path, capsys, degree, coeffs):
     for name in ("outer.json", "g1.json", "g2.json"):
         write_series(tmp_path, name, coeffs, degree=degree)

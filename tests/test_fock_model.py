@@ -399,3 +399,13 @@ def test_weight_table_reuse():
     assert (prefix.N, prefix.index.dim) == (2, 3)
     assert np.shares_memory(prefix.values, table.values)
     assert prefix.values.tolist() == [1.0, 2.0, 3.0] and not prefix.values.flags.writeable
+
+
+def test_hardy_norm_cuts_a_given_deeper_table():
+    f = PositiveRegularFunction(2, {"1": 0.3, "2": 0.7, "12": 0.1})
+    s = FreeSeries(2, 2, {"": 0.5, "1": 1.0, "21": -0.25})
+    grid = [0.0, 0.5, 0.9]
+    deep = weights_direct(f, 2, 5)
+    assert hardy_norm_estimate(s, f, 2, 3, grid, deep) == hardy_norm_estimate(s, f, 2, 3, grid)
+    with pytest.raises(ValueError, match="different domain"):
+        hardy_norm_estimate(s, f, 1, 3, grid, deep)

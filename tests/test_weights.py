@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncdomain import weights
+from ncdomain.defaults import ORACLE_REL_TOL
 from ncdomain.fock_model import build_model, grade_row_diagonal
-from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
+from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
 from ncdomain.weights import (
     binomial_constant,
+    oracle_gap,
     weights_direct,
     weights_oracle,
 )
@@ -35,6 +38,22 @@ def _reference_weights(f, m, N):
             binomial_constant(j, m) * v for j, v in sorted(counts[w].items())
         )
     return values
+
+
+def _power_sum_oracle(f, m, N):
+    """sum_{j=0..N} C(j+m-1, m-1) f^j by N truncated series products.
+
+    The literal small-N oracle (the library oracle before it solved
+    (1 - f)^m B = 1).  It reads `binomial_constant` through the module at
+    call time, so it shares any fault of the binomials with direct.
+    """
+    fs = f.as_series(degree=N)
+    acc = FreeSeries.constant(1.0, f.n, N)
+    power = FreeSeries.constant(1.0, f.n, N)
+    for j in range(1, N + 1):
+        power = power * fs
+        acc = acc + weights.binomial_constant(j, m) * power
+    return np.concatenate([acc.grade(k)[:, 0, 0].real for k in range(N + 1)])
 
 
 @st.composite
@@ -192,3 +211,68 @@ def test_unknown_interior_weight_raises():
     table = weights_direct(f, 1, 2)
     with pytest.raises(KeyError):
         _ = table["121"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(f=symbols(), m=st.integers(1, 4), N=st.integers(0, 7))
+def test_oracle_matches_power_sum_and_direct(f, m, N):
+    oracle = weights_oracle(f, m, N)
+    want = _power_sum_oracle(f, m, N)
+    assert np.all(np.abs(oracle.values - want) <= 1e-13 * want)
+    assert oracle_gap(weights_direct(f, m, N), oracle) <= ORACLE_REL_TOL
+
+
+@settings(deadline=None, max_examples=40)
+@given(f=symbols(), m=st.integers(1, 4), N=st.integers(0, 5))
+def test_oracle_inverts_one_minus_f(f, m, N):
+    # X (1 - f)^m = 1, each word within roundoff of |X| (1 + f)^m
+    def series(values):
+        return FreeSeries(f.n, N, dict(zip(enumerate_words(f.n, N).words, values)))
+
+    x = weights_oracle(f, m, N).values
+    one = FreeSeries.constant(1.0, f.n, N)
+    fs = f.as_series(degree=N)
+    prod, scale = series(x), series(np.abs(x))
+    for _ in range(m):
+        prod, scale = prod * (one - fs), scale * (one + fs)
+    for k in range(N + 1):
+        residual = prod.grade(k) - one.grade(k)
+        assert np.all(np.abs(residual) <= 1e-13 * scale.grade(k).real)
+
+
+@pytest.fixture
+def empty_memo():
+    weights._VALUES.clear()
+    yield
+    weights._VALUES.clear()
+
+
+def test_oracle_never_calls_binomial_constant(monkeypatch):
+    def refuse(k, m):
+        raise AssertionError("the oracle must not use the binomials")
+
+    monkeypatch.setattr(weights, "binomial_constant", refuse)
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.25, "12": 0.125})
+    assert weights_oracle(f, 3, 5).values[0] == 1.0
+
+
+def test_oracle_catches_a_wrong_binomial(monkeypatch, empty_memo):
+    # C(2+m-1, m-1) off by one: the power sum shares the fault, the oracle does not
+    real = weights.binomial_constant
+    monkeypatch.setattr(weights, "binomial_constant",
+                        lambda k, m: real(k, m) + (k == 2))
+    f, m, N = unit_ball_symbol(2), 2, 4
+    direct = weights_direct(f, m, N)
+    assert oracle_gap(direct, weights_oracle(f, m, N)) > ORACLE_REL_TOL
+    assert np.max(np.abs(direct.values - _power_sum_oracle(f, m, N))) == 0.0
+
+
+def test_oracle_checks_before_allocating(monkeypatch):
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    f = unit_ball_symbol(2)
+    with pytest.raises(ValueError):
+        weights_oracle(f, 0, 3)
+    with pytest.raises(ValueError):
+        weights_oracle(f, 1, -1)
+    with pytest.raises(ValueError, match="cap"):
+        weights_oracle(f, 1, 200)
