@@ -13,10 +13,17 @@ eigenvalue tolerance they were judged against.
 
 The support of f at X is three arrays in `f.items()` order (`_support`):
 word lengths, coefficients a_w and the stacked monomials X_w.  One Phi
-step (`_phi`) forms every a_w X_w Y X_w^* in one batched product and adds
-them in support order, bit-identical to a word-by-word sum; the defects,
-the radius estimate, the Agler check and the sampler's ray polynomials
-all run on it.
+step (`_phi`) maps one Y or a stack of them: it forms every a_w X_w Y X_w^*
+in one batched product and adds them in support order, bit-identical to a
+word-by-word sum; the defects, the radius estimate, the Agler check and
+the sampler's ray polynomials all run on it.
+
+The sampler bisects a ray sX for the domain boundary.  Along the ray the
+defects Delta_1..Delta_m are matrix polynomials in t = s^2, built once per
+ray as one Hermitian (P, m, d, d) stack of coefficients
+(`_ray_coefficients`, one Phi step per k and support grade); each probe
+of the bisection is one in-place Horner pass over that stack and one
+eigensolve of the m defects it gives (`_ray_inside`).
 
 The support and the defect sequence of (f, m, X), with the root of
 Delta_m once a Berezin form asks for it, are one `PointState`, memoized
@@ -26,17 +33,19 @@ arrays, and the `DefectSequence` that `defect_sequence` returns, are
 read-only and shared.
 
 Overflow has one policy (`_nonfinite_ok`): the support, the Phi step, the
-defect recursion, `membership` and `agler_consistency` run with numpy's
-overflow and invalid-value warnings off, and their non-finite results
-are read as verdicts instead: a non-finite defect has minimum eigenvalue
--inf, a non-finite row sum has norm inf, a non-finite Agler gap is inf,
-and the radius estimate stops at the first non-finite iterate.
+defect recursion, `membership`, `agler_consistency` and the sampler's
+bisection run with numpy's overflow and invalid-value warnings off, and
+their non-finite results are read as verdicts instead: a non-finite
+defect has minimum eigenvalue -inf (a probe reads it as outside), a
+non-finite row sum has norm inf, a non-finite Agler gap is inf, and the
+radius estimate stops at the first non-finite iterate.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce, wraps
 from typing import Sequence
@@ -125,6 +134,13 @@ def _require_arity(f: PositiveRegularFunction, t: OperatorTuple) -> None:
         raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
 
 
+def _require_order(m) -> int:
+    """m as an int: ValueError below 1, TypeError if it is not an integer."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return operator.index(m)
+
+
 @_nonfinite_ok
 def _support(f: PositiveRegularFunction, x) -> Support:
     """f's support at X in `f.items()` order.
@@ -153,11 +169,13 @@ def _graded_monomials(t: OperatorTuple, N: int) -> np.ndarray:
 
 @_nonfinite_ok
 def _phi(support: Support, y: np.ndarray, part: slice = slice(None)) -> np.ndarray:
-    """sum a_w X_w Y X_w^* over the support words in ``part``: the terms come
-    from one batched product and are added in support order, so the result
-    is bit-identical to a word-by-word sum."""
+    """sum a_w X_w Y X_w^* over the support words in ``part``, for one Y of
+    shape (d, d) or each Y of a (P, d, d) stack: the terms come from one
+    batched product and are added in support order, so every result is
+    bit-identical to a word-by-word sum."""
     a, x = support[1][part], support[2][part]
-    terms = a[:, None, None] * (x @ y @ x.conj().swapaxes(1, 2))
+    x = x.reshape(len(x), *(1,) * (y.ndim - 2), *x.shape[1:])  # word axis before Y's stack axis
+    terms = a.reshape(x.shape[:-2] + (1, 1)) * (x @ y @ x.conj().swapaxes(-1, -2))
     return reduce(np.add, terms, np.zeros_like(y))
 
 
@@ -231,9 +249,7 @@ def _point_state(f: PositiveRegularFunction, m: int, x) -> PointState:
     """
     t = as_operator_tuple(x)
     _require_arity(f, t)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    m = operator.index(m)
+    m = _require_order(m)
     key = (f, m, t.dim, b"".join([a.tobytes() for a in t.mats]))
     return _POINTS.get(key, _new_point_state, f, m, t)
 
@@ -360,8 +376,7 @@ def agler_consistency(m: int, x) -> float:
     between the iterated and the binomial-expanded sides.  A non-finite
     gap reads inf.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _require_order(m)
     t = as_operator_tuple(x)
     d = t.dim
     linear = _support(unit_ball_symbol(t.n), t)
@@ -438,34 +453,57 @@ _BISECT_ITERS = 20  # halvings of the bracket around the boundary
 _SAFETY = 0.9  # fraction of the boundary radius a sample is pulled to
 
 
-def _ray_defects(
-    f: PositiveRegularFunction, m: int, base: OperatorTuple
-) -> list[np.ndarray]:
+def _ray_coefficients(support: Support, m: int) -> np.ndarray:
     """Delta_1..Delta_m at sX as matrix polynomials in t = s^2.
 
     Phi_{sX} = sum_j t^j Phi_j, with Phi_j the part of Phi_{f,X} from the
     support words of length j, so Delta_k has degree at most k deg f.
-    Entry k - 1 stacks the coefficients of Delta_k, constant term first.
+    Entry [p, k - 1] of the (m deg f + 1, m, d, d) stack is the Hermitian
+    part of the t^p coefficient of Delta_k, zero above its degree.  One
+    Phi step per k and grade maps every coefficient of Delta_{k-1}; the
+    grades run from the top down, so each coefficient takes its terms in
+    the order of a loop over single coefficients.
     """
-    support = _support(f, base)
-    lengths = support[0]
-    parts = [(j, slice(*np.searchsorted(lengths, [j, j + 1]))) for j in np.unique(lengths)]
-    prev = np.eye(base.dim, dtype=complex)[None]
-    out = []
-    for _ in range(m):
-        out.append(np.pad(prev, ((0, lengths[-1]), (0, 0), (0, 0))))
-        for p, c in enumerate(prev):
-            for j, part in parts:
-                out[-1][p + j] -= _phi(support, c, part)
-        prev = out[-1]
-    return out
+    lengths, d = support[0].tolist(), support[2].shape[-1]
+    top = lengths[-1]
+    grades = [(j, slice(bisect_left(lengths, j), bisect_right(lengths, j)))
+              for j in sorted(set(lengths))]
+    out = np.zeros((m * top + 1, m, d, d), dtype=complex)
+    prev = np.eye(d, dtype=complex)[None]
+    for k in range(m):
+        size = len(prev)
+        out[:size, k] = prev
+        for j, part in reversed(grades):
+            out[j : j + size, k] -= _phi(support, prev, part)
+        prev = out[: size + top, k]
+    return hermitian_part(out)
 
 
-def _horner(coeffs: np.ndarray, t: float) -> np.ndarray:
-    """sum_p t^p coeffs[p]."""
-    return reduce(lambda acc, c: c + t * acc, coeffs[-2::-1], coeffs[-1])
+def _ray_at(coeffs: np.ndarray, t: float) -> np.ndarray:
+    """Delta_1..Delta_m at t = s^2 from `_ray_coefficients`: one in-place
+    Horner pass over the stack, never a power of t."""
+    acc = coeffs[-1].copy()
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
 
 
+def _ray_inside(coeffs: np.ndarray, t: float, tol: float, bounded: bool) -> bool:
+    """The `membership` verdict at t = s^2: every least eigenvalue of the m
+    defects >= -tol, from one eigensolve of the stack.
+
+    A non-finite defect reads as outside.  ``bounded`` says the absolute
+    sum of the coefficients is far below overflow; then no Horner step at
+    t <= 1 can overflow, and the finiteness test is skipped there.
+    """
+    deltas = _ray_at(coeffs, t)
+    if (t > 1.0 or not bounded) and not np.isfinite(deltas).all():
+        return False
+    return bool(np.linalg.eigvalsh(deltas).min() >= -tol)
+
+
+@_nonfinite_ok
 def _scale_into_domain(
     f: PositiveRegularFunction,
     m: int,
@@ -475,15 +513,17 @@ def _scale_into_domain(
     """Bisect the ray through base for the boundary, then pull inside.
 
     Along a ray from the origin membership flips once for the starlike
-    domains this package works with, so bisection is justified.  Each
-    step reads the `membership` verdict at sX off `_ray_defects`, built
-    once per ray, stopping at the first k below -tol.  A boundary radius
-    under 2^-20 is found by up to 60 further halvings, then bisected.
+    domains this package works with, so bisection is justified.  The
+    support at the base and the ray coefficients are built once; each
+    probe is one `_ray_inside`, the `membership` verdict at sX.  A
+    boundary radius under 2^-20 is found by up to 60 further halvings,
+    then bisected.
     """
-    defects = _ray_defects(f, m, base)
+    coeffs = _ray_coefficients(_support(f, base), m)
+    bounded = bool(np.abs(coeffs).sum() < 1e300)
 
     def inside(s: float) -> bool:
-        return all(min_eigenvalue(_horner(c, s * s)) >= -tol for c in defects)
+        return _ray_inside(coeffs, s * s, tol, bounded)
 
     def bisect(lo: float, hi: float, steps: int) -> tuple[float, float]:
         for _ in range(steps):
@@ -510,6 +550,13 @@ def _scale_into_domain(
     return base.scaled(_SAFETY * lo)
 
 
+def _require_sample(m, dim) -> int:
+    """The `membership` gate on m, and dim >= 1, checked before any draw."""
+    if operator.index(dim) < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return _require_order(m)
+
+
 def _gaussian_tuple(n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
     """n complex Gaussian dim x dim matrices, real parts drawn first."""
     return [
@@ -528,10 +575,12 @@ def sample_member(
     """Draw a random tuple and scale it into the order-m domain of f.
 
     A random direction is bisected along its ray to locate the boundary,
-    then pulled inside to 0.9 of the boundary radius.  The defects along
-    the ray form one matrix polynomial per k, so no step calls
-    `membership`.
+    then pulled inside to 0.9 of the boundary radius.  The m defects along
+    the ray form one stack of matrix polynomials, so no step calls
+    `membership` and each probe is one eigensolve.  m and dim are checked
+    before anything is drawn from rng.
     """
+    m = _require_sample(m, dim)
     base = OperatorTuple(_gaussian_tuple(f.n, dim, rng))
     return _scale_into_domain(f, m, base, tol)
 
@@ -548,6 +597,7 @@ def sample_nilpotent_member(
     Products of dim or more factors vanish, so the sampled tuple has
     nilpotency order at most dim.
     """
+    m = _require_sample(m, dim)
     base = OperatorTuple([np.triu(a, k=1) for a in _gaussian_tuple(f.n, dim, rng)])
     if all(np.max(np.abs(a)) == 0 for a in base.mats):
         raise ValueError("nilpotent sample degenerated to zero; need dim >= 2")

@@ -16,7 +16,7 @@ def operator_norm(a: np.ndarray) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -27,9 +27,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a*) / 2."""
+    """(a + a*) / 2, of one matrix or of each in a stack."""
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

@@ -1,10 +1,14 @@
 """Defect sequences, membership, spectral radius, the vN gap, and sampling.
 
-The sampler bisects a matrix polynomial along the ray; the oracle it is
-held to is the plain bisection on full `membership` verdicts.
+The sampler bisects a matrix polynomial along the ray; the oracles it is
+held to are the plain bisection on full `membership` verdicts and the
+per-k path: one coefficient list, one Horner pass and one eigensolve per
+defect at each probe.
 """
 
 import math
+import sys
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -23,7 +27,7 @@ from ncdomain.cp_maps import (
     spectral_radius_estimate,
     von_neumann_gap,
 )
-from ncdomain.linalg import operator_norm
+from ncdomain.linalg import hermitian_part, min_eigenvalue, operator_norm
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
 from ncdomain.words import enumerate_words, word_products
 
@@ -217,6 +221,186 @@ def test_samplers_match_membership_bisection(f, m, d, seed, nilpotent):
     assert all(np.array_equal(a, b) for a, b in zip(x.mats, expected.mats))
 
 
+def _per_k_ray_defects(f, m, base):
+    """Delta_1..Delta_m along the ray as one coefficient list per k, built
+    one coefficient of Delta_{k-1} and one support grade at a time."""
+    support = cp_maps._support(f, base)
+    lengths = support[0]
+    parts = [(j, slice(*np.searchsorted(lengths, [j, j + 1]))) for j in np.unique(lengths)]
+    prev = np.eye(base.dim, dtype=complex)[None]
+    out = []
+    for _ in range(m):
+        out.append(np.pad(prev, ((0, lengths[-1]), (0, 0), (0, 0))))
+        for p, c in enumerate(prev):
+            for j, part in parts:
+                out[-1][p + j] -= cp_maps._phi(support, c, part)
+        prev = out[-1]
+    return out
+
+
+def _horner(coeffs, t):
+    """sum_p t^p coeffs[p]."""
+    return reduce(lambda acc, c: c + t * acc, coeffs[-2::-1], coeffs[-1])
+
+
+def _per_k_scale_into_domain(f, m, base, tol):
+    """The sampler's bisection with one Horner pass and one `min_eigenvalue`
+    per k at each probe, stopping at the first k below -tol."""
+    defects = _per_k_ray_defects(f, m, base)
+
+    def inside(s):
+        return all(min_eigenvalue(_horner(c, s * s)) >= -tol for c in defects)
+
+    def bisect(lo, hi, steps):
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        return lo, hi
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        if not inside(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise RuntimeError("could not bracket the domain boundary")
+    lo, hi = bisect(lo, hi, 20)
+    if lo == 0.0:
+        for _ in range(60):
+            lo, hi = bisect(lo, hi, 1)
+            if lo > 0.0:
+                break
+        else:
+            raise RuntimeError("found no member on the ray near the origin")
+        lo, hi = bisect(lo, hi, 20)
+    return base.scaled(0.9 * lo)
+
+
+def _sample_or_error(sampler, f, m, d, seed):
+    try:
+        return [a.copy() for a in sampler(f, m, d, np.random.default_rng(seed)).mats]
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    f=symbols(),
+    m=st.integers(1, 3),
+    d=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    nilpotent=st.booleans(),
+    e=st.integers(-18, 8),
+)
+def test_samplers_match_the_per_k_oracle_bit_for_bit(f, m, d, seed, nilpotent, e):
+    # bases scaled by 10^e move the boundary far out (bracket doublings)
+    # or below 2^-20 (the tiny-boundary fallback)
+    sampler = sample_nilpotent_member if nilpotent else sample_member
+    draw = cp_maps._gaussian_tuple
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp_maps, "_gaussian_tuple",
+                   lambda n, dim, rng: [10.0**e * a for a in draw(n, dim, rng)])
+        got = _sample_or_error(sampler, f, m, d, seed)
+        mp.setattr(cp_maps, "_scale_into_domain", _per_k_scale_into_domain)
+        want = _sample_or_error(sampler, f, m, d, seed)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    f=symbols(),
+    m=st.integers(1, 3),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    nilpotent=st.booleans(),
+)
+def test_ray_coefficients_are_the_per_k_polynomials(f, m, d, seed, nilpotent):
+    base = _random_tuple(f.n, d, seed, nilpotent=nilpotent)
+    coeffs = cp_maps._ray_coefficients(cp_maps._support(f, base), m)
+    polys = _per_k_ray_defects(f, m, base)
+    assert coeffs.shape == (m * f.degree + 1, m, d, d)
+    for k, poly in enumerate(polys):
+        padded = np.zeros_like(coeffs[:, k])
+        padded[: len(poly)] = poly
+        assert np.array_equal(coeffs[:, k], hermitian_part(padded))
+
+
+def _count_calls(monkeypatch, module, name, record):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        record[name] = record.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _counted_sample(monkeypatch, f, m, base):
+    record = {}
+    with monkeypatch.context() as mp:
+        for name in ("_support", "_phi", "_ray_inside"):
+            _count_calls(mp, cp_maps, name, record)
+        _count_calls(mp, np.linalg, "eigvalsh", record)
+        cp_maps._scale_into_domain(f, m, base, 1e-10)
+    return record
+
+
+def test_each_probe_is_one_eigensolve(monkeypatch):
+    # Delta_k = (1 - 2.25 t)^k I: the same verdicts, so the same 21 probes
+    # (s = 1 is outside, then 20 halvings) at every m
+    ray = OperatorTuple([1.5 * np.eye(3)])
+    for m in (1, 3):
+        record = _counted_sample(monkeypatch, unit_ball_symbol(1), m, ray)
+        assert record == {"_support": 1, "_phi": m, "_ray_inside": 21, "eigvalsh": 21}
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "21": 0.75, "122": 0.25})
+    record = _counted_sample(monkeypatch, f, 3, _random_tuple(2, 4, 8))
+    assert record["_support"] == 1
+    assert record["_phi"] == 3 * 3  # one per k and support grade
+    assert record["eigvalsh"] == record["_ray_inside"] >= 21
+
+
+def test_sampler_probes_a_far_boundary_without_overflow():
+    # the boundary radius is near 1e17, so t^9 would overflow at the far
+    # end of the bracket; the top coefficients of Delta_3 vanish on a
+    # nilpotent 4x4 base, so powers of t would give inf * 0 = NaN there
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "21": 0.75, "122": 0.25})
+    base = _random_tuple(2, 4, 0, scale=3e-18, nilpotent=True)
+    probed = []
+    real = cp_maps._ray_inside
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp_maps, "_ray_inside",
+                   lambda c, t, *args: probed.append(t) or real(c, t, *args))
+        x = cp_maps._scale_into_domain(f, 3, base, 1e-10)
+    assert 9 * math.log10(max(probed)) > math.log10(sys.float_info.max)
+    want = _per_k_scale_into_domain(f, 3, base, 1e-10)
+    assert all(np.array_equal(a, b) for a, b in zip(x.mats, want.mats))
+    assert membership(f, 3, x).member
+
+
+@pytest.mark.parametrize("sampler", [sample_member, sample_nilpotent_member])
+@pytest.mark.parametrize("m, dim, error, match", [
+    (0, 3, ValueError, "m must be >= 1"),
+    (-1, 3, ValueError, "m must be >= 1"),
+    (1.5, 3, TypeError, None),
+    (2, 0, ValueError, "dim must be >= 1"),
+    (2, -2, ValueError, "dim must be >= 1"),
+])
+def test_samplers_check_m_and_dim_before_drawing(sampler, m, dim, error, match):
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=match):
+        sampler(unit_ball_symbol(2), m, dim, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_nilpotent_sampler_still_needs_two_dimensions():
+    with pytest.raises(ValueError, match="need dim >= 2"):
+        sample_nilpotent_member(unit_ball_symbol(2), 1, 1, np.random.default_rng(0))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     f=symbols(),
@@ -229,10 +413,10 @@ def test_ray_defects_match_defect_sequence(f, m, d, seed, t):
     rng = np.random.default_rng(seed)
     raw = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(f.n)]
     base = OperatorTuple(raw).scaled(1.0 / (2.0 * math.sqrt(f.n * d)))
-    polys = cp_maps._ray_defects(f, m, base)
+    polys = cp_maps._ray_coefficients(cp_maps._support(f, base), m)
     deltas = defect_sequence(f, m, base.scaled(math.sqrt(t))).deltas
     for k in range(1, m + 1):
-        value = cp_maps._horner(polys[k - 1], t)
+        value = cp_maps._ray_at(polys, t)[k - 1]
         scale = max(1.0, float(np.max(np.abs(deltas[k]))))
         assert np.max(np.abs(value - deltas[k])) <= 1e-12 * scale
 
@@ -341,10 +525,14 @@ def test_phi_matches_the_per_word_sum_bit_for_bit(f, d, seed):
     items = f.items()
     support = cp_maps._support(f, t)
     assert np.array_equal(cp_maps._phi(support, y), _phi_per_word(items, t, y))
+    stack = np.array(_random_tuple(3, d, seed + 2).mats)
     for j in range(1, f.degree + 1):
         part = slice(*np.searchsorted(support[0], [j, j + 1]))
         assert np.array_equal(cp_maps._phi(support, y, part),
                               _phi_per_word(items[part], t, y))
+        mapped = cp_maps._phi(support, stack, part)
+        assert all(np.array_equal(mapped[i], cp_maps._phi(support, stack[i], part))
+                   for i in range(len(stack)))
 
 
 def _radius_per_iterate(f, t, kmax):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncdomain.linalg import kron
+from ncdomain.linalg import hermitian_part, kron, operator_norm
 
 
 def _complex(rng, shape):
@@ -31,3 +32,34 @@ def test_kron_is_np_kron_bit_for_bit(a_shape, b_shape):
         got = kron(a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["real", "complex", "zero"]),
+    scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
+)
+def test_operator_norm_is_the_two_norm(rows, cols, seed, kind, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        a = np.zeros((rows, cols))
+    elif kind == "real":
+        a = scale * rng.standard_normal((rows, cols))
+    else:
+        a = scale * _complex(rng, (rows, cols))
+    assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
+
+def test_operator_norm_of_an_empty_matrix_is_zero():
+    assert operator_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_hermitian_part_of_a_stack_is_each_matrix_bit_for_bit():
+    stack = _complex(np.random.default_rng(4), (3, 5, 5))
+    parts = hermitian_part(stack)
+    for a, h in zip(stack, parts):
+        assert h.tobytes() == hermitian_part(a).tobytes()
+        assert h.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
