@@ -44,7 +44,6 @@ from .cp_maps import (
     require_defects,
 )
 from .defaults import EIGENVALUE_TOL
-from .linalg import require_psd
 from .series import PositiveRegularFunction
 from .weights import weights_direct
 from .words import WordIndex
@@ -110,9 +109,7 @@ def _defect_root(state: PointState, m: int, tol: float) -> tuple[np.ndarray, np.
     Every Delta_k, k = 1..m, must pass the `membership` rule, not Delta_m
     alone."""
     require_defects(state.defects.min_eigenvalues, m, tol)
-    least, root, clipped = state.root()
-    require_psd(least, tol)
-    return root, clipped
+    return state.root()
 
 
 def berezin_kernel(

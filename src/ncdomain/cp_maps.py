@@ -18,9 +18,10 @@ in one batched product and adds them in support order, bit-identical to a
 word-by-word sum; the defects, the radius estimate, the Agler check and
 the sampler's ray polynomials all run on it.
 
-The sampler bisects a ray sX for the domain boundary.  Along the ray the
-defects Delta_1..Delta_m are matrix polynomials in t = s^2, built once per
-ray as one Hermitian (P, m, d, d) stack of coefficients
+The sampler bisects a ray sX for the domain boundary until the bracket
+[lo, hi] has hi - lo <= 2^-7 lo, and returns 0.9 lo X.  Along the ray
+the defects Delta_1..Delta_m are matrix polynomials in t = s^2, built once
+per ray as one Hermitian (P, m, d, d) stack of coefficients
 (`_ray_coefficients`, one Phi step per k and support grade); each probe
 of the bisection is one in-place Horner pass over that stack and one
 eigensolve of the m defects it gives (`_ray_inside`).
@@ -33,10 +34,11 @@ arrays, and the `DefectSequence` that `defect_sequence` returns, are
 read-only and shared.
 
 Overflow has one policy (`_nonfinite_ok`): the support, the Phi step, the
-defect recursion, `membership`, `agler_consistency` and the sampler's
-bisection run with numpy's overflow and invalid-value warnings off, and
-their non-finite results are read as verdicts instead: a non-finite
-defect has minimum eigenvalue -inf (a probe reads it as outside), a
+defect recursion, `membership`, `agler_consistency`, the sampler's
+bisection and the grade blocks of `rigidity` run with numpy's overflow and
+invalid-value warnings off, and their non-finite results are read as
+verdicts instead: a non-finite defect has minimum eigenvalue -inf
+(`linalg.min_eigenvalue`; a probe reads it as outside), a
 non-finite row sum has norm inf, a non-finite Agler gap is inf, and the
 radius estimate stops at the first non-finite iterate.
 """
@@ -209,7 +211,7 @@ def _defect_sequence(support: Support, m: int) -> DefectSequence:
     for _ in range(m):
         nxt = hermitian_part(deltas[-1] - _phi(support, deltas[-1]))
         deltas.append(nxt)
-        mins.append(min_eigenvalue(nxt) if np.isfinite(nxt).all() else -math.inf)
+        mins.append(min_eigenvalue(nxt))
     return DefectSequence(tuple(deltas), tuple(mins))
 
 
@@ -217,8 +219,8 @@ class PointState:
     """What the layers read of f at one tuple X for order m.
 
     ``support`` is `_support` at X and ``defects`` the `DefectSequence`;
-    `root` gives (least eigenvalue, root, clipped) of Delta_m from
-    `psd_root`, computed on first request.  Every array is read-only.
+    `root` gives (root, clipped) of Delta_m from `psd_root`, computed on
+    first request.  Every array is read-only.
     """
 
     __slots__ = ("support", "defects", "_root")
@@ -228,12 +230,11 @@ class PointState:
             a.setflags(write=False)
         self.support, self.defects, self._root = support, defects, None
 
-    def root(self) -> tuple[float, np.ndarray, np.ndarray]:
+    def root(self) -> tuple[np.ndarray, np.ndarray]:
         if self._root is None:
-            least, root, clipped = psd_root(self.defects.deltas[-1])
-            root.setflags(write=False)
-            clipped.setflags(write=False)
-            self._root = least, root, clipped
+            self._root = psd_root(self.defects.deltas[-1])
+            for a in self._root:
+                a.setflags(write=False)
         return self._root
 
 
@@ -449,8 +450,9 @@ def von_neumann_gap(
     return VonNeumannGap(operator_norm(lhs_sum), operator_norm(rhs_sum))
 
 
-_BISECT_ITERS = 20  # halvings of the bracket around the boundary
-_SAFETY = 0.9  # fraction of the boundary radius a sample is pulled to
+_BRACKET = 2.0**-7  # the bisection stops once hi - lo <= _BRACKET * lo
+_REACH = 2.0**-80  # a ray with no member at s = 2^-1, .., 2^-80 raises
+_SAFETY = 0.9  # fraction of the bracket's inner end a sample is pulled to
 
 
 def _ray_coefficients(support: Support, m: int) -> np.ndarray:
@@ -515,21 +517,17 @@ def _scale_into_domain(
     Along a ray from the origin membership flips once for the starlike
     domains this package works with, so bisection is justified.  The
     support at the base and the ray coefficients are built once; each
-    probe is one `_ray_inside`, the `membership` verdict at sX.  A
-    boundary radius under 2^-20 is found by up to 60 further halvings,
-    then bisected.
+    probe is one `_ray_inside`, the `membership` verdict at sX.  The
+    bracket [lo, hi] doubles from [0, 1] until hi is outside, then one
+    loop halves it until lo > 0 and hi - lo <= 2^-7 lo; a ray with no
+    member down to 2^-80 raises.  The sample is 0.9 lo X, between
+    0.9 / (1 + 2^-7) and 0.9 of the boundary radius.
     """
     coeffs = _ray_coefficients(_support(f, base), m)
     bounded = bool(np.abs(coeffs).sum() < 1e300)
 
     def inside(s: float) -> bool:
         return _ray_inside(coeffs, s * s, tol, bounded)
-
-    def bisect(lo: float, hi: float, steps: int) -> tuple[float, float]:
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-        return lo, hi
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
@@ -538,15 +536,11 @@ def _scale_into_domain(
         lo, hi = hi, 2.0 * hi
     else:
         raise RuntimeError("could not bracket the domain boundary")
-    lo, hi = bisect(lo, hi, _BISECT_ITERS)
-    if lo == 0.0:
-        for _ in range(60):
-            lo, hi = bisect(lo, hi, 1)
-            if lo > 0.0:
-                break
-        else:
+    while hi - lo > _BRACKET * lo:
+        if hi <= _REACH:
             raise RuntimeError("found no member on the ray near the origin")
-        lo, hi = bisect(lo, hi, _BISECT_ITERS)
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
     return base.scaled(_SAFETY * lo)
 
 
@@ -574,8 +568,9 @@ def sample_member(
 ) -> OperatorTuple:
     """Draw a random tuple and scale it into the order-m domain of f.
 
-    A random direction is bisected along its ray to locate the boundary,
-    then pulled inside to 0.9 of the boundary radius.  The m defects along
+    A random direction is bisected along its ray to within 2^-7 of the
+    boundary radius, then pulled inside to between 0.893 and 0.9 of that
+    radius (`_scale_into_domain`).  The m defects along
     the ray form one stack of matrix polynomials, so no step calls
     `membership` and each probe is one eigensolve.  m and dim are checked
     before anything is drawn from rng.

@@ -1,12 +1,15 @@
 """Small linear-algebra helpers with a fixed numerical policy.
 
 Operator norms are largest singular values; spectra of Hermitian matrices
-go through the symmetric eigensolver after explicit symmetrization.  Any
+go through the symmetric eigensolver after explicit symmetrization, and a
+matrix with a non-finite entry has least eigenvalue -inf.  Any
 clipping of slightly negative eigenvalues happens against an explicit
 tolerance, never silently.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,30 +36,24 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``a``."""
+    """Smallest eigenvalue of the Hermitian part of ``a``; -inf when ``a``
+    has a non-finite entry, which LAPACK may read as positive."""
+    if not np.isfinite(a).all():
+        return -math.inf
     return float(np.linalg.eigvalsh(hermitian_part(a))[0])
 
 
-def psd_root(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def psd_root(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal square root of a nearly-PSD Hermitian matrix.
 
-    Returns ``(least, root, clipped)``: the smallest eigenvalue of the
-    Hermitian part, its root with every negative eigenvalue clipped to
-    zero, and the PSD matrix actually rooted.  Whether the clipping is
-    admissible is judged by `require_psd` against an explicit tolerance.
+    Returns ``(root, clipped)``: the root of the Hermitian part with every
+    negative eigenvalue clipped to zero, and the PSD matrix actually
+    rooted.  Whether the clipping is admissible is for the caller to
+    judge against an explicit tolerance (for a defect, `membership`'s
+    rule via `cp_maps.require_defects`).
     """
     eigs, vecs = np.linalg.eigh(hermitian_part(a))
     clipped_eigs = np.clip(eigs, 0.0, None)
     root = (vecs * np.sqrt(clipped_eigs)) @ vecs.conj().T
     clipped = (vecs * clipped_eigs) @ vecs.conj().T
-    return float(eigs[0]), hermitian_part(root), hermitian_part(clipped)
-
-
-def require_psd(least: float, tol: float) -> None:
-    """Raise ValueError when the smallest eigenvalue is below -tol, the rule
-    `membership` judges defects by."""
-    if least < -tol:
-        raise ValueError(
-            f"matrix is not positive semidefinite within tolerance: "
-            f"minimum eigenvalue {least:.3e} vs -{tol:.1e}"
-        )
+    return hermitian_part(root), hermitian_part(clipped)

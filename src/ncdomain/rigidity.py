@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cp_maps import MembershipVerdict, membership
+from .cp_maps import MembershipVerdict, _nonfinite_ok, membership
 from .defaults import EIGENVALUE_TOL, physical_memory
 from .fock_model import _SeriesPlan, build_model, evaluate_on_model
 from .linalg import hermitian_part, kron, min_eigenvalue
@@ -105,6 +105,7 @@ class BiholoCertificate:
 _TOP_BLOCKS = 6
 
 
+@_nonfinite_ok
 def _grade_block_minima(
     f: PositiveRegularFunction,
     m: int,
@@ -119,7 +120,7 @@ def _grade_block_minima(
     eigenvalue of the grade-L block of Delta_k, k = 1..l, L = 0..N.  The
     step Z_J -> Z_J - sum_k M_k (x) Z_{J-k} reads only lower grades, so
     it runs from the top grade down in place, and block L is the same at
-    every depth N >= L.
+    every depth N >= L.  A block that overflows reads -inf.
     """
     n = f.n
     need = _TOP_BLOCKS * 16 * n ** (2 * N)

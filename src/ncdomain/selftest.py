@@ -335,7 +335,7 @@ def check_form_agreement(profile: SelftestProfile, seed: int) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(kv - rv))))
     return CheckResult.at_most(
         "form_agreement", worst, FORM_AGREEMENT_TOL,
-        f"{profile.agreement_trials} sampled members at 0.9 of the boundary",
+        f"{profile.agreement_trials} sampled members at 0.893 to 0.9 of the boundary",
     )
 
 

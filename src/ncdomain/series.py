@@ -154,10 +154,6 @@ class FreeSeries:
     def _nonzero_grades(self) -> list[tuple[int, np.ndarray]]:
         return [(k, g) for k, g in enumerate(self._grades) if g.any()]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._nonzero_grades()
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other: "FreeSeries") -> None:

@@ -158,9 +158,6 @@ class WordIndex:
             )
         return self.offset(len(letters)) + word_num(letters, self.n)
 
-    def letters_of(self, i: int) -> Letters:
-        return self.words[i]
-
     def offset(self, k: int) -> int:
         """Index of the first word of length k (k <= max_length + 1)."""
         return self._grade_starts[k]

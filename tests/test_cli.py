@@ -581,6 +581,24 @@ def test_biholo_verdict_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_biholo_reads_an_overflowing_image_as_minus_inf(tmp_path, capsys):
+    ball = write_config(tmp_path, "ball.json", n=2, m=1, depth=3,
+                        coeffs={"1": 1.0, "2": 1.0})
+    target = write_config(tmp_path, "target.json", n=2, m=1, depth=3,
+                          coeffs={"1": 1.0, "2": 1.0, "12": 0.5})
+    umap = tmp_path / "u.json"
+    umap.write_text(json.dumps({"matrix": [[1e78, 0.0], [0.0, 1e78]]}))
+    out = tmp_path / "r.json"
+    code = main(["biholo", "--config", str(ball), "--target-config", str(target),
+                 "--map", str(umap), "--format", "json", "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["report"]["checks"]}
+    assert checks["forward"]["value"] == -np.inf
+    assert not checks["forward"]["passed"]
+    assert checks["backward"]["passed"]
+    assert "Warning" not in capsys.readouterr().err
+
+
 def test_probe_cartan_flags_quadratic(tmp_path, capsys):
     cfg = write_config(tmp_path, m=1, depth=3)
     fmap = tmp_path / "map.json"

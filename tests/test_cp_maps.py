@@ -168,23 +168,32 @@ def test_sample_nilpotent_member_structure():
     assert np.allclose(monomial_product(x, word), 0.0)
 
 
-def _oracle_scale_into_domain(f, m, base, tol):
-    """Bisection on full membership verdicts at each scaled tuple."""
+def _bisect_ray(inside):
+    """The sampler's stop rule on a verdict s -> bool: double [0, 1] until
+    hi is outside, then halve until lo > 0 and hi - lo <= 2^-7 lo, giving
+    up when no member shows up above 2^-80; returns 0.9 lo."""
     lo, hi = 0.0, 1.0
     for _ in range(60):
-        if not membership(f, m, base.scaled(hi), tol=tol).member:
+        if not inside(hi):
             break
         lo = hi
         hi *= 2.0
     else:
         raise RuntimeError("could not bracket the domain boundary")
-    for _ in range(20):
+    while lo == 0.0 or hi - lo > lo / 128:
+        if lo == 0.0 and hi <= 2.0**-80:
+            raise RuntimeError("found no member on the ray near the origin")
         mid = 0.5 * (lo + hi)
-        if membership(f, m, base.scaled(mid), tol=tol).member:
+        if inside(mid):
             lo = mid
         else:
             hi = mid
-    return base.scaled(0.9 * (lo if lo > 0 else hi))
+    return 0.9 * lo
+
+
+def _oracle_scale_into_domain(f, m, base, tol):
+    """Bisection on full membership verdicts at each scaled tuple."""
+    return base.scaled(_bisect_ray(lambda s: membership(f, m, base.scaled(s), tol=tol).member))
 
 
 @st.composite
@@ -221,6 +230,24 @@ def test_samplers_match_membership_bisection(f, m, d, seed, nilpotent):
     assert all(np.array_equal(a, b) for a, b in zip(x.mats, expected.mats))
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    f=symbols(),
+    m=st.integers(1, 3),
+    d=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    nilpotent=st.booleans(),
+)
+def test_sample_sits_in_a_relative_bracket_of_the_boundary(f, m, d, seed, nilpotent):
+    # lo = sample / 0.9 is a member and hi <= lo (1 + 2^-7) is not, so on
+    # the starlike domain lo (1 + 2^-6) is not a member either
+    sampler = sample_nilpotent_member if nilpotent else sample_member
+    x = sampler(f, m, d, np.random.default_rng(seed))
+    lo = x.scaled(1.0 / cp_maps._SAFETY)
+    assert membership(f, m, lo).member
+    assert not membership(f, m, lo.scaled(1.0 + 2.0**-6)).member
+
+
 def _per_k_ray_defects(f, m, base):
     """Delta_1..Delta_m along the ray as one coefficient list per k, built
     one coefficient of Delta_{k-1} and one support grade at a time."""
@@ -251,29 +278,7 @@ def _per_k_scale_into_domain(f, m, base, tol):
     def inside(s):
         return all(min_eigenvalue(_horner(c, s * s)) >= -tol for c in defects)
 
-    def bisect(lo, hi, steps):
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-        return lo, hi
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if not inside(hi):
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise RuntimeError("could not bracket the domain boundary")
-    lo, hi = bisect(lo, hi, 20)
-    if lo == 0.0:
-        for _ in range(60):
-            lo, hi = bisect(lo, hi, 1)
-            if lo > 0.0:
-                break
-        else:
-            raise RuntimeError("found no member on the ray near the origin")
-        lo, hi = bisect(lo, hi, 20)
-    return base.scaled(0.9 * lo)
+    return base.scaled(_bisect_ray(inside))
 
 
 def _sample_or_error(sampler, f, m, d, seed):
@@ -294,7 +299,7 @@ def _sample_or_error(sampler, f, m, d, seed):
 )
 def test_samplers_match_the_per_k_oracle_bit_for_bit(f, m, d, seed, nilpotent, e):
     # bases scaled by 10^e move the boundary far out (bracket doublings)
-    # or below 2^-20 (the tiny-boundary fallback)
+    # or far in (many halvings before the first member)
     sampler = sample_nilpotent_member if nilpotent else sample_member
     draw = cp_maps._gaussian_tuple
     with pytest.MonkeyPatch.context() as mp:
@@ -349,17 +354,18 @@ def _counted_sample(monkeypatch, f, m, base):
 
 
 def test_each_probe_is_one_eigensolve(monkeypatch):
-    # Delta_k = (1 - 2.25 t)^k I: the same verdicts, so the same 21 probes
-    # (s = 1 is outside, then 20 halvings) at every m
+    # Delta_k = (1 - 2.25 t)^k I: the same verdicts, so the same 9 probes
+    # (s = 1 is outside, s = 1/2 inside, then 7 halvings of [1/2, 1]) at
+    # every m
     ray = OperatorTuple([1.5 * np.eye(3)])
     for m in (1, 3):
         record = _counted_sample(monkeypatch, unit_ball_symbol(1), m, ray)
-        assert record == {"_support": 1, "_phi": m, "_ray_inside": 21, "eigvalsh": 21}
+        assert record == {"_support": 1, "_phi": m, "_ray_inside": 9, "eigvalsh": 9}
     f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "21": 0.75, "122": 0.25})
     record = _counted_sample(monkeypatch, f, 3, _random_tuple(2, 4, 8))
     assert record["_support"] == 1
     assert record["_phi"] == 3 * 3  # one per k and support grade
-    assert record["eigvalsh"] == record["_ray_inside"] >= 21
+    assert record["eigvalsh"] == record["_ray_inside"] >= 9
 
 
 def test_sampler_probes_a_far_boundary_without_overflow():
@@ -463,7 +469,8 @@ def test_hot_path_skips_membership_and_word_lists(monkeypatch):
 
 @pytest.mark.parametrize("a", [1e12, 1e14])
 def test_sample_member_finds_a_tiny_boundary(a):
-    # the boundary radius lies below 2^-20, under the first bisection
+    # the boundary radius lies below 2^-20: the bisection halves [0, 1]
+    # more than twenty times before it meets its first member
     f = PositiveRegularFunction(1, {(1,): a})
     x = sample_member(f, 1, 3, np.random.default_rng(0))
     assert membership(f, 1, x).member

@@ -193,8 +193,8 @@ def test_grade_row_diagonal_matches_dense_sum(n, m):
     for k in range(model.N + 1):
         want = np.zeros((model.index.dim, model.index.dim), dtype=complex)
         for i in model.index.grade(k):
-            vw = model_monomial(model, model.index.letters_of(i))
-            want += model[model.index.letters_of(i)] * (vw @ vw.conj().T)
+            vw = model_monomial(model, model.index.words[i])
+            want += model[model.index.words[i]] * (vw @ vw.conj().T)
         got = grade_row_diagonal(model, k)
         assert np.array_equal(want, np.diag(np.diag(want)))
         np.testing.assert_allclose(got, np.diag(want).real, rtol=1e-13, atol=0)

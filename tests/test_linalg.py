@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdomain.linalg import hermitian_part, kron, operator_norm
+from ncdomain.linalg import hermitian_part, kron, min_eigenvalue, operator_norm
 
 
 def _complex(rng, shape):
@@ -63,3 +63,13 @@ def test_hermitian_part_of_a_stack_is_each_matrix_bit_for_bit():
     for a, h in zip(stack, parts):
         assert h.tobytes() == hermitian_part(a).tobytes()
         assert h.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("a", [
+    [[np.nan, 0.0], [0.0, 1.0]],  # LAPACK's eigvalsh gives [0, -0] here
+    [[1.0, 0.0], [0.0, np.inf]],
+    [[1.0, -np.inf], [0.0, 1.0]],
+    [[1.0, complex(0.0, np.nan)], [0.0, 1.0]],
+])
+def test_min_eigenvalue_reads_a_non_finite_matrix_as_minus_inf(a):
+    assert min_eigenvalue(np.array(a)) == -np.inf

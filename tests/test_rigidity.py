@@ -91,6 +91,17 @@ def test_doubling_the_ball_fails_with_eigenvalue_minus_three():
     assert min(cert.forward_eigenvalues) == pytest.approx(-3.0, abs=1e-9)
 
 
+def test_an_overflowing_image_reads_minus_inf():
+    # at U = 1e78 I the grade-3 blocks of the image's defect overflow to
+    # inf - inf; the certificate reads them as -inf, with no numpy warning
+    f = PositiveRegularFunction(2, {"1": 1.0, "2": 1.0})
+    g = PositiveRegularFunction(2, {"1": 1.0, "2": 1.0, "12": 0.5})
+    cert = check_linear_biholomorphism(f, 1, g, 1, 1e78 * np.eye(2), 3)
+    assert min(cert.forward_eigenvalues) == -np.inf
+    assert not cert.forward_member
+    assert cert.backward_member
+
+
 def test_certificate_symmetry_under_inverse():
     f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5})
     g = rescale_symbol(f, [2.0, 0.5])

@@ -76,7 +76,7 @@ def test_index_bijection():
     index = enumerate_words(3, 3)
     assert index.dim == word_count(3, 3)
     for i in range(index.dim):
-        assert index.index_of(index.letters_of(i)) == i
+        assert index.index_of(index.words[i]) == i
     assert index.index_of("") == 0
     assert index.index_of("31") == index.index_of(parse_word("31", 3))
 
@@ -91,7 +91,7 @@ def test_grade_blocks_are_contiguous():
     seen = []
     for k in range(4):
         block = index.grade(k)
-        assert all(len(index.letters_of(i)) == k for i in block)
+        assert all(len(index.words[i]) == k for i in block)
         seen.extend(block)
     assert seen == list(range(index.dim))
 
@@ -111,7 +111,7 @@ def test_index_arrays_match_per_word_loops(n):
     assert list(index.words) == loop
     assert [index.index_of(w) for w in loop] == list(range(index.dim))
     for length in range(N + 1):
-        words = [index.letters_of(i) for i in index.grade(length)]
+        words = [index.words[i] for i in index.grade(length)]
         assert index.offset(length) == pos[words[0]]
         for k in range(length + 1):
             prefix, suffix = index.split(length, k)
@@ -145,7 +145,7 @@ def test_index_of_word_of_inverse(n, letters):
     letters = tuple(min(x, n) for x in letters)
     index = enumerate_words(n, 5)
     i = index.index_of(letters)
-    assert index.letters_of(i) == letters
+    assert index.words[i] == letters
 
 
 def test_word_products_memoize_every_suffix():
