@@ -21,12 +21,13 @@ the `membership` rule alone.  Tensor factors are ordered Fock slot
 first, coefficient space second, throughout.
 
 Both forms read the weight table (`weights_direct`) and the support,
-defects and defect root at T (`cp_maps._point_state`) from one-deep
-memos keyed by value, so at one point `membership`, `build_model` and
-the first form pay for them and the second form reads them; what the
-memos hold is read-only and shared.  Each form ends in the same two
-GEMMs (`_sandwich`): g against the (dim, d^2) blocks, then the sum over
-the Fock slot and one coefficient slot.
+defects and defect root at T (the `cp_maps.PointState` of
+`_point_state`) from caches that hold the last key by value, so at one
+point `membership`, `build_model` and the first form pay for them and
+the second form reads them; what the caches hold is read-only and
+shared.  Each form admits T through `PointState.require_member`.  Each
+form ends in the same two GEMMs (`_sandwich`): g against the (dim, d^2)
+blocks, then the sum over the Fock slot and one coefficient slot.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_maps import (
-    OperatorTuple,
-    PointState,
-    _graded_monomials,
-    _point_state,
-    as_operator_tuple,
-    require_defects,
-)
+from .cp_maps import OperatorTuple, _graded_monomials, _point_state, as_operator_tuple
 from .defaults import EIGENVALUE_TOL
 from .series import PositiveRegularFunction
 from .weights import weights_direct
@@ -68,15 +62,6 @@ class BerezinKernel:
     def dim(self) -> int:
         return self.index.dim
 
-    def _columns(self) -> np.ndarray:
-        """K as a (dim d) x d matrix, rows (v, a)."""
-        return self.blocks.reshape(-1, self.blocks.shape[-1])
-
-    def gram(self) -> np.ndarray:
-        """K^* K, the transform of the identity."""
-        k = self._columns()
-        return k.conj().T @ k
-
     def transform(self, g: np.ndarray) -> np.ndarray:
         """K^* (g (x) I_d) K without forming the Kronecker product."""
         g = np.asarray(g, dtype=complex)
@@ -85,7 +70,8 @@ class BerezinKernel:
                 f"g must be {self.dim} x {self.dim} on the truncated Fock "
                 f"space, got {g.shape}"
             )
-        return _sandwich(self._columns().conj(), g, self.blocks)
+        columns = self.blocks.reshape(-1, self.blocks.shape[-1])  # K, rows (v, a)
+        return _sandwich(columns.conj(), g, self.blocks)
 
 
 def _sandwich(left_bar: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -101,15 +87,6 @@ def _sandwich(left_bar: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndar
     dim, d = right.shape[0], right.shape[-1]
     mixed = (g @ right.reshape(dim, d * d)).reshape(dim * d, d)
     return left_bar.T @ mixed
-
-
-def _defect_root(state: PointState, m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Delta, Delta^2) from the order-m defect; ValueError off the domain.
-
-    Every Delta_k, k = 1..m, must pass the `membership` rule, not Delta_m
-    alone."""
-    require_defects(state.defects.min_eigenvalues, m, tol)
-    return state.root()
 
 
 def berezin_kernel(
@@ -128,7 +105,9 @@ def berezin_kernel(
     per grade, so the word list of the index is never built.
     """
     t = as_operator_tuple(t)
-    root, _ = _defect_root(_point_state(f, m, t), m, tol)
+    state = _point_state(f, m, t)
+    state.require_member(tol)
+    root, _ = state.root()
     table = weights_direct(f, m, N)
     adjoints = _graded_monomials(t, N).conj().swapaxes(1, 2)
     blocks = np.sqrt(table.values)[:, None, None] * (root @ adjoints)
@@ -185,7 +164,8 @@ def berezin_transform_resolvent(
         raise ValueError(
             f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
         )
-    _, delta_sq = _defect_root(state, m, tol)
+    state.require_member(tol)
+    _, delta_sq = state.root()
     _, coeffs, monos = state.support
     terms = list(zip(f.support(), coeffs, monos.conj().swapaxes(1, 2)))
     steps = []

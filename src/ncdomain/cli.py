@@ -412,7 +412,7 @@ def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
         )
         report.results["resolvent"] = rv
         report.results["growth_estimate"] = diag.growth_estimate
-        # the support the resolvent form just read, from the point memo
+        # the support the resolvent form just read, from the point cache
         state = _point_state(cfg.symbol, cfg.m, mats)
         report.results["radius_estimate"] = _radius_estimate(state.support).final
     if ns.form == "both":

@@ -26,12 +26,14 @@ per ray as one Hermitian (P, m, d, d) stack of coefficients
 of the bisection is one in-place Horner pass over that stack and one
 eigensolve of the m defects it gives (`_ray_inside`).
 
-The support and the defect sequence of (f, m, X), with the root of
-Delta_m once a Berezin form asks for it, are one `PointState`, memoized
-one deep by value (`_point_state`, keyed by f, m and the bytes of X):
-`membership` and both Berezin forms at one point build it once.  Its
-arrays, and the `DefectSequence` that `defect_sequence` returns, are
-read-only and shared.
+The support and the defects of (f, m, X), with the root of Delta_m once
+a Berezin form asks for it, are one `PointState`, which
+`defect_sequence` returns.  The last one is cached by value
+(`functools.lru_cache(maxsize=1)` on `_cached_point`, keyed by f, m, d
+and the bytes of X), so `membership`, `von_neumann_gap` and both Berezin
+forms at one point build it once; its arrays are read-only and shared.
+The layers that need a member call `PointState.require_member`, which
+raises on the tuples `membership` calls non-members.
 
 Overflow has one policy (`_nonfinite_ok`): the support, the Phi step, the
 defect recursion, `membership`, `agler_consistency`, the sampler's
@@ -49,7 +51,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import lru_cache, reduce, wraps
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +59,6 @@ import numpy as np
 from .defaults import EIGENVALUE_TOL
 from .fock_model import build_model, monomial_pair
 from .linalg import hermitian_part, kron, min_eigenvalue, operator_norm, psd_root
-from .memo import OneDeep
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .words import _as_letters, enumerate_words, word_products
 
@@ -181,68 +182,59 @@ def _phi(support: Support, y: np.ndarray, part: slice = slice(None)) -> np.ndarr
     return reduce(np.add, terms, np.zeros_like(y))
 
 
-@dataclass(frozen=True)
-class DefectSequence:
-    """Iterated defects Delta_k = (id - Phi)^k (I) for k = 0..m."""
+class PointState:
+    """The support of f at one tuple X and its defects for order m.
 
-    deltas: tuple[np.ndarray, ...]
-    min_eigenvalues: tuple[float, ...]  # for k = 1..m
+    ``support`` is `_support` at X; ``deltas`` are Delta_0 = I and
+    Delta_k = Delta_{k-1} - Phi(Delta_{k-1}) for k = 1..m, each
+    Hermitian-symmetrized so roundoff cannot leak non-Hermitian parts into
+    the spectra; ``min_eigenvalues`` are their least eigenvalues for
+    k = 1..m, -inf for a non-finite Delta_k.  `root` gives (root, clipped)
+    of Delta_m from `psd_root`, computed on first request.  Every array is
+    read-only.
+    """
+
+    __slots__ = ("support", "deltas", "min_eigenvalues", "_root")
+
+    @_nonfinite_ok
+    def __init__(self, support: Support, m: int):
+        deltas = [np.eye(support[2].shape[-1], dtype=complex)]
+        for _ in range(m):
+            deltas.append(hermitian_part(deltas[-1] - _phi(support, deltas[-1])))
+        for a in (*support, *deltas):
+            a.setflags(write=False)
+        self.support, self.deltas, self._root = support, tuple(deltas), None
+        self.min_eigenvalues = tuple(min_eigenvalue(a) for a in deltas[1:])
 
     @property
     def order(self) -> int:
         return len(self.deltas) - 1
 
-
-def defect_sequence(f: PositiveRegularFunction, m: int, x) -> DefectSequence:
-    """Compute Delta_0 = I, Delta_k = Delta_{k-1} - Phi(Delta_{k-1}).
-
-    Each iterate is Hermitian-symmetrized before use so roundoff cannot
-    leak non-Hermitian parts into the spectra.  The sequence is the
-    memoized `_point_state` of (f, m, X): read-only and shared.
-    """
-    return _point_state(f, m, x).defects
-
-
-@_nonfinite_ok
-def _defect_sequence(support: Support, m: int) -> DefectSequence:
-    """A non-finite Delta_k has minimum eigenvalue -inf."""
-    deltas = [np.eye(support[2].shape[-1], dtype=complex)]
-    mins = []
-    for _ in range(m):
-        nxt = hermitian_part(deltas[-1] - _phi(support, deltas[-1]))
-        deltas.append(nxt)
-        mins.append(min_eigenvalue(nxt))
-    return DefectSequence(tuple(deltas), tuple(mins))
-
-
-class PointState:
-    """What the layers read of f at one tuple X for order m.
-
-    ``support`` is `_support` at X and ``defects`` the `DefectSequence`;
-    `root` gives (root, clipped) of Delta_m from `psd_root`, computed on
-    first request.  Every array is read-only.
-    """
-
-    __slots__ = ("support", "defects", "_root")
-
-    def __init__(self, support: Support, defects: DefectSequence):
-        for a in (*support, *defects.deltas):
-            a.setflags(write=False)
-        self.support, self.defects, self._root = support, defects, None
+    def require_member(self, tol: float) -> None:
+        """Raise ValueError unless every Delta_k passes the `membership` rule."""
+        if not all(v >= -tol for v in self.min_eigenvalues):
+            raise ValueError(
+                f"tuple lies outside the order-{self.order} domain: not a member "
+                f"within tolerance; worst defect eigenvalue "
+                f"{min(self.min_eigenvalues):.3e}"
+            )
 
     def root(self) -> tuple[np.ndarray, np.ndarray]:
         if self._root is None:
-            self._root = psd_root(self.defects.deltas[-1])
+            self._root = psd_root(self.deltas[-1])
             for a in self._root:
                 a.setflags(write=False)
         return self._root
 
 
-_POINTS = OneDeep()  # the state of the last (f, m, X) given to _point_state
+def defect_sequence(f: PositiveRegularFunction, m: int, x) -> PointState:
+    """The defects Delta_0..Delta_m of f at X: the cached `_point_state`,
+    read-only and shared."""
+    return _point_state(f, m, x)
 
 
 def _point_state(f: PositiveRegularFunction, m: int, x) -> PointState:
-    """The support and defects of f at X, memoized one deep by value.
+    """The `PointState` of f at X for order m, cached for the last key.
 
     The key is f, m, d and the bytes of X, so an equal symbol built anew
     hits and a matrix changed in place misses.  The arity of X and m are
@@ -251,13 +243,14 @@ def _point_state(f: PositiveRegularFunction, m: int, x) -> PointState:
     t = as_operator_tuple(x)
     _require_arity(f, t)
     m = _require_order(m)
-    key = (f, m, t.dim, b"".join([a.tobytes() for a in t.mats]))
-    return _POINTS.get(key, _new_point_state, f, m, t)
+    return _cached_point(f, m, t.dim, b"".join([a.tobytes() for a in t.mats]))
 
 
-def _new_point_state(f: PositiveRegularFunction, m: int, t: OperatorTuple) -> PointState:
-    support = _support(f, t)
-    return PointState(support, _defect_sequence(support, m))
+@lru_cache(maxsize=1)
+def _cached_point(f: PositiveRegularFunction, m: int, d: int, data: bytes) -> PointState:
+    """X rebuilt from its bytes, so the arguments are exactly the key."""
+    x = np.frombuffer(data, complex).reshape(-1, d, d)
+    return PointState(_support(f, x), m)
 
 
 @dataclass(frozen=True)
@@ -286,35 +279,19 @@ def membership(
 
     A non-finite row sum sum_i X_i X_i^* has norm inf."""
     t = as_operator_tuple(x)
-    seq = defect_sequence(f, m, t)
-    member = all(v >= -tol for v in seq.min_eigenvalues)
+    state = _point_state(f, m, t)
+    member = all(v >= -tol for v in state.min_eigenvalues)
     rows = sum(a @ a.conj().T for a in t.mats)
     row = operator_norm(rows) if np.isfinite(rows).all() else math.inf
     bound = 1.0 / f.min_linear_coefficient
     return MembershipVerdict(
         member=member,
-        min_eigenvalues=seq.min_eigenvalues,
+        min_eigenvalues=state.min_eigenvalues,
         tolerance=tol,
         row_norm=row,
         row_norm_bound=bound,
         bound_ok=row <= bound + tol,
     )
-
-
-def require_defects(min_eigenvalues: Sequence[float], m: int, tol: float) -> None:
-    """Raise ValueError unless every defect eigenvalue passes the `membership` rule."""
-    if not all(v >= -tol for v in min_eigenvalues):
-        raise ValueError(
-            f"tuple lies outside the order-{m} domain: not a member within "
-            f"tolerance; worst defect eigenvalue {min(min_eigenvalues):.3e}"
-        )
-
-
-def require_member(
-    f: PositiveRegularFunction, m: int, t: OperatorTuple, tol: float
-) -> None:
-    """Raise ValueError unless T passes the order-m membership test."""
-    require_defects(defect_sequence(f, m, t).min_eigenvalues, m, tol)
 
 
 @dataclass(frozen=True)
@@ -415,13 +392,13 @@ def von_neumann_gap(
 ) -> VonNeumannGap:
     """Compare ||sum X_a X_b^* (x) C|| against the same expression at V.
 
-    ``terms`` is a sequence of (alpha, beta, C) with words alpha, beta of
-    length <= N and a common square coefficient C (scalars allowed).  X
-    must be a member of the order-m domain of f within tol; then the
-    left-hand norm never exceeds the model norm beyond roundoff.
+    ``terms`` is a nonempty sequence of (alpha, beta, C) with words alpha,
+    beta of length <= N and a common square coefficient C (scalars
+    allowed).  X must be a member of the order-m domain of f within tol;
+    then the left-hand norm never exceeds the model norm beyond roundoff.
     """
     t = as_operator_tuple(x)
-    require_member(f, m, t, tol)
+    _point_state(f, m, t).require_member(tol)
     model = build_model(f, m, N)
     parsed = []
     e = None
@@ -440,6 +417,8 @@ def von_neumann_gap(
         if cm.shape != (e, e):
             raise ValueError("hereditary coefficients must share one shape")
         parsed.append((a, b, cm))
+    if not parsed:
+        raise ValueError("hereditary expression needs at least one term")
     lhs_sum = np.zeros((t.dim * e, t.dim * e), dtype=complex)
     rhs_sum = np.zeros((model.index.dim * e, model.index.dim * e), dtype=complex)
     for a, b, cm in parsed:

@@ -163,23 +163,11 @@ def load_symbol(path) -> PositiveRegularFunction:
     return symbol_from_mapping(_read_json(path), where=str(path))
 
 
-def save_symbol(f: PositiveRegularFunction, path) -> None:
-    coeffs = {word_text(word): float(a) for word, a in f.items()}
-    data = {"n": f.n, "coeffs": coeffs}
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def load_matrix(path) -> np.ndarray:
     data = _read_json(path)
     if "matrix" not in data:
         raise FormatError(f"{path}: missing field 'matrix'")
     return _decode_matrix(data["matrix"], f"{path}: matrix")
-
-
-def save_matrix(mat: np.ndarray, path) -> None:
-    Path(path).write_text(
-        json.dumps({"matrix": _encode_matrix(mat)}, indent=2) + "\n"
-    )
 
 
 def load_tuple(path) -> list[np.ndarray]:
@@ -190,8 +178,3 @@ def load_tuple(path) -> list[np.ndarray]:
     return [
         _decode_matrix(rows, f"{path}: matrices[{k}]") for k, rows in enumerate(raw)
     ]
-
-
-def save_tuple(mats, path) -> None:
-    data = {"matrices": [_encode_matrix(np.asarray(m)) for m in mats]}
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")

@@ -50,7 +50,7 @@ def psd_root(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     negative eigenvalue clipped to zero, and the PSD matrix actually
     rooted.  Whether the clipping is admissible is for the caller to
     judge against an explicit tolerance (for a defect, `membership`'s
-    rule via `cp_maps.require_defects`).
+    rule via `cp_maps.PointState.require_member`).
     """
     eigs, vecs = np.linalg.eigh(hermitian_part(a))
     clipped_eigs = np.clip(eigs, 0.0, None)

@@ -57,6 +57,8 @@ class LinearMapCandidate:
         u = np.asarray(matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"candidate must be a square matrix, got {u.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("candidate matrix has a non-finite entry")
         try:
             inv = np.linalg.inv(u)
         except np.linalg.LinAlgError as exc:

@@ -27,20 +27,22 @@ coefficient, so it checks the binomials of `weights_direct` too.  The
 two share only the coefficient lookup and the base-n row convention,
 and the test suite demands relative agreement to 1e-12.
 
-`weights_direct` is memoized one deep by value (`memo.OneDeep`): a call
-with the (f, m, N) of the previous call, f equal by value, shares its
-read-only values array instead of summing again.  `weights_oracle` is
-never memoized, so the oracle check stays genuine.
+`weights_direct` remembers its last values array
+(`functools.lru_cache(maxsize=1)` on `_direct_values`): a call with the
+(f, m, N) of the previous call, f equal by value, shares its read-only
+values array instead of summing again, and a call that raises keeps the
+old entry.  `weights_oracle` is never memoized, so the oracle check
+stays genuine.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
-from .memo import OneDeep
 from .series import PositiveRegularFunction
 from .words import Letters, WordIndex, word_num
 
@@ -92,13 +94,10 @@ class WeightTable:
         return self.values[: index.dim]
 
 
-_VALUES = OneDeep()  # the values of the last (f, m, N) given to weights_direct
-
-
 def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     """Weights by direct summation over support-word factorizations.
 
-    m, N and the basis cap are checked on every call, before the memo
+    m, N and the basis cap are checked on every call, before the cache
     lookup, and every call gets its own table and word index.
     """
     if m < 1:
@@ -107,11 +106,12 @@ def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
         raise ValueError(f"N must be >= 0, got {N}")
     m, N = operator.index(m), operator.index(N)
     index = WordIndex(f.n, N)  # the basis cap is checked before any lookup
-    return WeightTable(f, m, index, _VALUES.get((f, m, N), _direct_values, f, m, N))
+    return WeightTable(f, m, index, _direct_values(f, m, N))
 
 
+@lru_cache(maxsize=1)
 def _direct_values(f: PositiveRegularFunction, m: int, N: int) -> np.ndarray:
-    """The uncached sum behind `weights_direct`.
+    """The sum behind `weights_direct`, cached for the last (f, m, N).
 
     Row j of c[L] holds, for every word of grade L, the sum over its
     splittings into j support words of the coefficient products.  The

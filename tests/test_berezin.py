@@ -40,13 +40,6 @@ def test_kernel_reproduces_identity_on_vacuum_state():
     assert np.allclose(out, g[0, 0] * np.eye(2))
 
 
-def test_gram_equals_transform_of_identity():
-    f = unit_ball_symbol(1)
-    k = berezin_kernel(f, 2, [np.array([[0.4]])], 6)
-    dim = build_model(f, 2, 6).index.dim
-    assert np.allclose(k.gram(), k.transform(np.eye(dim)))
-
-
 def test_transform_of_identity_contracts_at_members():
     f = PositiveRegularFunction(2, {"1": 1.0, "2": 1.0, "12": 1.0})
     rng = np.random.default_rng(8)
@@ -242,7 +235,7 @@ def test_kernel_admits_what_membership_admits_at_a_loose_tolerance():
     f, x = unit_ball_symbol(1), [np.array([[1.5]])]
     assert membership(f, 1, x, tol=1.25).member
     kernel = berezin_kernel(f, 1, x, 3, tol=1.25)
-    assert np.array_equal(kernel.gram(), np.zeros((1, 1)))
+    assert np.array_equal(kernel.transform(np.eye(kernel.dim)), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("form", ["kernel", "resolvent"])

@@ -123,17 +123,14 @@ def test_shared_measurements_match_the_inline_formulas(n, m, N, seed):
         (selftest.check_rank_one_defect, 8),  # one table per (f, m)
         (selftest.check_row_grade_bounds, 8),
         # one table per polynomial (40); two draw the symbol of the one
-        # before, which the one-deep memo serves
+        # before, which the one-entry cache serves
         (selftest.check_hardy_monotonicity, 38),
     ],
 )
-def test_grid_checks_sum_one_table_per_symbol(monkeypatch, check, tables):
-    real = weights._direct_values
-    calls = []
-    monkeypatch.setattr(weights, "_direct_values", lambda *a: calls.append(a) or real(*a))
-    weights._VALUES.clear()
+def test_grid_checks_sum_one_table_per_symbol(check, tables):
+    weights._direct_values.cache_clear()
     assert check(selftest.FAST, 0).passed
-    assert len(calls) == tables
+    assert weights._direct_values.cache_info().misses == tables
 
 
 def _report(tmp_path, argv):

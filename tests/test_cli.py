@@ -535,7 +535,7 @@ def test_berezin_both_builds_the_support_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = cp_maps._support
     monkeypatch.setattr(cp_maps, "_support", lambda *a: calls.append(a) or real(*a))
-    cp_maps._POINTS.clear()
+    cp_maps._cached_point.cache_clear()
     cfg = write_config(tmp_path, n=2, m=1, depth=3, coeffs={"1": 1.0, "2": 1.0})
     point = write_tuple(tmp_path, [[[0.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]])
     out = tmp_path / "r.json"

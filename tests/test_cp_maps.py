@@ -136,6 +136,12 @@ def test_von_neumann_rejects_non_member():
         von_neumann_gap(f, 1, [np.array([[1.5]])], [((1,), (), 1.0)], N=3)
 
 
+def test_von_neumann_rejects_an_empty_expression():
+    f = unit_ball_symbol(1)
+    with pytest.raises(ValueError, match="at least one term"):
+        von_neumann_gap(f, 1, [np.array([[0.5]])], [], N=3)
+
+
 def test_von_neumann_random_members():
     f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25})
     rng = np.random.default_rng(7)

@@ -1,4 +1,4 @@
-"""One-deep value memos: weight tables and the state of a symbol at a point."""
+"""One-entry value caches: weight tables and the state of a symbol at a point."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from ncdomain.berezin import (
 from ncdomain.cp_maps import defect_sequence, membership, sample_member
 from ncdomain.defaults import DIM_CAP_ENV
 from ncdomain.fock_model import build_model
-from ncdomain.memo import OneDeep
 from ncdomain.series import PositiveRegularFunction
 from ncdomain.weights import weights_direct
 from ncdomain.words import DimensionCapError, word_count
@@ -27,13 +26,16 @@ SCALES = (0.1, 0.2, 3.0)  # the last point lies outside every domain here
 OPS = ("weights", "defects", "member", "kernel", "resolvent")
 
 
+CACHES = (weights._direct_values, cp_maps._cached_point)
+
+
 def _clear():
-    weights._VALUES.clear()
-    cp_maps._POINTS.clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
-def _empty_memos():
+def _empty_caches():
     _clear()
     yield
     _clear()
@@ -84,7 +86,7 @@ def _same(a, b):
 ))
 def test_interleaved_calls_match_uncached(calls):
     # equal symbols built anew, several m, N, tol and points, in any order:
-    # every cached result equals the one computed from empty memos
+    # every cached result equals the one computed from empty caches
     _clear()
     cached = [_run(*c) for c in calls]
     for c, got in zip(calls, cached):
@@ -173,24 +175,11 @@ def test_bad_arguments_still_raise_after_a_cached_success():
         weights_direct(f, 2.0, 3)  # equal to the cached m = 2, but not an int
 
 
-def _counting(monkeypatch, module, name, record):
-    real = getattr(module, name)
-
-    def counted(*args):
-        record.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
+def test_each_cache_holds_one_entry():
+    assert [cache.cache_info().maxsize for cache in CACHES] == [1, 1]
 
 
-def _x_bytes(x):
-    return b"".join(a.tobytes() for a in cp_maps.as_operator_tuple(x).mats)
-
-
-def test_point_sequence_sums_weights_and_support_once(monkeypatch):
-    tables, supports = [], []
-    _counting(monkeypatch, weights, "_direct_values", tables)
-    _counting(monkeypatch, cp_maps, "_support", supports)
+def test_point_sequence_sums_weights_and_support_once():
     f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.25, "12": 0.125})
     m, N = 2, 3
     x = sample_member(f, m, 3, np.random.default_rng(5))
@@ -200,30 +189,13 @@ def test_point_sequence_sums_weights_and_support_once(monkeypatch):
     kv = berezin_transform_kernel(f, m, x, g, N)
     rv = berezin_transform_resolvent(f, m, x, g, N)
     assert np.max(np.abs(kv - rv)) < 1e-12
-    assert len(tables) == 1
-    assert [_x_bytes(args[1]) for args in supports].count(_x_bytes(x)) == 1
+    assert [cache.cache_info().misses for cache in CACHES] == [1, 1]
 
 
-def test_determinism_check_sums_its_table_twice(monkeypatch):
-    tables = []
-    _counting(monkeypatch, weights, "_direct_values", tables)
+def test_determinism_check_sums_its_table_twice():
+    # each fingerprint empties the cache, and with it the counts, first: the
+    # counts left are the second fingerprint's, one sum and no read
     result = selftest.check_determinism(selftest.FAST, 0)
     assert result.passed
-    assert len(tables) >= 2
-
-
-def test_one_deep_memo_keeps_the_last_pair():
-    memo, made = OneDeep(), []
-
-    def make(v):
-        made.append(v)
-        return v
-
-    assert memo.get(("a",), make, 1) == 1
-    assert memo.get(("a",), make, 2) == 1  # hit: make is not called
-    assert memo.get(("b",), make, 3) == 3
-    assert memo.get(("a",), make, 4) == 4  # one deep: "a" was replaced
-    with pytest.raises(ZeroDivisionError):
-        memo.get(("c",), lambda: 1 / 0)
-    assert memo.get(("a",), make, 5) == 4  # a raising miss keeps the pair
-    assert made == [1, 3, 4]
+    info = weights._direct_values.cache_info()
+    assert (info.misses, info.hits) == (1, 0)

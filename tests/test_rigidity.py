@@ -43,6 +43,16 @@ def test_candidate_rejects_singular_matrix():
         LinearMapCandidate(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_candidate_rejects_a_non_finite_entry(bad):
+    u = np.eye(2)
+    u[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        LinearMapCandidate(u)
+    with pytest.raises(ValueError, match="non-finite"):
+        check_linear_biholomorphism(unit_ball_symbol(2), 1, unit_ball_symbol(2), 1, u, 2)
+
+
 def apply_row(x, u) -> OperatorTuple:
     """Row action [X]U: component j is sum_i U[i, j] X_i."""
     t = as_operator_tuple(x)

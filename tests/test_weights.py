@@ -242,9 +242,9 @@ def test_oracle_inverts_one_minus_f(f, m, N):
 
 @pytest.fixture
 def empty_memo():
-    weights._VALUES.clear()
+    weights._direct_values.cache_clear()
     yield
-    weights._VALUES.clear()
+    weights._direct_values.cache_clear()
 
 
 def test_oracle_never_calls_binomial_constant(monkeypatch):
