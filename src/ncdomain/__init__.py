@@ -33,10 +33,10 @@ from .fock_model import (
 )
 from .rigidity import (
     BiholoCertificate,
+    MapImageReport,
     cartan_iteration_probe,
-    check_generator_images,
     check_linear_biholomorphism,
-    nilpotent_image_check,
+    map_image_check,
 )
 from .selftest import FAST, FULL, run_selftest
 from .series import (
@@ -58,6 +58,7 @@ __all__ = [
     "FAST",
     "FULL",
     "FreeSeries",
+    "MapImageReport",
     "OperatorTuple",
     "PositiveRegularFunction",
     "WeightTable",
@@ -69,7 +70,6 @@ __all__ = [
     "binomial_constant",
     "build_model",
     "cartan_iteration_probe",
-    "check_generator_images",
     "check_linear_biholomorphism",
     "compose",
     "defect_sequence",
@@ -77,12 +77,12 @@ __all__ = [
     "evaluate",
     "evaluate_on_model",
     "hardy_norm_estimate",
+    "map_image_check",
     "membership",
     "model_defect",
     "model_monomial",
     "monomial_pair",
     "monomial_product",
-    "nilpotent_image_check",
     "parse_word",
     "rescale_symbol",
     "run_selftest",

@@ -182,12 +182,13 @@ def _jsonable(x):
 def _array_entry(x) -> dict:
     """An input array in the digest: its shape and the sha256 of its bytes.
 
-    The bytes are those of the C-ordered little-endian complex128 copy,
-    so any memory layout of the same values hashes alike.
+    The bytes are those of the C-ordered little-endian complex128 array,
+    hashed in place (a copy only where the layout or dtype differs), so
+    any memory layout of the same values hashes alike.
     """
     if not isinstance(x, np.ndarray):
         raise TypeError(f"cannot digest {type(x).__name__}")
-    data = np.ascontiguousarray(x, dtype="<c16").tobytes()
+    data = np.ascontiguousarray(x, dtype="<c16")
     return {"shape": list(x.shape), "sha256": hashlib.sha256(data).hexdigest()}
 
 

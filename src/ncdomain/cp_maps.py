@@ -397,12 +397,8 @@ def von_neumann_gap(
     allowed).  X must be a member of the order-m domain of f within tol;
     then the left-hand norm never exceeds the model norm beyond roundoff.
     """
-    t = as_operator_tuple(x)
-    _point_state(f, m, t).require_member(tol)
-    model = build_model(f, m, N)
     parsed = []
-    e = None
-    for alpha, beta, c in terms:
+    for i, (alpha, beta, c) in enumerate(terms, start=1):
         a = _as_letters(alpha, f.n)
         b = _as_letters(beta, f.n)
         if len(a) > N or len(b) > N:
@@ -412,13 +408,21 @@ def von_neumann_gap(
         cm = np.asarray(c, dtype=complex)
         if cm.ndim == 0:
             cm = cm.reshape(1, 1)
-        if e is None:
-            e = cm.shape[0]
-        if cm.shape != (e, e):
-            raise ValueError("hereditary coefficients must share one shape")
+        if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
+            raise ValueError(
+                f"hereditary term {i} has a non-square coefficient of shape {cm.shape}"
+            )
+        if not np.isfinite(cm).all():
+            raise ValueError(f"hereditary term {i} has a non-finite coefficient")
+        if parsed and cm.shape != parsed[0][2].shape:
+            raise ValueError(f"hereditary term {i}: coefficients must share one shape")
         parsed.append((a, b, cm))
     if not parsed:
         raise ValueError("hereditary expression needs at least one term")
+    e = parsed[0][2].shape[0]
+    t = as_operator_tuple(x)
+    _point_state(f, m, t).require_member(tol)
+    model = build_model(f, m, N)
     lhs_sum = np.zeros((t.dim * e, t.dim * e), dtype=complex)
     rhs_sum = np.zeros((model.index.dim * e, model.index.dim * e), dtype=complex)
     for a, b, cm in parsed:

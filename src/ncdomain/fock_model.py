@@ -20,7 +20,7 @@ checking their 16 (dim e)^2 bytes against physical memory:
 is planned on the model once (`_SeriesPlan`: flat targets and aligned
 factors per grade, one dense buffer), and that one plan serves
 `evaluate_on_model`, `hardy_norm_estimate` at every radius and the
-generator images of `rigidity.check_generator_images`.  Distinct
+model images of `rigidity.map_image_check`.  Distinct
 columns of V_w land in distinct rows, so the completely positive map
 Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
 and acts on a diagonal as a sum of scaled index scatters, and the

@@ -11,8 +11,8 @@ Three computational angles on the same theme:
     M_k = U^(x)k diag(a_w : |w| = k) U^(x)k*, free of the weights.  The
     defects start from Z_L = diag(b_u) (Y = I) and are read as minimum
     eigenvalues of D_L^-1 Z_L D_L^-1, grade by grade,
-  * invariance of the nilpotent part under a free polynomial map
-    (`nilpotent_image_check`),
+  * invariance of the nilpotent part under a free polynomial map, on
+    the scaled depth-N model and nilpotent samples (`map_image_check`),
   * the iteration probe (`cartan_iteration_probe`): a map tangent to
     the identity with any genuine higher-order term, composed with
     itself, drifts away from the identity and eventually violates the
@@ -39,9 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cp_maps import MembershipVerdict, _nonfinite_ok, membership
+from .cp_maps import MembershipVerdict, _nonfinite_ok, membership, sample_nilpotent_member
 from .defaults import EIGENVALUE_TOL, physical_memory
-from .fock_model import _SeriesPlan, build_model, evaluate_on_model
+from .fock_model import _SeriesPlan, build_model
 from .linalg import hermitian_part, kron, min_eigenvalue
 from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
 from .weights import weights_direct
@@ -217,55 +217,60 @@ def _validate_map_tuple(
 
 
 @dataclass(frozen=True)
-class NilpotentImageReport:
-    """Membership evidence for images of nilpotent domain members."""
+class MapImageReport:
+    """Membership of the images of nilpotent (f, m)-members in the (g, l) domain.
 
-    model_verdict: MembershipVerdict
+    ``model_verdicts`` holds one verdict per r in ``r_values`` for the
+    scaled depth-N model, ``sample_verdicts`` one per nilpotent sample.
+    """
+
+    r_values: tuple[float, ...]
+    model_verdicts: tuple[MembershipVerdict, ...]
     sample_verdicts: tuple[MembershipVerdict, ...]
 
     @property
     def passed(self) -> bool:
-        return self.model_verdict.member and all(
-            v.member for v in self.sample_verdicts
-        )
+        return all(v.member for v in self.model_verdicts + self.sample_verdicts)
 
 
-def nilpotent_image_check(
+def map_image_check(
     maps: Sequence[FreeSeries],
     f: PositiveRegularFunction,
     m: int,
     g: PositiveRegularFunction,
     l: int,
-    p: int,
+    N: int,
     tol: float = EIGENVALUE_TOL,
+    r_grid: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     rng: np.random.Generator | None = None,
-) -> NilpotentImageReport:
+) -> MapImageReport:
     """Check that the map sends nilpotent (f, m)-members into the (g, l) domain.
 
-    The depth-p truncated model is itself a nilpotent member and is
-    checked first; five random strictly upper triangular members
-    of matching nilpotency order follow.  Monomials of degree above p
-    vanish on all of these, so the maps are truncated to degree p
-    without loss.
+    The maps are g.n series over f's letters.  For each r in the grid the
+    tuple (phi_1(rV), .., phi_n(rV)) is formed on the depth-N model of
+    (f, m), a nilpotent member, and run through the order-l membership
+    test for g; each map is planned on the model once (`_SeriesPlan`) and
+    refilled at every r.  Five random strictly upper triangular members
+    of size N + 1 follow.  Words longer than N vanish on all of these, so
+    the maps are truncated to degree N without loss.
     """
-    from .cp_maps import sample_nilpotent_member
-
-    if p < 1:
-        raise ValueError(f"nilpotency depth must be >= 1, got {p}")
-    maps = _validate_map_tuple(maps, f.n, g.n)
-    # degree-p normalization is exact here: higher monomials vanish on
-    # nilpotents of order p + 1
-    maps = tuple(s.truncated(p) for s in maps)
-    model = build_model(f, m, p)
-    model_images = [evaluate_on_model(s, model) for s in maps]
-    model_verdict = membership(g, l, model_images, tol=tol)
+    if N < 1:
+        raise ValueError(f"model depth must be >= 1, got {N}")
+    maps = tuple(s.truncated(N) for s in _validate_map_tuple(maps, f.n, g.n))
+    grid = tuple(float(r) for r in r_grid)
+    if not grid or not all(0.0 <= r <= 1.0 for r in grid):
+        raise ValueError(f"r_grid must be nonempty, with values in [0, 1], got {grid}")
+    model = build_model(f, m, N)
+    plans = [_SeriesPlan(s, model) for s in maps]
+    model_verdicts = tuple(
+        membership(g, l, [plan.at(r) for plan in plans], tol=tol) for r in grid
+    )
     rng = np.random.default_rng(0) if rng is None else rng
-    sample_verdicts = []
-    for _ in range(5):
-        x = sample_nilpotent_member(f, m, p + 1, rng, tol=tol)
-        images = [evaluate(s, x.mats) for s in maps]
-        sample_verdicts.append(membership(g, l, images, tol=tol))
-    return NilpotentImageReport(model_verdict, tuple(sample_verdicts))
+    samples = (sample_nilpotent_member(f, m, N + 1, rng, tol=tol) for _ in range(5))
+    sample_verdicts = tuple(
+        membership(g, l, [evaluate(s, x.mats) for s in maps], tol=tol) for x in samples
+    )
+    return MapImageReport(grid, model_verdicts, sample_verdicts)
 
 
 @dataclass(frozen=True)
@@ -454,52 +459,3 @@ def cartan_iteration_probe(
         iterations_run=last,
     )
 
-
-@dataclass(frozen=True)
-class GeneratorImageReport:
-    """Membership of mapped, radially scaled model generators."""
-
-    r_values: tuple[float, ...]
-    verdicts: tuple[MembershipVerdict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(v.member for v in self.verdicts)
-
-
-def check_generator_images(
-    f: PositiveRegularFunction,
-    m: int,
-    g: PositiveRegularFunction,
-    l: int,
-    maps: Sequence[FreeSeries],
-    N: int,
-    tol: float = EIGENVALUE_TOL,
-    r_grid: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-) -> GeneratorImageReport:
-    """Evaluate the maps at the scaled (g, l) model and test (f, m) membership.
-
-    For each r in the grid the tuple (phi_1(rV), .., phi_n(rV)) is
-    formed on the depth-N model of (g, l) and run through the order-m
-    membership test for f.  Maps must be polynomials of degree <= N
-    over g's letters.  Each map is planned on the model once
-    (`_SeriesPlan`) and refilled at every r.
-    """
-    maps = _validate_map_tuple(maps, g.n, f.n)
-    for s in maps:
-        if s.degree > N:
-            raise ValueError(
-                f"map degree {s.degree} exceeds model depth N={N}"
-            )
-    grid = tuple(float(r) for r in r_grid)
-    if not grid:
-        raise ValueError("r_grid must be nonempty")
-    for r in grid:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"r_grid values must lie in [0, 1], got {r}")
-    model = build_model(g, l, N)
-    plans = [_SeriesPlan(s, model) for s in maps]
-    verdicts = tuple(
-        membership(f, m, [plan.at(r) for plan in plans], tol=tol) for r in grid
-    )
-    return GeneratorImageReport(grid, verdicts)

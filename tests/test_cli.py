@@ -657,8 +657,10 @@ def test_digest_hashes_array_values_not_layout():
     wide = np.zeros((3, 8), dtype=complex)
     wide[:, ::2] = a
     strided = wide[:, ::2]
+    big_endian = a.astype(">c16")
     assert not fortran.flags.c_contiguous and not strided.flags.c_contiguous
-    digests = {_digest({"g": x, "form": "both"}) for x in (a, fortran, strided)}
+    assert big_endian.tobytes() != a.tobytes()
+    digests = {_digest({"g": x, "form": "both"}) for x in (a, fortran, strided, big_endian)}
     assert len(digests) == 1
     # an entry of another dtype holding the same values hashes alike
     assert _digest({"g": a.real}) == _digest({"g": a.real.astype(complex)})

@@ -142,6 +142,23 @@ def test_von_neumann_rejects_an_empty_expression():
         von_neumann_gap(f, 1, [np.array([[0.5]])], [], N=3)
 
 
+@pytest.mark.parametrize("terms, match", [
+    ([((1,), (), np.nan)], "term 1 has a non-finite coefficient"),
+    ([((1,), (), 1.0), ((), (1,), [[np.inf]])], "term 2 has a non-finite coefficient"),
+    ([((1,), (), [[1.0, 2.0]])], r"term 1 has a non-square coefficient of shape \(1, 2\)"),
+    ([((1,), (), 1.0), ((), (1,), [1.0, 2.0])], r"term 2 has a non-square .* \(2,\)"),
+    ([((1,), (), 1.0), ((), (1,), np.eye(2))], "term 2: coefficients must share one shape"),
+])
+def test_von_neumann_rejects_a_bad_coefficient_before_any_product(monkeypatch, terms, match):
+    def refuse(*args):
+        raise AssertionError("a product was formed before the coefficients were checked")
+
+    for name in ("_point_state", "build_model", "monomial_product", "monomial_pair"):
+        monkeypatch.setattr(cp_maps, name, refuse)
+    with pytest.raises(ValueError, match=match):
+        von_neumann_gap(unit_ball_symbol(1), 1, [np.array([[0.5]])], terms, N=3)
+
+
 def test_von_neumann_random_members():
     f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25})
     rng = np.random.default_rng(7)

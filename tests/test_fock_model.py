@@ -256,13 +256,14 @@ def _scatter_oracle(series, model, r):
 
 
 @st.composite
-def planned_cases(draw):
+def planned_cases(draw, top_at_three=3):
     """A symbol, a series of degree <= N and a nondecreasing grid in [0, 1).
 
-    Coefficients mix complex values, negative reals (whose products with
-    r = 0 are -0.0) and zeros inside nonzero grades."""
+    N <= 4, and N <= top_at_three over three letters.  Coefficients mix
+    complex values, negative reals (whose products with r = 0 are -0.0)
+    and zeros inside nonzero grades."""
     n = draw(st.integers(1, 3))
-    N = draw(st.integers(0, 4 if n < 3 else 3))
+    N = draw(st.integers(0, 4 if n < 3 else top_at_three))
     e = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(1, 3))
     degree = draw(st.integers(0, N))
@@ -295,6 +296,22 @@ def test_plan_matches_the_per_grade_pair_scatter_bit_for_bit(case):
         assert got.tobytes() == want.tobytes()  # signed zeros too
     want = [operator_norm(_scatter_oracle(series, model, r)) for r in grid]
     assert hardy_norm_estimate(series, f, m, N, grid) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=planned_cases(top_at_three=4), shared=st.booleans())
+def test_depth_n_plan_is_the_leading_block_of_the_next_depth(case, shared):
+    # P_N chi(rV_{N+1}) P_N = chi(rV_N) on the first dim_N e basis vectors,
+    # bit for bit: the reason Hardy norms cannot decrease with N
+    f, m, N, series, _ = case
+    deep = build_model(f, m, N + 1)
+    model = build_model(f, m, N, deep if shared else None)
+    assert np.shares_memory(model.values, deep.values) == shared
+    size = model.index.dim * series.coeff_dim
+    low, high = fock_model._SeriesPlan(series, model), fock_model._SeriesPlan(series, deep)
+    for r in (0.0, 0.3, 0.9):
+        want = np.ascontiguousarray(high.at(r)[:size, :size])
+        assert low.at(r).tobytes() == want.tobytes()
 
 
 def test_hardy_norm_plans_once_over_the_grid(monkeypatch):

@@ -1,4 +1,4 @@
-"""Rigidity certificates: linear maps, nilpotent images, iteration probe.
+"""Rigidity certificates: linear maps, map images, iteration probe.
 
 The linear certificate runs on grade blocks; its oracle is dense
 `membership` of the row action [V]U on the dense model tuple.
@@ -20,16 +20,22 @@ from ncdomain.rigidity import (
     _grade_block_minima,
     _witness_word,
     cartan_iteration_probe,
-    check_generator_images,
     check_linear_biholomorphism,
-    nilpotent_image_check,
+    map_image_check,
 )
-from ncdomain.cp_maps import OperatorTuple, as_operator_tuple, membership
+from ncdomain.cp_maps import (
+    OperatorTuple,
+    as_operator_tuple,
+    membership,
+    sample_nilpotent_member,
+)
+from ncdomain.defaults import EIGENVALUE_TOL
 from ncdomain.fock_model import build_model, evaluate_on_model, model_monomial
 from ncdomain.series import (
     FreeSeries,
     PositiveRegularFunction,
     compose,
+    evaluate,
     rescale_symbol,
     unit_ball_symbol,
 )
@@ -223,24 +229,6 @@ def test_certificate_requires_matching_generator_count():
         )
 
 
-def test_nilpotent_image_identity_map_passes():
-    f = unit_ball_symbol(2)
-    maps = [FreeSeries(2, 1, {"1": 1.0}), FreeSeries(2, 1, {"2": 1.0})]
-    report = nilpotent_image_check(
-        maps, f, 1, f, 1, p=3, rng=np.random.default_rng(0)
-    )
-    assert report.passed
-
-
-def test_nilpotent_image_expansion_fails():
-    f = unit_ball_symbol(1)
-    maps = [FreeSeries(1, 1, {"1": 2.0})]
-    report = nilpotent_image_check(
-        maps, f, 1, f, 1, p=2, rng=np.random.default_rng(0)
-    )
-    assert not report.passed
-
-
 def test_probe_quadratic_map_flags_at_two():
     f = unit_ball_symbol(1)
     result = cartan_iteration_probe(
@@ -296,17 +284,113 @@ def test_probe_two_generator_witness():
     assert result.witness_word == (2, 1)
 
 
+# -- map images ---------------------------------------------------------------
+
+
+def _former_nilpotent_image_check(maps, f, m, g, l, p, tol=EIGENVALUE_TOL, rng=None):
+    """The former `nilpotent_image_check`: (model verdict, sample verdicts).
+
+    The depth-p model at r = 1, then five nilpotent samples of size p + 1,
+    with the maps truncated to degree p."""
+    maps = tuple(s.truncated(p) for s in maps)
+    model = build_model(f, m, p)
+    model_verdict = membership(g, l, [evaluate_on_model(s, model) for s in maps], tol=tol)
+    rng = np.random.default_rng(0) if rng is None else rng
+    sample_verdicts = []
+    for _ in range(5):
+        x = sample_nilpotent_member(f, m, p + 1, rng, tol=tol)
+        sample_verdicts.append(membership(g, l, [evaluate(s, x.mats) for s in maps], tol=tol))
+    return model_verdict, tuple(sample_verdicts)
+
+
+def _former_generator_images(f, m, g, l, maps, N, tol=EIGENVALUE_TOL,
+                             r_grid=(0.25, 0.5, 0.75, 1.0)):
+    """The former `check_generator_images`: the (f, m) verdict at each r.
+
+    The maps, over g's letters, are planned on the depth-N model of (g, l)
+    once and refilled at every r; a map of degree above N is refused."""
+    if any(s.degree > N for s in maps):
+        raise ValueError(f"map degree exceeds model depth N={N}")
+    model = build_model(g, l, N)
+    plans = [fock_model._SeriesPlan(s, model) for s in maps]
+    return tuple(membership(f, m, [plan.at(float(r)) for plan in plans], tol=tol)
+                 for r in r_grid)
+
+
+@st.composite
+def map_image_cases(draw):
+    """Maps over n_f <= 2 letters into n_g <= 2 components, of degree <= N + 1.
+
+    Orders <= 2, depth N <= 3; the linear parts reach past the unit ball, so
+    both verdicts occur."""
+    coeff = st.integers(1, 96).map(lambda k: k / 97)
+
+    def symbol(n):
+        coeffs = {(i,): draw(coeff) for i in range(1, n + 1)}
+        if draw(st.booleans()):
+            coeffs[tuple(draw(st.integers(1, n)) for _ in range(2))] = draw(coeff)
+        return PositiveRegularFunction(n, coeffs)
+
+    f, g = symbol(draw(st.integers(1, 2))), symbol(draw(st.integers(1, 2)))
+    N = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, N + 1))
+    entry = st.integers(-6, 6).map(lambda k: k / 4)
+    maps = []
+    for _ in range(g.n):
+        coeffs = {}
+        for k in range(1, degree + 1):
+            for w in product(range(1, f.n + 1), repeat=k):
+                if k == 1 or draw(st.booleans()):
+                    coeffs[w] = complex(draw(entry), draw(entry)) / k
+        maps.append(FreeSeries(f.n, degree, coeffs))
+    grid = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]), min_size=1, max_size=3))
+    return maps, f, draw(st.integers(1, 2)), g, draw(st.integers(1, 2)), N, tuple(grid)
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=map_image_cases(), seed=st.integers(0, 2**32 - 1))
+def test_map_image_check_matches_the_former_checks(case, seed):
+    maps, f, m, g, l, N, grid = case
+    cut = [s.truncated(N) for s in maps]
+    report = map_image_check(maps, f, m, g, l, N, r_grid=grid, rng=np.random.default_rng(seed))
+    assert report.r_values == grid
+    # the former generator images, with the domains swapped
+    assert report.model_verdicts == _former_generator_images(g, l, f, m, cut, N, r_grid=grid)
+    at_one = map_image_check(maps, f, m, g, l, N, r_grid=(1.0,),
+                             rng=np.random.default_rng(seed))
+    model_verdict, sample_verdicts = _former_nilpotent_image_check(
+        maps, f, m, g, l, N, rng=np.random.default_rng(seed))
+    assert at_one.model_verdicts == (model_verdict,)
+    assert at_one.sample_verdicts == sample_verdicts == report.sample_verdicts
+    verdicts = report.model_verdicts + report.sample_verdicts
+    assert report.passed == all(v.member for v in verdicts)
+
+
+def test_nilpotent_image_identity_map_passes():
+    f = unit_ball_symbol(2)
+    maps = [FreeSeries(2, 1, {"1": 1.0}), FreeSeries(2, 1, {"2": 1.0})]
+    report = map_image_check(maps, f, 1, f, 1, 3, r_grid=(1.0,), rng=np.random.default_rng(0))
+    assert report.passed
+
+
+def test_nilpotent_image_expansion_fails():
+    f = unit_ball_symbol(1)
+    maps = [FreeSeries(1, 1, {"1": 2.0})]
+    report = map_image_check(maps, f, 1, f, 1, 2, r_grid=(1.0,), rng=np.random.default_rng(0))
+    assert not report.passed
+
+
 def test_generator_images_identity():
     f = unit_ball_symbol(2)
     maps = [FreeSeries(2, 1, {"1": 1.0}), FreeSeries(2, 1, {"2": 1.0})]
-    report = check_generator_images(f, 1, f, 1, maps, N=3, r_grid=(0.5, 1.0))
+    report = map_image_check(maps, f, 1, f, 1, 3, r_grid=(0.5, 1.0))
     assert report.passed
 
 
 def test_generator_images_detect_escape():
     f = unit_ball_symbol(1)
     maps = [FreeSeries(1, 1, {"1": 3.0})]
-    report = check_generator_images(f, 1, f, 1, maps, N=3, r_grid=(1.0,))
+    report = map_image_check(maps, f, 1, f, 1, 3, r_grid=(1.0,))
     assert not report.passed
 
 
@@ -318,13 +402,38 @@ def test_generator_images_plan_each_map_once(monkeypatch):
     g = unit_ball_symbol(2)
     maps = [FreeSeries(2, 2, {"1": 0.5, "21": 0.25}), FreeSeries(2, 2, {"2": 0.5, "11": -0.25})]
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    report = check_generator_images(f, 2, g, 1, maps, N=3, r_grid=grid)
+    report = map_image_check(maps, g, 1, f, 2, 3, r_grid=grid)
     assert len(plans) == len(maps)
     # the verdicts of a fresh evaluation per (map, r), bit for bit
     model = build_model(g, 1, 3)
-    for r, verdict in zip(grid, report.verdicts):
+    for r, verdict in zip(grid, report.model_verdicts):
         want = membership(f, 2, [evaluate_on_model(s, model, r=r) for s in maps])
         assert verdict == want
+
+
+def test_map_image_truncates_maps_past_the_depth():
+    # z + 5 z^3 at depth 2: the cubic term vanishes on every tuple checked
+    f = unit_ball_symbol(1)
+    high = [FreeSeries(1, 3, {"1": 0.5, "111": 5.0})]
+    low = [FreeSeries(1, 1, {"1": 0.5})]
+    assert map_image_check(high, f, 1, f, 1, 2) == map_image_check(low, f, 1, f, 1, 2)
+    assert map_image_check(high, f, 1, f, 1, 2).passed
+    assert not map_image_check(high, f, 1, f, 1, 3).passed
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"N": 0}, "depth must be >= 1"),
+    ({"r_grid": ()}, "r_grid must be nonempty"),
+    ({"r_grid": (0.5, 1.5)}, r"values in \[0, 1\]"),
+    ({"maps": [FreeSeries(1, 1, {"1": 1.0})] * 2}, "needs 1 components"),
+    ({"maps": [FreeSeries(2, 1, {"1": 1.0})]}, "over 2 letters, expected 1"),
+    ({"maps": [FreeSeries(1, 1, {"": 0.5, "1": 1.0})]}, "zero constant term"),
+])
+def test_map_image_rejects_bad_input(kwargs, match):
+    f = unit_ball_symbol(1)
+    args = {"maps": [FreeSeries(1, 1, {"1": 1.0})], "f": f, "m": 1, "g": f, "l": 1, "N": 2}
+    with pytest.raises(ValueError, match=match):
+        map_image_check(**{**args, **kwargs})
 
 
 def _loop_drifts(maps, f, m, p, count, tol=1e-9):
