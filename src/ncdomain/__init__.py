@@ -15,7 +15,6 @@ from .berezin import (
 from .cp_maps import (
     OperatorTuple,
     agler_consistency,
-    defect_sequence,
     membership,
     monomial_product,
     sample_member,
@@ -25,7 +24,6 @@ from .cp_maps import (
 )
 from .fock_model import (
     build_model,
-    evaluate_on_model,
     hardy_norm_estimate,
     model_defect,
     model_monomial,
@@ -72,10 +70,8 @@ __all__ = [
     "cartan_iteration_probe",
     "check_linear_biholomorphism",
     "compose",
-    "defect_sequence",
     "enumerate_words",
     "evaluate",
-    "evaluate_on_model",
     "hardy_norm_estimate",
     "map_image_check",
     "membership",

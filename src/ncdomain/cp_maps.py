@@ -28,12 +28,14 @@ eigensolve of the m defects it gives (`_ray_inside`).
 
 The support and the defects of (f, m, X), with the root of Delta_m once
 a Berezin form asks for it, are one `PointState`, which
-`defect_sequence` returns.  The last one is cached by value
+`_point_state` returns.  The last one is cached by value
 (`functools.lru_cache(maxsize=1)` on `_cached_point`, keyed by f, m, d
 and the bytes of X), so `membership`, `von_neumann_gap` and both Berezin
 forms at one point build it once; its arrays are read-only and shared.
 The layers that need a member call `PointState.require_member`, which
-raises on the tuples `membership` calls non-members.
+raises on the tuples `membership` calls non-members.  The order m passes
+one gate, `weights._require_order`.  The model side of `von_neumann_gap`
+is one `fock_model._hereditary_sum`.
 
 Overflow has one policy (`_nonfinite_ok`): the support, the Phi step, the
 defect recursion, `membership`, `agler_consistency`, the sampler's
@@ -57,10 +59,11 @@ from typing import Sequence
 import numpy as np
 
 from .defaults import EIGENVALUE_TOL
-from .fock_model import build_model, monomial_pair
+from .fock_model import _hereditary_sum, build_model
 from .linalg import hermitian_part, kron, min_eigenvalue, operator_norm, psd_root
 from .series import PositiveRegularFunction, unit_ball_symbol
-from .words import _as_letters, enumerate_words, word_products
+from .weights import _require_order
+from .words import WordIndex, _as_letters, word_products
 
 Support = tuple[np.ndarray, np.ndarray, np.ndarray]  # |w| (s,), a_w (s,), X_w (s, d, d)
 
@@ -135,13 +138,6 @@ def _nonfinite_ok(func):
 def _require_arity(f: PositiveRegularFunction, t: OperatorTuple) -> None:
     if t.n != f.n:
         raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
-
-
-def _require_order(m) -> int:
-    """m as an int: ValueError below 1, TypeError if it is not an integer."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return operator.index(m)
 
 
 @_nonfinite_ok
@@ -225,12 +221,6 @@ class PointState:
             for a in self._root:
                 a.setflags(write=False)
         return self._root
-
-
-def defect_sequence(f: PositiveRegularFunction, m: int, x) -> PointState:
-    """The defects Delta_0..Delta_m of f at X: the cached `_point_state`,
-    read-only and shared."""
-    return _point_state(f, m, x)
 
 
 def _point_state(f: PositiveRegularFunction, m: int, x) -> PointState:
@@ -362,7 +352,7 @@ def agler_consistency(m: int, x) -> float:
     for _ in range(m):
         iterated = iterated - _phi(linear, iterated)
 
-    index = enumerate_words(t.n, m)
+    index = WordIndex(t.n, m)
     monos = _graded_monomials(t, m)
     expanded = np.zeros((d, d), dtype=complex)
     for k in range(m + 1):
@@ -402,9 +392,7 @@ def von_neumann_gap(
         a = _as_letters(alpha, f.n)
         b = _as_letters(beta, f.n)
         if len(a) > N or len(b) > N:
-            raise ValueError(
-                f"hereditary word length exceeds model depth N={N}"
-            )
+            raise ValueError(f"hereditary word length exceeds model depth N={N}")
         cm = np.asarray(c, dtype=complex)
         if cm.ndim == 0:
             cm = cm.reshape(1, 1)
@@ -423,14 +411,12 @@ def von_neumann_gap(
     t = as_operator_tuple(x)
     _point_state(f, m, t).require_member(tol)
     model = build_model(f, m, N)
+    rhs = _hereditary_sum(model, parsed, "the model side of a hereditary expression")
     lhs_sum = np.zeros((t.dim * e, t.dim * e), dtype=complex)
-    rhs_sum = np.zeros((model.index.dim * e, model.index.dim * e), dtype=complex)
     for a, b, cm in parsed:
         xa = monomial_product(t, a) @ monomial_product(t, b).conj().T
-        va = monomial_pair(model, a, b)
         lhs_sum += kron(xa, cm)
-        rhs_sum += kron(va, cm)
-    return VonNeumannGap(operator_norm(lhs_sum), operator_norm(rhs_sum))
+    return VonNeumannGap(operator_norm(lhs_sum), operator_norm(rhs.at()))
 
 
 _BRACKET = 2.0**-7  # the bisection stops once hi - lo <= _BRACKET * lo

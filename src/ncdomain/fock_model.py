@@ -13,14 +13,14 @@ functions here read f, m, N, its word index and its ``values`` off it.
 The ratios telescope, so the product V_w sends e_u to
 sqrt(b_u / b_{wu}) e_{wu}, and in the graded-lex index it sends grade L
 onto one contiguous run of grade L + |w| (`WordIndex.shift_block`); the
-targets of V_w are those runs.  Dense matrices are allocated only after
-checking their 16 (dim e)^2 bytes against physical memory:
-`monomial_pair` scatters V_alpha V_beta^* from two target arrays, and
-`model_monomial` is V_w V_unit^*.  A series sum_w r^|w| V_w (x) C_w
-is planned on the model once (`_SeriesPlan`: flat targets and aligned
-factors per grade, one dense buffer), and that one plan serves
-`evaluate_on_model`, `hardy_norm_estimate` at every radius and the
-model images of `rigidity.map_image_check`.  Distinct
+targets of V_w are those runs.  Every dense model element is one
+`_ModelSum`, sum_t r^k_t V_alpha_t V_beta_t^* (x) C_t held as parts,
+whose `at(r)` returns a fresh matrix once its 16 (dim e)^2 bytes pass the
+physical-memory check.  A series is one part per nonzero grade
+(`_series_sum`: `hardy_norm_estimate`, `rigidity.map_image_check`), a
+list of (alpha, beta, C) terms one part per term (`_hereditary_sum`: the
+model side of `cp_maps.von_neumann_gap`), and `monomial_pair` and
+`model_monomial` (V_w V_unit^*) are one-term sums.  Distinct
 columns of V_w land in distinct rows, so the completely positive map
 Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
 and acts on a diagonal as a sum of scaled index scatters, and the
@@ -41,7 +41,7 @@ import numpy as np
 from .defaults import physical_memory
 from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
-from .weights import WeightTable, binomial_constant, weights_direct
+from .weights import WeightTable, _require_order, binomial_constant, weights_direct
 from .words import DimensionCapError, Letters, WordIndex, _as_letters
 
 
@@ -51,8 +51,8 @@ def _targets(model: WeightTable, word: Letters) -> np.ndarray:
     return np.concatenate([np.arange(0)] + [np.arange(s.start, s.stop) for s in runs])
 
 
-def _dense_zeros(size: int, what: str) -> np.ndarray:
-    """A complex (size, size) zero matrix, refused if it exceeds physical memory."""
+def _require_dense(size: int, what: str) -> None:
+    """Refuse a complex (size, size) matrix that exceeds physical memory."""
     need = 16 * size * size
     have = physical_memory()
     if need > have:
@@ -60,6 +60,11 @@ def _dense_zeros(size: int, what: str) -> np.ndarray:
             f"{what} needs a dense {size} x {size} complex matrix of {need} "
             f"bytes, more than the {have} bytes of physical memory"
         )
+
+
+def _dense_zeros(size: int, what: str) -> np.ndarray:
+    """A complex (size, size) zero matrix, refused if it exceeds physical memory."""
+    _require_dense(size, what)
     return np.zeros((size, size), dtype=complex)
 
 
@@ -75,8 +80,7 @@ def build_model(
     table is supplied (it must cover depth N for the same f and m); a
     deeper table is cut to its depth-N prefix.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _require_order(m)
     if weight_table is None:
         return weights_direct(f, m, N)
     if weight_table.N < N:
@@ -89,28 +93,96 @@ def build_model(
     return WeightTable(f, m, index, weight_table.values[: index.dim])
 
 
+class _ModelSum:
+    """sum_t r^k_t V_alpha_t V_beta_t^* (x) C_t on one model, dense at any r.
+
+    V_alpha V_beta^* sends e_{beta u} to s_u e_{alpha u} for the first
+    basis vectors u, s_u = sqrt(b_u / b_{alpha u}) sqrt(b_u / b_{beta u}),
+    and k = |alpha| + |beta|.  A part holds terms of one k as flat indices
+    in the (dim e)^2 matrix, no entry twice, with s and the coefficients
+    aligned to them.
+    """
+
+    __slots__ = ("b", "size", "e", "what", "parts")
+
+    def __init__(self, model: WeightTable, e: int, what: str):
+        self.b, self.size, self.e, self.what = model.values, model.index.dim * e, e, what
+        _require_dense(self.size, what)  # before any part is built
+        self.parts = []
+
+    def add(self, k: int, rows: np.ndarray, cols: np.ndarray, c: np.ndarray) -> None:
+        """The part sum_p r^k V_{alpha_p} V_{beta_p}^* (x) c[p]; cols may be
+        one (Q,) row shared by every p."""
+        b, size, e = self.b, self.size, self.e
+        u = b[: rows.shape[-1]]
+        s = np.sqrt(u / b[rows]) * np.sqrt(u / b[cols])
+        if e == 1:
+            self.parts.append((k, rows * size + cols, c[:, 0, :], s))
+        else:
+            # entry (alpha u, p; beta u, q) of the matrix, as (P, Q, e, e)
+            p = np.arange(e)
+            flat = ((rows * e)[..., None, None] + p[:, None]) * size
+            flat = flat + (cols * e)[..., None, None] + p
+            self.parts.append((k, flat, c[:, None], s[..., None, None]))
+
+    def at(self, r: float = 1.0) -> np.ndarray:
+        """A fresh dense matrix at r, the parts added in order, each in the
+        arithmetic order of a per-word sum: (r^k c) s for e = 1, (r^k s) c
+        for e > 1.  Adding onto 0.0 turns a -0.0 product into 0.0."""
+        out = _dense_zeros(self.size, self.what)
+        flat = out.reshape(-1)
+        for k, target, c, s in self.parts:
+            scale = r**k
+            flat[target] += (scale * c) * s if self.e == 1 else (scale * s) * c
+        return out
+
+
+def _series_sum(series: FreeSeries, model: WeightTable) -> _ModelSum:
+    """sum_w r^|w| V_w (x) C_w: one part per nonzero grade k, beta the unit.
+
+    For |w| = k the pairs (wu, u) with |u| = L fill an (n^k, n^L) grid of
+    grade L + k; over L = 0..N - k they form an (n^k, dim_{N-k}) grid,
+    with u running over the first dim_{N-k} basis vectors.
+    """
+    if series.n != model.f.n:
+        raise ValueError(
+            f"series over {series.n} letters on a model with {model.f.n} generators"
+        )
+    if series.degree > model.N:
+        raise ValueError(f"series degree {series.degree} exceeds model depth {model.N}")
+    n, index = model.f.n, model.index
+    out = _ModelSum(model, series.coeff_dim, "a series evaluated on the model")
+    for k, c in series._nonzero_grades():
+        top = model.N - k
+        rows = np.hstack([
+            np.arange(index.offset(L + k), index.offset(L + k + 1)).reshape(n**k, n**L)
+            for L in range(top + 1)
+        ])
+        out.add(k, rows, np.arange(index.offset(top + 1)), c)
+    return out
+
+
+def _hereditary_sum(model: WeightTable, terms, what: str) -> _ModelSum:
+    """sum_t V_alpha_t V_beta_t^* (x) C_t, one part per term, for (alpha,
+    beta, C) with letter tuples and (e, e) coefficients of one shape."""
+    out = _ModelSum(model, terms[0][2].shape[0], what)
+    for alpha, beta, c in terms:
+        t_a, t_b = _targets(model, alpha), _targets(model, beta)
+        q = min(t_a.size, t_b.size)
+        out.add(len(alpha) + len(beta), t_a[None, :q], t_b[None, :q], c[None])
+    return out
+
+
 def model_monomial(model: WeightTable, word) -> np.ndarray:
     """Dense matrix of the product V_w (empty word gives the identity)."""
     return monomial_pair(model, word, ())
 
 
 def monomial_pair(model: WeightTable, alpha, beta) -> np.ndarray:
-    """Dense V_alpha V_beta^*, one scatter from the two target arrays.
-
-    For each basis vector e_u kept by both, V_beta^* sends e_{beta u} to
-    sqrt(b_u / b_{beta u}) e_u and V_alpha sends that on to
-    sqrt(b_u / b_{alpha u}) e_{alpha u}; the weights are real, and every
-    other column is zero.  The kept u are the first min(|t_alpha|,
-    |t_beta|) basis vectors.
-    """
-    n, b = model.f.n, model.values
-    t_a = _targets(model, _as_letters(alpha, n))
-    t_b = _targets(model, _as_letters(beta, n))
-    out = _dense_zeros(model.index.dim, "the model operator V_alpha V_beta^*")
-    k = min(t_a.size, t_b.size)
-    t_a, t_b = t_a[:k], t_b[:k]
-    out[t_a, t_b] = np.sqrt(b[:k] / b[t_a]) * np.sqrt(b[:k] / b[t_b])
-    return out
+    """Dense V_alpha V_beta^*, a one-term `_hereditary_sum` at r = 1."""
+    n = model.f.n
+    term = (_as_letters(alpha, n), _as_letters(beta, n), np.ones((1, 1)))
+    return _hereditary_sum(model, [term], "the model operator V_alpha V_beta^*").at()
 
 
 def _scatter_terms(
@@ -163,76 +235,6 @@ def model_defect(model: WeightTable) -> np.ndarray:
     return out
 
 
-class _SeriesPlan:
-    """sum_w r^|w| V_w (x) C_w for one series on one model, at any r.
-
-    For |w| = k and |u| = L the entry at (wu, u) is r^k sqrt(b_u / b_{wu})
-    C_w; over L = 0..N - k the pairs (wu, u) of one grade k form an
-    (n^k, dim_{N-k}) grid, with u running over the first dim_{N-k} basis
-    vectors.  The plan holds, per nonzero grade, the flat indices of
-    those entries in the (dim e)^2 matrix with the coefficient and weight
-    factors aligned to them, and one dense buffer, so each r is one
-    multiply and one scatter per grade.  No entry is reached twice, and
-    every r writes the same entries, so the buffer is refilled in place.
-    """
-
-    __slots__ = ("e", "out", "grades")
-
-    def __init__(self, series: FreeSeries, model: WeightTable):
-        if series.n != model.f.n:
-            raise ValueError(
-                f"series over {series.n} letters on a model with {model.f.n} generators"
-            )
-        if series.degree > model.N:
-            raise ValueError(
-                f"series degree {series.degree} exceeds model depth {model.N}"
-            )
-        n, e, b, index = model.f.n, series.coeff_dim, model.values, model.index
-        size = index.dim * e
-        self.e = e
-        self.out = _dense_zeros(size, "a series evaluated on the model")
-        self.grades = []
-        for k, c in series._nonzero_grades():
-            top = model.N - k
-            rows = np.hstack([
-                np.arange(index.offset(L + k), index.offset(L + k + 1)).reshape(n**k, n**L)
-                for L in range(top + 1)
-            ])
-            cols = np.arange(index.offset(top + 1))
-            w = np.sqrt(b[cols] / b[rows])
-            if e == 1:
-                self.grades.append((k, rows * size + cols, c[:, 0, :], w))
-            else:
-                # entry (wu, p; u, q) of the matrix, as (n^k, dim_{N-k}, e, e)
-                p = np.arange(e)
-                flat = ((rows * e)[..., None, None] + p[:, None]) * size
-                flat = flat + (cols * e)[:, None, None] + p
-                self.grades.append((k, flat, c[:, None], w[..., None, None]))
-
-    def at(self, r: float) -> np.ndarray:
-        """The buffer filled at r, in the arithmetic order of a per-word sum:
-        (r^k c) w for e = 1, (r^k w) c for e > 1."""
-        flat = self.out.reshape(-1)
-        for k, target, c, w in self.grades:
-            scale = r**k
-            vals = (scale * c) * w if self.e == 1 else (scale * w) * c
-            vals += 0.0  # -0.0 reads 0.0, as a sum onto the zero matrix gives
-            flat[target] = vals
-        return self.out
-
-
-def evaluate_on_model(
-    series: FreeSeries, model: WeightTable, r: float = 1.0
-) -> np.ndarray:
-    """sum_w r^|w| V_w (x) C_w as a dense matrix on C^dim (x) C^e.
-
-    One `_SeriesPlan`, filled once: each grade of the series is one
-    scatter.  No entry is reached twice, so the result does not depend
-    on the order.
-    """
-    return _SeriesPlan(series, model).at(r)
-
-
 def hardy_norm_estimate(
     series: FreeSeries,
     f: PositiveRegularFunction,
@@ -245,8 +247,8 @@ def hardy_norm_estimate(
 
     Each value is a lower bound for the supremum norm of the series over
     the domain of (f, m); the sequence is nondecreasing in r and in N.
-    The grid must be nondecreasing inside [0, 1).  One plan and one
-    dense buffer serve every r.  The model is `build_model(f, m, N,
+    The grid must be nondecreasing inside [0, 1).  One `_series_sum`
+    serves every r.  The model is `build_model(f, m, N,
     weight_table)`, so a table of depth >= N is cut, not summed again.
     """
     grid = [float(r) for r in r_grid]
@@ -257,8 +259,8 @@ def hardy_norm_estimate(
             raise ValueError("r_grid must be nondecreasing")
     if not all(0.0 <= r < 1.0 for r in grid):
         raise ValueError("r_grid values must lie in [0, 1)")
-    plan = _SeriesPlan(series, build_model(f, m, N, weight_table))
-    return [operator_norm(plan.at(r)) for r in grid]
+    chi = _series_sum(series, build_model(f, m, N, weight_table))
+    return [operator_norm(chi.at(r)) for r in grid]
 
 
 def symbol_row_diagonal(model: WeightTable) -> np.ndarray:

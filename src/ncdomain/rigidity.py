@@ -12,7 +12,8 @@ Three computational angles on the same theme:
     defects start from Z_L = diag(b_u) (Y = I) and are read as minimum
     eigenvalues of D_L^-1 Z_L D_L^-1, grade by grade,
   * invariance of the nilpotent part under a free polynomial map, on
-    the scaled depth-N model and nilpotent samples (`map_image_check`),
+    the scaled depth-N model and nilpotent samples (`map_image_check`);
+    the model images come from one `fock_model._series_sum` per map,
   * the iteration probe (`cartan_iteration_probe`): a map tangent to
     the identity with any genuine higher-order term, composed with
     itself, drifts away from the identity and eventually violates the
@@ -41,7 +42,7 @@ import numpy as np
 
 from .cp_maps import MembershipVerdict, _nonfinite_ok, membership, sample_nilpotent_member
 from .defaults import EIGENVALUE_TOL, physical_memory
-from .fock_model import _SeriesPlan, build_model
+from .fock_model import _series_sum, build_model
 from .linalg import hermitian_part, kron, min_eigenvalue
 from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
 from .weights import weights_direct
@@ -249,8 +250,8 @@ def map_image_check(
     The maps are g.n series over f's letters.  For each r in the grid the
     tuple (phi_1(rV), .., phi_n(rV)) is formed on the depth-N model of
     (f, m), a nilpotent member, and run through the order-l membership
-    test for g; each map is planned on the model once (`_SeriesPlan`) and
-    refilled at every r.  Five random strictly upper triangular members
+    test for g; each map is one `fock_model._series_sum` on the model,
+    read at every r.  Five random strictly upper triangular members
     of size N + 1 follow.  Words longer than N vanish on all of these, so
     the maps are truncated to degree N without loss.
     """
@@ -261,9 +262,9 @@ def map_image_check(
     if not grid or not all(0.0 <= r <= 1.0 for r in grid):
         raise ValueError(f"r_grid must be nonempty, with values in [0, 1], got {grid}")
     model = build_model(f, m, N)
-    plans = [_SeriesPlan(s, model) for s in maps]
+    sums = [_series_sum(s, model) for s in maps]
     model_verdicts = tuple(
-        membership(g, l, [plan.at(r) for plan in plans], tol=tol) for r in grid
+        membership(g, l, [chi.at(r) for chi in sums], tol=tol) for r in grid
     )
     rng = np.random.default_rng(0) if rng is None else rng
     samples = (sample_nilpotent_member(f, m, N + 1, rng, tol=tol) for _ in range(5))

@@ -59,6 +59,21 @@ def binomial_constant(k: int, m: int) -> int:
     return math.comb(k + m - 1, m - 1)
 
 
+def _require_order(m) -> int:
+    """m as an int: ValueError below 1, TypeError if it is not an integer."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return operator.index(m)
+
+
+def _require_sizes(m, N) -> tuple[int, int]:
+    """(m, N) as ints: m by `_require_order`, then ValueError for N < 0."""
+    m = _require_order(m)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    return m, operator.index(N)
+
+
 class WeightTable:
     """Weights b_w for all words of length <= N, one array in `WordIndex` order.
 
@@ -100,11 +115,7 @@ def weights_direct(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     m, N and the basis cap are checked on every call, before the cache
     lookup, and every call gets its own table and word index.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    m, N = operator.index(m), operator.index(N)
+    m, N = _require_sizes(m, N)
     index = WordIndex(f.n, N)  # the basis cap is checked before any lookup
     return WeightTable(f, m, index, _direct_values(f, m, N))
 
@@ -159,11 +170,7 @@ def weights_oracle(f: PositiveRegularFunction, m: int, N: int) -> WeightTable:
     place, grade by grade from the unit up.  No binomial coefficient is
     used.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    m, N = operator.index(m), operator.index(N)
+    m, N = _require_sizes(m, N)
     index = WordIndex(f.n, N)  # the basis cap is checked before any allocation
     support = [(k, g[:, 0, 0].real) for k, g in f.as_series()._nonzero_grades()]
     start = [index.offset(K) for K in range(N + 2)]

@@ -20,7 +20,7 @@ from ncdomain.berezin import (
     berezin_transform_resolvent,
 )
 from ncdomain.cp_maps import (
-    defect_sequence,
+    _point_state,
     membership,
     monomial_product,
     sample_nilpotent_member,
@@ -188,7 +188,7 @@ def _dense_resolvent_transform(f, m, x, g, N):
     r[:d] = np.eye(d)
     for _ in range(m):
         r = np.linalg.solve(b_mat, r)
-    delta_sq = defect_sequence(f, m, x).deltas[m]
+    delta_sq = _point_state(f, m, x).deltas[m]
     return r.conj().T @ np.kron(g, delta_sq) @ r
 
 

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdomain import berezin, cp_maps
+from ncdomain import berezin, cp_maps, fock_model
 from ncdomain.cp_maps import (
     OperatorTuple,
     agler_consistency,
-    defect_sequence,
     membership,
     monomial_product,
     sample_member,
@@ -29,7 +28,7 @@ from ncdomain.cp_maps import (
 )
 from ncdomain.linalg import hermitian_part, min_eigenvalue, operator_norm
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
-from ncdomain.words import enumerate_words, word_products
+from ncdomain.words import DimensionCapError, enumerate_words, word_products
 
 
 def test_operator_tuple_normalizes_scalars():
@@ -56,7 +55,7 @@ def test_monomial_product_order():
 def test_defect_sequence_scalar_example():
     # f = Z, m = 2 at X = 0.5: deltas 1, 0.75, 0.5625
     f = unit_ball_symbol(1)
-    seq = defect_sequence(f, 2, [np.array([[0.5]])])
+    seq = cp_maps._point_state(f, 2, [np.array([[0.5]])])
     values = [d[0, 0].real for d in seq.deltas]
     assert values == pytest.approx([1.0, 0.75, 0.5625])
     assert seq.min_eigenvalues == pytest.approx([0.75, 0.5625])
@@ -153,7 +152,7 @@ def test_von_neumann_rejects_a_bad_coefficient_before_any_product(monkeypatch, t
     def refuse(*args):
         raise AssertionError("a product was formed before the coefficients were checked")
 
-    for name in ("_point_state", "build_model", "monomial_product", "monomial_pair"):
+    for name in ("_point_state", "build_model", "monomial_product", "_hereditary_sum"):
         monkeypatch.setattr(cp_maps, name, refuse)
     with pytest.raises(ValueError, match=match):
         von_neumann_gap(unit_ball_symbol(1), 1, [np.array([[0.5]])], terms, N=3)
@@ -443,7 +442,7 @@ def test_ray_defects_match_defect_sequence(f, m, d, seed, t):
     raw = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(f.n)]
     base = OperatorTuple(raw).scaled(1.0 / (2.0 * math.sqrt(f.n * d)))
     polys = cp_maps._ray_coefficients(cp_maps._support(f, base), m)
-    deltas = defect_sequence(f, m, base.scaled(math.sqrt(t))).deltas
+    deltas = cp_maps._point_state(f, m, base.scaled(math.sqrt(t))).deltas
     for k in range(1, m + 1):
         value = cp_maps._ray_at(polys, t)[k - 1]
         scale = max(1.0, float(np.max(np.abs(deltas[k]))))
@@ -462,7 +461,7 @@ def test_graded_monomials_match_word_products(n, N, d):
 
 
 def test_hot_path_skips_membership_and_word_lists(monkeypatch):
-    calls = {"membership": 0, "defect_sequence": 0}
+    calls = {"membership": 0, "_point_state": 0}
     passed = []
     for name in calls:
         real = getattr(cp_maps, name)
@@ -484,7 +483,7 @@ def test_hot_path_skips_membership_and_word_lists(monkeypatch):
     rng = np.random.default_rng(5)
     sample_member(f, 3, 4, rng)
     sample_nilpotent_member(f, 2, 4, rng)
-    assert calls == {"membership": 0, "defect_sequence": 0}
+    assert calls == {"membership": 0, "_point_state": 0}
     kernel = berezin.berezin_kernel(f, 1, sample_member(f, 1, 3, rng), 4)
     assert 0 < max(passed) <= len(f.items())
     assert kernel.index._words is None
@@ -520,7 +519,7 @@ def test_library_rejects_a_tuple_of_the_wrong_size(n, d, k):
     g = np.eye(enumerate_words(n, 2).dim)
     calls = [
         lambda: membership(f, 1, x),
-        lambda: defect_sequence(f, 1, x),
+        lambda: cp_maps._point_state(f, 1, x),
         lambda: spectral_radius_estimate(f, x),
         lambda: von_neumann_gap(f, 1, x, [((), (), 1.0)], N=2),
         lambda: berezin.berezin_kernel(f, 1, x, 2),
@@ -638,3 +637,17 @@ def test_resolvent_builds_the_support_once(monkeypatch):
     g = np.eye(enumerate_words(2, 4).dim)
     berezin.berezin_transform_resolvent(f, 2, x, g, 4)
     assert len(calls) == 1
+
+
+def test_von_neumann_model_side_checks_physical_memory(monkeypatch):
+    # n = 2, N = 3, e = 2: the model side is a 30 x 30 complex matrix
+    f = unit_ball_symbol(2)
+    x = [np.array([[0.25]]), np.array([[0.25]])]
+    terms = [((1,), (2,), np.eye(2)), ((1, 1), (2, 1), np.ones((2, 2)))]
+    need = 16 * 30**2
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: need - 1)
+    with pytest.raises(DimensionCapError, match=f"model side .* {need} bytes"):
+        von_neumann_gap(f, 1, x, terms, N=3)
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: need)
+    gap = von_neumann_gap(f, 1, x, terms, N=3)
+    assert gap.lhs <= gap.rhs + 1e-12

@@ -15,7 +15,7 @@ SOURCES = sorted((ROOT / "src" / "ncdomain").glob("*.py")) + [ROOT / "bench" / "
 
 # exports that only the tests reach: the backlog of ROADMAP item 6, which
 # either puts them behind a command or drops them from the exports
-TEST_ONLY = {"defect_sequence", "evaluate_on_model", "map_image_check", "spectral_radius_estimate"}
+TEST_ONLY = {"map_image_check", "spectral_radius_estimate"}
 
 
 def _loaded_names(path: Path) -> set[str]:

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from ncdomain import fock_model
 from ncdomain.fock_model import (
+    _hereditary_sum,
     _scatter_diagonal,
     _scatter_terms,
+    _series_sum,
     build_model,
     defect_diagonal,
-    evaluate_on_model,
     grade_row_diagonal,
     hardy_norm_estimate,
     model_defect,
@@ -22,7 +23,7 @@ from ncdomain.fock_model import (
     monomial_pair,
     symbol_row_diagonal,
 )
-from ncdomain.linalg import operator_norm
+from ncdomain.linalg import kron, operator_norm
 from ncdomain.words import DimensionCapError
 from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
 from ncdomain.weights import binomial_constant, weights_direct
@@ -109,7 +110,7 @@ def test_dense_allocations_check_physical_memory(monkeypatch):
     monomial_pair(model, "1", "2")
     model_monomial(model, "1")
     with pytest.raises(DimensionCapError, match=f"{16 * 30**2} bytes"):
-        evaluate_on_model(series, model)  # (dim * e)^2 entries, e = 2
+        _series_sum(series, model)  # (dim * e)^2 entries, e = 2
     model_defect(model)
     monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 15**2 - 1)
     with pytest.raises(DimensionCapError, match=f"{16 * 15**2} bytes"):
@@ -203,8 +204,8 @@ def test_grade_row_diagonal_matches_dense_sum(n, m):
 def test_evaluate_on_model_is_creation():
     model = build_model(unit_ball_symbol(2), 1, 2)
     z1 = FreeSeries(2, 1, {"1": 1.0})
-    assert np.allclose(evaluate_on_model(z1, model), model_monomial(model, (1,)))
-    half = evaluate_on_model(z1, model, r=0.5)
+    assert np.allclose(_series_sum(z1, model).at(), model_monomial(model, (1,)))
+    half = _series_sum(z1, model).at(0.5)
     assert np.allclose(half, 0.5 * model_monomial(model, (1,)))
 
 
@@ -227,7 +228,7 @@ def test_evaluate_on_model_matches_per_word_sum(n, e):
         r ** len(word) * np.kron(_creation_product(model, word), c)
         for word, c in coeffs.items()
     )
-    got = evaluate_on_model(series, model, r=r)
+    got = _series_sum(series, model).at(r)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -291,7 +292,7 @@ def test_plan_matches_the_per_grade_pair_scatter_bit_for_bit(case):
     f, m, N, series, grid = case
     model = build_model(f, m, N)
     for r in grid + [1.0]:
-        got, want = evaluate_on_model(series, model, r), _scatter_oracle(series, model, r)
+        got, want = _series_sum(series, model).at(r), _scatter_oracle(series, model, r)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros too
     want = [operator_norm(_scatter_oracle(series, model, r)) for r in grid]
@@ -308,16 +309,97 @@ def test_depth_n_plan_is_the_leading_block_of_the_next_depth(case, shared):
     model = build_model(f, m, N, deep if shared else None)
     assert np.shares_memory(model.values, deep.values) == shared
     size = model.index.dim * series.coeff_dim
-    low, high = fock_model._SeriesPlan(series, model), fock_model._SeriesPlan(series, deep)
+    low, high = fock_model._series_sum(series, model), fock_model._series_sum(series, deep)
     for r in (0.0, 0.3, 0.9):
         want = np.ascontiguousarray(high.at(r)[:size, :size])
         assert low.at(r).tobytes() == want.tobytes()
 
 
+def test_at_returns_a_fresh_matrix_at_every_radius():
+    # a caller that keeps the matrices of two radii sees both
+    f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "21": 0.25})
+    model = build_model(f, 2, 3)
+    s = FreeSeries(2, 2, {"1": 1.0, "12": -2.0, "22": 0.5j}, coeff_dim=2)
+    chi = _series_sum(s, model)
+    low, high = chi.at(0.3), chi.at(0.9)
+    assert not np.shares_memory(low, high)
+    assert low.tobytes() == _scatter_oracle(s, model, 0.3).tobytes()
+    assert high.tobytes() == _scatter_oracle(s, model, 0.9).tobytes()
+    pair = _hereditary_sum(model, [((1,), (2,), np.ones((1, 1)))], "a pair")
+    assert not np.shares_memory(pair.at(), pair.at())
+
+
+def _dense_pair(model, alpha, beta):
+    """V_alpha V_beta^* by the former scatter from the two target arrays."""
+    b = model.values
+    t_a, t_b = fock_model._targets(model, alpha), fock_model._targets(model, beta)
+    out = np.zeros((model.index.dim, model.index.dim), dtype=complex)
+    k = min(t_a.size, t_b.size)
+    t_a, t_b = t_a[:k], t_b[:k]
+    out[t_a, t_b] = np.sqrt(b[:k] / b[t_a]) * np.sqrt(b[:k] / b[t_b])
+    return out
+
+
+def _dense_hereditary(model, terms):
+    """sum_t V_alpha V_beta^* (x) C by the former dense sum, one kron per term."""
+    size = model.index.dim * terms[0][2].shape[0]
+    out = np.zeros((size, size), dtype=complex)
+    for alpha, beta, c in terms:
+        out += kron(_dense_pair(model, alpha, beta), c)
+    return out
+
+
+@st.composite
+def hereditary_cases(draw):
+    """A model with n <= 3, N <= 4 and 1 to 4 terms (alpha, beta, C), e in {1, 2}.
+
+    A drawn term may be followed by (alpha s, beta s), whose entries land
+    on those of (alpha, beta); coefficients mix complex values, negative
+    reals and zeros."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(0, 4))
+    e = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    symbol = {(i,): float(rng.uniform(0.1, 1.0)) for i in range(1, n + 1)}
+    symbol[tuple(rng.integers(1, n + 1, size=2))] = float(rng.uniform(0.0, 0.5))
+    word = st.lists(st.integers(1, n), max_size=N).map(tuple)
+
+    def coefficient():
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return rng.standard_normal((e, e)) + 1j * rng.standard_normal((e, e))
+        if kind == 1:
+            return -float(rng.integers(1, 4)) * np.eye(e, dtype=complex)
+        return np.zeros((e, e), dtype=complex)
+
+    count = draw(st.integers(1, 4))
+    terms = []
+    while len(terms) < count:
+        alpha, beta = draw(word), draw(word)
+        terms.append((alpha, beta, coefficient()))
+        shift = tuple(draw(st.lists(st.integers(1, n), max_size=N - max(len(alpha), len(beta)))))
+        if shift and len(terms) < count:
+            terms.append((alpha + shift, beta + shift, coefficient()))
+    model = build_model(PositiveRegularFunction(n, symbol), draw(st.integers(1, 3)), N)
+    return model, terms
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=hereditary_cases())
+def test_hereditary_sum_matches_the_dense_kron_sum_bit_for_bit(case):
+    model, terms = case
+    got = _hereditary_sum(model, terms, "a hereditary expression").at()
+    want = _dense_hereditary(model, terms)
+    assert got.tobytes() == want.tobytes()
+    for alpha, beta, _ in terms:
+        want = _dense_pair(model, alpha, beta)
+        assert monomial_pair(model, alpha, beta).tobytes() == want.tobytes()
+
+
 def test_hardy_norm_plans_once_over_the_grid(monkeypatch):
     plans, tables = [], []
-    real_plan, real_weights = fock_model._SeriesPlan, fock_model.weights_direct
-    monkeypatch.setattr(fock_model, "_SeriesPlan",
+    real_plan, real_weights = fock_model._series_sum, fock_model.weights_direct
+    monkeypatch.setattr(fock_model, "_series_sum",
                         lambda *a: plans.append(a) or real_plan(*a))
     monkeypatch.setattr(fock_model, "weights_direct",
                         lambda *a: tables.append(a) or real_weights(*a))
@@ -355,7 +437,7 @@ def test_evaluate_on_model_requires_depth():
     model = build_model(unit_ball_symbol(1), 1, 2)
     s = FreeSeries(1, 3, {"111": 1.0})
     with pytest.raises(ValueError):
-        evaluate_on_model(s, model)
+        _series_sum(s, model)
 
 
 def test_model_norms_monotone_in_depth():
@@ -365,7 +447,7 @@ def test_model_norms_monotone_in_depth():
     norms = []
     for depth in (2, 3, 4):
         model = build_model(f, 2, depth)
-        norms.append(np.linalg.norm(evaluate_on_model(s, model), 2))
+        norms.append(np.linalg.norm(_series_sum(s, model).at(), 2))
     assert norms[0] <= norms[1] + 1e-12
     assert norms[1] <= norms[2] + 1e-12
 

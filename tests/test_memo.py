@@ -10,7 +10,7 @@ from ncdomain.berezin import (
     berezin_transform_kernel,
     berezin_transform_resolvent,
 )
-from ncdomain.cp_maps import defect_sequence, membership, sample_member
+from ncdomain.cp_maps import _point_state, membership, sample_member
 from ncdomain.defaults import DIM_CAP_ENV
 from ncdomain.fock_model import build_model
 from ncdomain.series import PositiveRegularFunction
@@ -59,7 +59,7 @@ def _run(op, sym, m, N, k, tol):
         if op == "weights":
             return weights_direct(f, m, N).values
         if op == "defects":
-            seq = defect_sequence(f, m, x)
+            seq = _point_state(f, m, x)
             return seq.deltas, seq.min_eigenvalues
         if op == "member":
             return membership(f, m, x, tol)
@@ -108,8 +108,8 @@ def test_repeated_call_shares_the_table():
 def test_point_state_is_read_only():
     f = PositiveRegularFunction(*SYMBOLS[2])
     x = _point(2, 0)
-    seq = defect_sequence(f, 2, x)
-    assert defect_sequence(f, 2, _point(2, 0)) is seq
+    seq = _point_state(f, 2, x)
+    assert _point_state(f, 2, _point(2, 0)) is seq
     with pytest.raises(ValueError):
         seq.deltas[1][0, 0] = 0.0
 
@@ -168,7 +168,7 @@ def test_bad_arguments_still_raise_after_a_cached_success():
         with pytest.raises(ValueError, match="applied to a"):
             berezin_transform_resolvent(f, 2, bad, np.eye(15), 3)
     with pytest.raises(ValueError, match="m must be >= 1"):
-        defect_sequence(f, 0, x)
+        _point_state(f, 0, x)
     with pytest.raises(ValueError, match="N must be >= 0"):
         weights_direct(f, 2, -1)
     with pytest.raises(TypeError):

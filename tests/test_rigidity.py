@@ -30,7 +30,7 @@ from ncdomain.cp_maps import (
     sample_nilpotent_member,
 )
 from ncdomain.defaults import EIGENVALUE_TOL
-from ncdomain.fock_model import build_model, evaluate_on_model, model_monomial
+from ncdomain.fock_model import _series_sum, build_model, model_monomial
 from ncdomain.series import (
     FreeSeries,
     PositiveRegularFunction,
@@ -189,7 +189,7 @@ def test_certificate_builds_no_dense_model(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
 
     for module, name in ((rigidity, "membership"), (cp_maps, "membership"),
-                         (cp_maps, "defect_sequence"), (rigidity, "build_model"),
+                         (cp_maps, "_point_state"), (rigidity, "build_model"),
                          (fock_model, "build_model")):
         spy(module, name)
     f = PositiveRegularFunction(2, {"1": 0.5, "2": 1.0, "12": 0.25})
@@ -294,7 +294,7 @@ def _former_nilpotent_image_check(maps, f, m, g, l, p, tol=EIGENVALUE_TOL, rng=N
     with the maps truncated to degree p."""
     maps = tuple(s.truncated(p) for s in maps)
     model = build_model(f, m, p)
-    model_verdict = membership(g, l, [evaluate_on_model(s, model) for s in maps], tol=tol)
+    model_verdict = membership(g, l, [_series_sum(s, model).at() for s in maps], tol=tol)
     rng = np.random.default_rng(0) if rng is None else rng
     sample_verdicts = []
     for _ in range(5):
@@ -312,7 +312,7 @@ def _former_generator_images(f, m, g, l, maps, N, tol=EIGENVALUE_TOL,
     if any(s.degree > N for s in maps):
         raise ValueError(f"map degree exceeds model depth N={N}")
     model = build_model(g, l, N)
-    plans = [fock_model._SeriesPlan(s, model) for s in maps]
+    plans = [fock_model._series_sum(s, model) for s in maps]
     return tuple(membership(f, m, [plan.at(float(r)) for plan in plans], tol=tol)
                  for r in r_grid)
 
@@ -396,8 +396,8 @@ def test_generator_images_detect_escape():
 
 def test_generator_images_plan_each_map_once(monkeypatch):
     plans = []
-    real = rigidity._SeriesPlan
-    monkeypatch.setattr(rigidity, "_SeriesPlan", lambda *a: plans.append(a) or real(*a))
+    real = rigidity._series_sum
+    monkeypatch.setattr(rigidity, "_series_sum", lambda *a: plans.append(a) or real(*a))
     f = PositiveRegularFunction(2, {"1": 1.0, "2": 0.5, "12": 0.25})
     g = unit_ball_symbol(2)
     maps = [FreeSeries(2, 2, {"1": 0.5, "21": 0.25}), FreeSeries(2, 2, {"2": 0.5, "11": -0.25})]
@@ -407,7 +407,7 @@ def test_generator_images_plan_each_map_once(monkeypatch):
     # the verdicts of a fresh evaluation per (map, r), bit for bit
     model = build_model(g, 1, 3)
     for r, verdict in zip(grid, report.model_verdicts):
-        want = membership(f, 2, [evaluate_on_model(s, model, r=r) for s in maps])
+        want = membership(f, 2, [_series_sum(s, model).at(r) for s in maps])
         assert verdict == want
 
 
@@ -453,7 +453,7 @@ def _loop_drifts(maps, f, m, p, count, tol=1e-9):
     for n in range(1, count + 1):
         drift_sq = 0.0
         for s, base in zip(current, base_cols):
-            col = evaluate_on_model(s, model).conj().T[:, idx0]
+            col = _series_sum(s, model).at().conj().T[:, idx0]
             drift_sq += float(np.sum(np.abs(col - base) ** 2))
         drifts.append(float(np.sqrt(drift_sq)))
         if n < count:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdomain import weights
+from ncdomain.cp_maps import membership
 from ncdomain.defaults import ORACLE_REL_TOL
 from ncdomain.fock_model import build_model, grade_row_diagonal
 from ncdomain.series import FreeSeries, PositiveRegularFunction, unit_ball_symbol
@@ -276,3 +277,26 @@ def test_oracle_checks_before_allocating(monkeypatch):
         weights_oracle(f, 1, -1)
     with pytest.raises(ValueError, match="cap"):
         weights_oracle(f, 1, 200)
+
+
+def test_one_gate_for_the_order():
+    # weights, the model with or without a table, and membership share one
+    # check of m: the same TypeError for a float, the same ValueError for 0
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.5, "12": 0.25})
+    table = weights_direct(f, 2, 3)
+    x = [np.array([[0.25]]), np.array([[0.25]])]
+    calls = [
+        lambda m: weights_direct(f, m, 2),
+        lambda m: weights_oracle(f, m, 2),
+        lambda m: build_model(f, m, 2),
+        lambda m: build_model(f, m, 2, weight_table=table),
+        lambda m: membership(f, m, x),
+    ]
+    for bad, error in ((2.0, TypeError), (0, ValueError)):
+        messages = set()
+        for call in calls:
+            with pytest.raises(error) as info:
+                call(bad)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+    assert build_model(f, 2, 2, weight_table=table).m == 2
