@@ -16,9 +16,13 @@ Input values pass one gate whether they come from a config file or a
 flag: `_check_depth` (>= 1, basis under the cap), `_check_seed` (>= 0) and
 `_check_tolerance` (finite and > 0).
 
+Each handler imports the layers it runs when it is called, so a process
+running one subcommand loads only those layers; at module level this
+file loads only what `_run` needs (`defaults`, `io` and `words`).
+
 Reports are deterministic: the same inputs (and seed, where one is
 taken) produce a byte-identical body (wall time lives outside it).
-Every judged numeric is a `selftest.CheckResult`, the package's one
+Every judged numeric is a `defaults.CheckResult`, the package's one
 check record, and carries the tolerance it was judged against; where
 selftest judges the same identity, both call one measuring function.
 Exit codes: 0 on success (for verdict commands: verdict holds), 1 when
@@ -29,7 +33,6 @@ computation errors and rejected input values, 64 on usage errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -40,21 +43,12 @@ from typing import Callable
 
 import numpy as np
 
-from .berezin import berezin_transform_kernel, berezin_transform_resolvent
-from .cp_maps import _gaussian_tuple, _point_state, _radius_estimate, membership
 from .defaults import (
     EIGENVALUE_TOL,
     ENTRYWISE_TOL,
     FORM_AGREEMENT_TOL,
     ORACLE_REL_TOL,
-)
-from .fock_model import (
-    bound_excesses,
-    build_model,
-    defect_diagonal,
-    hardy_norm_estimate,
-    monomial_pair,
-    vacuum_gap,
+    CheckResult,
 )
 from .io import (
     FormatError,
@@ -68,10 +62,7 @@ from .io import (
     series_payload,
     symbol_from_mapping,
 )
-from .rigidity import cartan_iteration_probe, check_linear_biholomorphism
-from .selftest import CheckResult, run_selftest
-from .series import PositiveRegularFunction, compose, nested_evaluation_gap
-from .weights import oracle_gap, weights_direct, weights_oracle
+from .series import PositiveRegularFunction
 from .words import capped_word_count, parse_word, word_text
 
 TOLERANCE_DEFAULTS = {
@@ -186,6 +177,8 @@ def _array_entry(x) -> dict:
     hashed in place (a copy only where the layout or dtype differs), so
     any memory layout of the same values hashes alike.
     """
+    import hashlib
+
     if not isinstance(x, np.ndarray):
         raise TypeError(f"cannot digest {type(x).__name__}")
     data = np.ascontiguousarray(x, dtype="<c16")
@@ -194,6 +187,8 @@ def _array_entry(x) -> dict:
 
 def _digest(inputs: dict) -> str:
     """sha256 of the sorted-keys JSON of the inputs, arrays by `_array_entry`."""
+    import hashlib
+
     blob = json.dumps(inputs, sort_keys=True, default=_array_entry)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -295,6 +290,8 @@ def _config_inputs(cfg: DomainConfig) -> dict:
 
 
 def _cmd_weights(ns, cfg: DomainConfig, tol: float, report: Report):
+    from .weights import oracle_gap, weights_direct, weights_oracle
+
     direct = weights_direct(cfg.symbol, cfg.m, cfg.depth)
     oracle = weights_oracle(cfg.symbol, cfg.m, cfg.depth)
     report.results["dim"] = len(direct)
@@ -306,6 +303,8 @@ def _cmd_weights(ns, cfg: DomainConfig, tol: float, report: Report):
 
 
 def _cmd_model(ns, cfg: DomainConfig, tol: float, report: Report):
+    from .fock_model import bound_excesses, build_model, defect_diagonal, vacuum_gap
+
     model = build_model(cfg.symbol, cfg.m, cfg.depth)
     defect = defect_diagonal(model)
     row_excess, grade_excess = bound_excesses(model)
@@ -328,6 +327,8 @@ def _cmd_model(ns, cfg: DomainConfig, tol: float, report: Report):
 
 
 def _cmd_member(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
+    from .cp_maps import membership
+
     mats = load_tuple(ns.tuple_path)
     verdict = membership(cfg.symbol, cfg.m, mats, tol=tol)
     report.inputs["tuple"] = mats
@@ -348,6 +349,8 @@ def _cmd_member(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
 
 
 def _cmd_norm(ns, cfg: DomainConfig, tol: float, report: Report):
+    from .fock_model import hardy_norm_estimate
+
     series = load_series(ns.series)
     grid = [float(s) for s in ns.radii.split(",")]
     norms = hardy_norm_estimate(series, cfg.symbol, cfg.m, cfg.depth, grid)
@@ -364,6 +367,9 @@ def _cmd_norm(ns, cfg: DomainConfig, tol: float, report: Report):
 
 
 def _cmd_compose(ns, cfg: None, tol: float, report: Report):
+    from .cp_maps import _gaussian_tuple
+    from .series import compose, nested_evaluation_gap
+
     outer = load_series(ns.outer)
     inner = [load_series(path) for path in ns.inner]
     composed = compose(outer, inner)
@@ -386,6 +392,10 @@ def _cmd_compose(ns, cfg: None, tol: float, report: Report):
 
 
 def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
+    from .berezin import berezin_transform_kernel, berezin_transform_resolvent
+    from .cp_maps import _point_state, _radius_estimate
+    from .fock_model import build_model, monomial_pair
+
     eig_tol = cfg.tolerances["eigenvalue"]
     mats = load_tuple(ns.tuple_path)
     if ns.g is not None:
@@ -424,6 +434,8 @@ def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
 
 
 def _cmd_biholo(ns, cfg: DomainConfig, tol: float, report: Report):
+    from .rigidity import check_linear_biholomorphism
+
     target = parse_config(ns.target_config)
     u = load_matrix(ns.map_path)
     cert = check_linear_biholomorphism(
@@ -446,6 +458,8 @@ def _cmd_biholo(ns, cfg: DomainConfig, tol: float, report: Report):
 
 
 def _cmd_probe_cartan(ns, cfg: DomainConfig, tol: float, report: Report):
+    from .rigidity import cartan_iteration_probe
+
     maps = [load_series(path) for path in ns.maps]
     order = ns.order
     if order is None:
@@ -470,6 +484,8 @@ def _cmd_probe_cartan(ns, cfg: DomainConfig, tol: float, report: Report):
 
 
 def _cmd_selftest(ns, cfg: None, tol: None, report: Report):
+    from .selftest import run_selftest
+
     outcome = run_selftest(ns.profile, report.seed)
     report.inputs["profile"] = ns.profile
     report.results["profile"] = outcome.profile
@@ -488,14 +504,16 @@ _SEED = _flag("--seed", type=int, default=0, help="random seed")
 @dataclass(frozen=True)
 class Command:
     """A subcommand's handler, the tolerance that ``--tol`` overrides (None:
-    no ``--tol``), its description, whether it reads a domain config, and
-    its own flags."""
+    no ``--tol``), its description, whether it reads a domain config, its
+    own flags, and the pairs of its flags (by dest) that may not be given
+    together."""
 
     handler: Callable
     tolerance: str | None
     description: str
     config: bool = True
     flags: tuple = ()
+    conflicts: tuple = ()
 
 
 COMMANDS = {
@@ -536,6 +554,8 @@ COMMANDS = {
             _flag("--beta", default="", help="right word for the observable"),
             _flag("--form", choices=("kernel", "resolvent", "both"), default="both"),
         ),
+        # an observable is a matrix file or a word pair, never both
+        conflicts=(("g", "alpha"), ("g", "beta")),
     ),
     "biholo": Command(
         _cmd_biholo, "eigenvalue", "certify a linear map between two domains (exit 0/1)",
@@ -592,6 +612,11 @@ def _run(name: str, command: Command, argv) -> int:
     for names, options in command.flags:
         p.add_argument(*names, **options)
     ns = p.parse_args(argv)
+    # an argparse mutually exclusive group cannot hold a pair of flags on
+    # one side, so the pairs are checked here, with the same usage error
+    for first, second in command.conflicts:
+        if all(getattr(ns, d) != p.get_default(d) for d in (first, second)):
+            p.error(f"argument --{second}: not allowed with argument --{first}")
     start = time.perf_counter()
     seed = getattr(ns, "seed", None)
     if seed is not None:

@@ -1,13 +1,17 @@
-"""Numerical tolerances and size limits shared across the package.
+"""Numerical tolerances, size limits and the check record of the package.
 
 Every judged quantity (membership verdicts, oracle comparisons, report
 check lines) refers back to one of the names below, so the defaults live
 in a single place.  Commands and library calls accept explicit overrides.
+Each judged quantity is reported as one `CheckResult`; it lives in this
+leaf module so that a CLI command can report checks without loading the
+selftest battery.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 # Minimum-eigenvalue slack when deciding positive semidefiniteness of
 # defect operators (membership verdicts, certificates).
@@ -30,6 +34,22 @@ DEFAULT_DIM_CAP = 50_000
 
 # Environment variable that overrides the basis cap.
 DIM_CAP_ENV = "NCDOMAIN_DIM_CAP"
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verified quantity: its value, the tolerance, and the verdict."""
+
+    name: str
+    value: float
+    tol: float
+    passed: bool
+    detail: str = ""
+
+    @classmethod
+    def at_most(cls, name: str, value, tol: float, detail: str = "") -> "CheckResult":
+        """The check that passes when value <= tol."""
+        return cls(name, value, tol, bool(value <= tol), detail)
 
 
 def physical_memory() -> int:

@@ -13,10 +13,12 @@ and depths for quick smoke runs (with tolerances that remain honest at
 the reduced depths).
 
 `CheckResult` is the one check record of the package: every criterion
-returns one, and the CLI reports carry them too.  The identities a CLI
-command also judges are measured by one function each, which both call:
-`weights.oracle_gap`, `fock_model.vacuum_gap`, `fock_model.bound_excesses`
-and `series.nested_evaluation_gap`.
+returns one, and the CLI reports carry them too.  It is defined in the
+leaf module `defaults`, so the CLI can report checks without loading this
+battery, and re-exported here as `selftest.CheckResult`.  The identities
+a CLI command also judges are measured by one function each, which both
+call: `weights.oracle_gap`, `fock_model.vacuum_gap`,
+`fock_model.bound_excesses` and `series.nested_evaluation_gap`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .defaults import (
     ENTRYWISE_TOL,
     FORM_AGREEMENT_TOL,
     ORACLE_REL_TOL,
+    CheckResult,
 )
 from .fock_model import (
     bound_excesses,
@@ -66,22 +69,6 @@ from .series import (
 )
 from .weights import _direct_values, oracle_gap, weights_direct, weights_oracle
 from .words import word_count, word_text
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One verified quantity: its value, the tolerance, and the verdict."""
-
-    name: str
-    value: float
-    tol: float
-    passed: bool
-    detail: str = ""
-
-    @classmethod
-    def at_most(cls, name: str, value, tol: float, detail: str = "") -> "CheckResult":
-        """The check that passes when value <= tol."""
-        return cls(name, value, tol, bool(value <= tol), detail)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ncdomain import FreeSeries, cli, compose, cp_maps, fock_model, rigidity
+from ncdomain import FreeSeries, cli, compose, cp_maps, fock_model, rigidity, series
 from ncdomain.cp_maps import spectral_radius_estimate
 from ncdomain.cli import COMMANDS, _digest, main, parse_config
 from ncdomain.io import FormatError
@@ -437,14 +437,12 @@ def test_compose_checks_deep_pairs_without_lifting(tmp_path, capsys):
 
 
 def test_compose_check_sees_top_grade_error(tmp_path, capsys, monkeypatch):
-    import ncdomain.cli as cli
-
     def off_by_top_word(outer, inner):
         composed = compose(outer, inner)
         top = (2,) * composed.degree
         return composed + FreeSeries(composed.n, composed.degree, {top: 1e-3})
 
-    monkeypatch.setattr(cli, "compose", off_by_top_word)
+    monkeypatch.setattr(series, "compose", off_by_top_word)
     code, checks = _compose_report(tmp_path, capsys, 2, {"1": 1.0, "21": 0.5})
     assert code == 1
     assert not checks[0]["passed"]
@@ -467,8 +465,8 @@ def test_berezin_forms_agree_in_report(tmp_path, capsys):
 
 def test_berezin_builds_the_model_only_for_word_observables(tmp_path, capsys, monkeypatch):
     calls = []
-    real = cli.build_model
-    monkeypatch.setattr(cli, "build_model", lambda *a: calls.append(a) or real(*a))
+    real = fock_model.build_model
+    monkeypatch.setattr(fock_model, "build_model", lambda *a: calls.append(a) or real(*a))
     cfg = write_config(tmp_path, m=1, depth=3)
     point = write_tuple(tmp_path, [[[0.5]]])
     g = tmp_path / "g.json"
@@ -479,6 +477,21 @@ def test_berezin_builds_the_model_only_for_word_observables(tmp_path, capsys, mo
     assert main(base + ["--alpha", "1", "--beta", "1"]) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("words", [["--alpha", "1", "--beta", "1"],
+                                   ["--alpha", "1"], ["--beta", "1"]])
+def test_berezin_matrix_file_and_words_is_usage_error(tmp_path, capsys, words):
+    # the matrix file would win and the words would be dropped without notice
+    cfg = write_config(tmp_path, m=1, depth=3)
+    point = write_tuple(tmp_path, [[[0.5]]])
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"matrix": np.eye(4).tolist()}))
+    out = tmp_path / "r.json"
+    assert main(["berezin", "--config", str(cfg), "--tuple", str(point),
+                 "--g", str(g), "--out", str(out)] + words) == 64
+    assert "not allowed with argument --g" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("form", ["kernel", "resolvent", "both"])

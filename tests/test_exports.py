@@ -13,9 +13,9 @@ import ncdomain
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ncdomain").glob("*.py")) + [ROOT / "bench" / "workloads.py"]
 
-# exports that only the tests reach: the backlog of ROADMAP item 6, which
+# exports that only the tests reach: the backlog of ROADMAP item 9, which
 # either puts them behind a command or drops them from the exports
-TEST_ONLY = {"map_image_check", "spectral_radius_estimate"}
+TEST_ONLY = {"map_image_check"}
 
 
 def _loaded_names(path: Path) -> set[str]:
