@@ -352,7 +352,10 @@ def _cmd_norm(ns, cfg: DomainConfig, tol: float, report: Report):
     from .fock_model import hardy_norm_estimate
 
     series = load_series(ns.series)
-    grid = [float(s) for s in ns.radii.split(",")]
+    try:
+        grid = [float(s) for s in ns.radii.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--radii: {exc}") from None
     norms = hardy_norm_estimate(series, cfg.symbol, cfg.m, cfg.depth, grid)
     report.inputs["series"] = {word_text(w): c for w, c in series.items()}
     report.inputs["radii"] = grid

@@ -15,12 +15,15 @@ sqrt(b_u / b_{wu}) e_{wu}, and in the graded-lex index it sends grade L
 onto one contiguous run of grade L + |w| (`WordIndex.shift_block`); the
 targets of V_w are those runs.  Every dense model element is one
 `_ModelSum`, sum_t r^k_t V_alpha_t V_beta_t^* (x) C_t held as parts,
-whose `at(r)` returns a fresh matrix once its 16 (dim e)^2 bytes pass the
-physical-memory check.  A series is one part per nonzero grade
-(`_series_sum`: `hardy_norm_estimate`, `rigidity.map_image_check`), a
-list of (alpha, beta, C) terms one part per term (`_hereditary_sum`: the
-model side of `cp_maps.von_neumann_gap`), and `monomial_pair` and
-`model_monomial` (V_w V_unit^*) are one-term sums.  Distinct
+whose `at(r)` returns a fresh matrix once its (dim e)^2 entries pass the
+physical-memory check.  The weights are real, so a dense model element
+is real exactly when its coefficients are: float64 at 8 (dim e)^2 bytes,
+else complex128 at 16 (dim e)^2.  A series is one complex part per
+nonzero grade (`_series_sum`: `hardy_norm_estimate`,
+`rigidity.map_image_check`), a list of (alpha, beta, C) terms one part
+per term (`_hereditary_sum`: the model side of
+`cp_maps.von_neumann_gap`, complex), `monomial_pair` a complex one-term
+sum and `model_monomial` the real one-term sum V_w V_unit^*.  Distinct
 columns of V_w land in distinct rows, so the completely positive map
 Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
 and acts on a diagonal as a sum of scaled index scatters, and the
@@ -51,21 +54,22 @@ def _targets(model: WeightTable, word: Letters) -> np.ndarray:
     return np.concatenate([np.arange(0)] + [np.arange(s.start, s.stop) for s in runs])
 
 
-def _require_dense(size: int, what: str) -> None:
-    """Refuse a complex (size, size) matrix that exceeds physical memory."""
-    need = 16 * size * size
+def _require_dense(size: int, dtype, what: str) -> None:
+    """Refuse a (size, size) matrix of dtype that exceeds physical memory."""
+    dtype = np.dtype(dtype)
+    need = dtype.itemsize * size * size
     have = physical_memory()
     if need > have:
         raise DimensionCapError(
-            f"{what} needs a dense {size} x {size} complex matrix of {need} "
+            f"{what} needs a dense {size} x {size} {dtype} matrix of {need} "
             f"bytes, more than the {have} bytes of physical memory"
         )
 
 
-def _dense_zeros(size: int, what: str) -> np.ndarray:
-    """A complex (size, size) zero matrix, refused if it exceeds physical memory."""
-    _require_dense(size, what)
-    return np.zeros((size, size), dtype=complex)
+def _dense_zeros(size: int, dtype, what: str) -> np.ndarray:
+    """A (size, size) zero matrix of dtype, refused if it exceeds physical memory."""
+    _require_dense(size, dtype, what)
+    return np.zeros((size, size), dtype=dtype)
 
 
 def build_model(
@@ -100,14 +104,16 @@ class _ModelSum:
     basis vectors u, s_u = sqrt(b_u / b_{alpha u}) sqrt(b_u / b_{beta u}),
     and k = |alpha| + |beta|.  A part holds terms of one k as flat indices
     in the (dim e)^2 matrix, no entry twice, with s and the coefficients
-    aligned to them.
+    aligned to them.  s is real, so the matrix has the dtype of the
+    coefficients: real exactly when they are.
     """
 
-    __slots__ = ("b", "size", "e", "what", "parts")
+    __slots__ = ("b", "size", "e", "dtype", "what", "parts")
 
-    def __init__(self, model: WeightTable, e: int, what: str):
-        self.b, self.size, self.e, self.what = model.values, model.index.dim * e, e, what
-        _require_dense(self.size, what)  # before any part is built
+    def __init__(self, model: WeightTable, e: int, dtype, what: str):
+        self.b, self.size, self.e = model.values, model.index.dim * e, e
+        self.dtype, self.what = dtype, what
+        _require_dense(self.size, dtype, what)  # before any part is built
         self.parts = []
 
     def add(self, k: int, rows: np.ndarray, cols: np.ndarray, c: np.ndarray) -> None:
@@ -129,7 +135,7 @@ class _ModelSum:
         """A fresh dense matrix at r, the parts added in order, each in the
         arithmetic order of a per-word sum: (r^k c) s for e = 1, (r^k s) c
         for e > 1.  Adding onto 0.0 turns a -0.0 product into 0.0."""
-        out = _dense_zeros(self.size, self.what)
+        out = _dense_zeros(self.size, self.dtype, self.what)
         flat = out.reshape(-1)
         for k, target, c, s in self.parts:
             scale = r**k
@@ -151,7 +157,7 @@ def _series_sum(series: FreeSeries, model: WeightTable) -> _ModelSum:
     if series.degree > model.N:
         raise ValueError(f"series degree {series.degree} exceeds model depth {model.N}")
     n, index = model.f.n, model.index
-    out = _ModelSum(model, series.coeff_dim, "a series evaluated on the model")
+    out = _ModelSum(model, series.coeff_dim, complex, "a series evaluated on the model")
     for k, c in series._nonzero_grades():
         top = model.N - k
         rows = np.hstack([
@@ -164,8 +170,10 @@ def _series_sum(series: FreeSeries, model: WeightTable) -> _ModelSum:
 
 def _hereditary_sum(model: WeightTable, terms, what: str) -> _ModelSum:
     """sum_t V_alpha_t V_beta_t^* (x) C_t, one part per term, for (alpha,
-    beta, C) with letter tuples and (e, e) coefficients of one shape."""
-    out = _ModelSum(model, terms[0][2].shape[0], what)
+    beta, C) with letter tuples and (e, e) coefficients of one shape; the
+    matrix takes the common dtype of the coefficients."""
+    dtype = np.result_type(*(c for _, _, c in terms))
+    out = _ModelSum(model, terms[0][2].shape[0], dtype, what)
     for alpha, beta, c in terms:
         t_a, t_b = _targets(model, alpha), _targets(model, beta)
         q = min(t_a.size, t_b.size)
@@ -174,14 +182,25 @@ def _hereditary_sum(model: WeightTable, terms, what: str) -> _ModelSum:
 
 
 def model_monomial(model: WeightTable, word) -> np.ndarray:
-    """Dense matrix of the product V_w (empty word gives the identity)."""
-    return monomial_pair(model, word, ())
+    """Dense real matrix of the product V_w (empty word gives the identity).
+
+    V_w is a weighted shift with real weights, so it is float64 at
+    8 dim^2 bytes, equal bit for bit to the real part of the complex
+    `monomial_pair(model, word, ())`.
+    """
+    term = (_as_letters(word, model.f.n), (), np.ones((1, 1)))
+    return _hereditary_sum(model, [term], "the model operator V_w").at()
 
 
 def monomial_pair(model: WeightTable, alpha, beta) -> np.ndarray:
-    """Dense V_alpha V_beta^*, a one-term `_hereditary_sum` at r = 1."""
+    """Dense complex V_alpha V_beta^*, a one-term `_hereditary_sum` at r = 1.
+
+    The pair is real, but it is a Berezin observable: the CLI digest and
+    both Berezin forms read g as complex, so a real pair would be copied
+    to complex by each of them (measured: more peak memory in `berezin`).
+    """
     n = model.f.n
-    term = (_as_letters(alpha, n), _as_letters(beta, n), np.ones((1, 1)))
+    term = (_as_letters(alpha, n), _as_letters(beta, n), np.ones((1, 1), dtype=complex))
     return _hereditary_sum(model, [term], "the model operator V_alpha V_beta^*").at()
 
 
@@ -228,9 +247,12 @@ def model_defect(model: WeightTable) -> np.ndarray:
     """(id - Phi_f)^m applied to the identity, as a dense diagonal matrix.
 
     On the truncation this equals the rank-one projection onto the
-    vacuum basis vector exactly, which the tests assert entrywise.
+    vacuum basis vector exactly, which the tests assert entrywise.  The
+    diagonal is real, but the matrix stays complex128: a float64 one was
+    measured slower to build at dim 511 and up, and `defect_diagonal` is
+    the real, cheap form.
     """
-    out = _dense_zeros(model.index.dim, "the model defect")
+    out = _dense_zeros(model.index.dim, complex, "the model defect")
     np.fill_diagonal(out, defect_diagonal(model))
     return out
 

@@ -292,6 +292,15 @@ def test_bad_tol_exits_two(readme_files, capsys, row, value):
     assert "--tol must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radii", ["", "0.2,,0.3", "0.2,x"])
+def test_bad_radii_exit_two_naming_the_flag(readme_files, capsys, radii):
+    argv = shlex.split(next(r for r in README_ROWS if r.startswith("norm")))
+    assert main(argv + ["--radii", radii]) == 2
+    assert "ncdomain norm: error: --radii: could not convert string to float" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("budget", ["0", "-3", str(10**400)])
 def test_probe_cartan_rejects_empty_budget(readme_files, capsys, budget):
     assert main(["probe-cartan", "--config", "c.json", "--maps", "m1.json",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdomain import fock_model
+from ncdomain import cp_maps, fock_model
 from ncdomain.fock_model import (
     _hereditary_sum,
     _scatter_diagonal,
@@ -99,8 +99,49 @@ def test_monomial_pair_equals_dense_product(n, N):
     model = build_model(PositiveRegularFunction(n, coeffs), 2, N)
     words = [w for k in range(3) for w in product(range(1, n + 1), repeat=k)]
     for alpha, beta in product(words, repeat=2):
-        want = model_monomial(model, alpha) @ model_monomial(model, beta).conj().T
-        assert np.array_equal(monomial_pair(model, alpha, beta), want)
+        # a real GEMM: each entry has at most one nonzero term, so it is exact
+        want = model_monomial(model, alpha) @ model_monomial(model, beta).T
+        assert want.dtype == np.float64
+        got = monomial_pair(model, alpha, beta)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.astype(complex).tobytes()
+
+
+@st.composite
+def monomial_cases(draw):
+    """A model with n <= 3, N <= 5 and a word with |w| <= N."""
+    n, N = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    symbol = {(i,): float(rng.uniform(0.1, 1.0)) for i in range(1, n + 1)}
+    symbol[tuple(rng.integers(1, n + 1, size=2))] = float(rng.uniform(0.0, 0.5))
+    model = build_model(PositiveRegularFunction(n, symbol), draw(st.integers(1, 3)), N)
+    return model, tuple(draw(st.lists(st.integers(1, n), max_size=N)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=monomial_cases())
+def test_model_monomial_is_the_real_part_of_the_complex_pair(case):
+    model, word = case
+    v = model_monomial(model, word)
+    assert v.dtype == np.float64
+    assert v.astype(complex).tobytes() == monomial_pair(model, word, ()).tobytes()
+
+
+def test_observables_series_and_defect_stay_complex(monkeypatch):
+    model = build_model(unit_ball_symbol(2), 2, 3)
+    series = FreeSeries(2, 2, {"1": 0.5, "21": 0.25})
+    assert monomial_pair(model, "1", "2").dtype == np.complex128
+    assert _series_sum(series, model).at(0.5).dtype == np.complex128
+    assert model_defect(model).dtype == np.complex128
+    real = _hereditary_sum(model, [((1,), (2,), np.ones((1, 1)))], "a real pair")
+    assert real.at().dtype == np.float64
+    # the von Neumann model side casts even real coefficients to complex
+    sides = []
+    monkeypatch.setattr(cp_maps, "_hereditary_sum",
+                        lambda *a: sides.append(_hereditary_sum(*a)) or sides[-1])
+    cp_maps.von_neumann_gap(unit_ball_symbol(2), 2, [np.zeros((1, 1))] * 2,
+                            [((1,), (2,), 0.5)], N=3)
+    assert [s.at().dtype for s in sides] == [np.complex128]
 
 
 def test_dense_allocations_check_physical_memory(monkeypatch):
@@ -113,11 +154,15 @@ def test_dense_allocations_check_physical_memory(monkeypatch):
         _series_sum(series, model)  # (dim * e)^2 entries, e = 2
     model_defect(model)
     monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 15**2 - 1)
-    with pytest.raises(DimensionCapError, match=f"{16 * 15**2} bytes"):
+    with pytest.raises(DimensionCapError, match=f"complex128 matrix of {16 * 15**2} bytes"):
         monomial_pair(model, "1", "2")
-    with pytest.raises(DimensionCapError, match=f"{16 * 15**2} bytes"):
+    with pytest.raises(DimensionCapError, match=f"complex128 matrix of {16 * 15**2} bytes"):
         model_defect(model)
-    with pytest.raises(DimensionCapError, match="physical memory"):
+    # V_w is real: 8 bytes an entry
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: 8 * 15**2)
+    model_monomial(model, (1,))
+    monkeypatch.setattr(fock_model, "physical_memory", lambda: 8 * 15**2 - 1)
+    with pytest.raises(DimensionCapError, match="float64 matrix of 1800 bytes"):
         model_monomial(model, (1,))
 
 
@@ -424,7 +469,7 @@ def test_hardy_norm_refuses_the_dense_matrix_before_allocating(monkeypatch):
     weights_direct(f, 1, 8)  # the table may be allocated; the matrix may not
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionCapError, match=f"needs a dense 1022 x 1022 complex "
+        with pytest.raises(DimensionCapError, match=f"needs a dense 1022 x 1022 complex128 "
                                                     f"matrix of {need} bytes"):
             hardy_norm_estimate(s, f, 1, 8, [0.0, 0.5])
         peak = tracemalloc.get_traced_memory()[1]
