@@ -25,9 +25,20 @@ defects and defect root at T (the `cp_maps.PointState` of
 `_point_state`) from caches that hold the last key by value, so at one
 point `membership`, `build_model` and the first form pay for them and
 the second form reads them; what the caches hold is read-only and
-shared.  Each form admits T through `PointState.require_member`.  Each
-form ends in the same two GEMMs (`_sandwich`): g against the (dim, d^2)
-blocks, then the sum over the Fock slot and one coefficient slot.
+shared.  Each form admits T through `PointState.require_member`.
+
+Both forms read the observable g in either of two forms and end in the
+same contraction for each:
+
+  dense       a (dim, dim) array (a matrix file, `monomial_pair`):
+              two GEMMs (`_sandwich`), g against the (dim, d^2) blocks,
+              then the sum over the Fock slot and one coefficient slot;
+  entry set   the at most dim entries (alpha u, beta u, s_u) of a word
+              observable V_alpha V_beta^* (`fock_model._pair_entries`):
+              sum_u s_u L[alpha u]^* R[beta u] over the gathered blocks,
+              one GEMM (`_entry_sandwich`), with L = R the kernel blocks
+              in the kernel form and L = Delta^2 R, R in the resolvent
+              form, so no dim x dim array is formed.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import numpy as np
 
 from .cp_maps import OperatorTuple, _graded_monomials, _point_state, as_operator_tuple
 from .defaults import EIGENVALUE_TOL
+from .fock_model import _PairEntries
 from .series import PositiveRegularFunction
 from .weights import weights_direct
 from .words import WordIndex
@@ -62,16 +74,40 @@ class BerezinKernel:
     def dim(self) -> int:
         return self.index.dim
 
-    def transform(self, g: np.ndarray) -> np.ndarray:
-        """K^* (g (x) I_d) K without forming the Kronecker product."""
-        g = np.asarray(g, dtype=complex)
-        if g.shape != (self.dim, self.dim):
+    def transform(self, g) -> np.ndarray:
+        """K^* (g (x) I_d) K without forming the Kronecker product, for g
+        dense or an entry set (`fock_model._pair_entries`)."""
+        g = _observable(g, self.dim)
+        blocks = self.blocks
+        if isinstance(g, _PairEntries):
+            return _entry_sandwich(blocks[g.rows], g.values, blocks[g.cols])
+        columns = blocks.reshape(-1, blocks.shape[-1])  # K, rows (v, a)
+        return _sandwich(columns.conj(), g, blocks)
+
+
+def _observable(g, dim: int):
+    """g as an entry set or a dense complex array, either on dim basis vectors."""
+    if isinstance(g, _PairEntries):
+        if g.dim != dim:
             raise ValueError(
-                f"g must be {self.dim} x {self.dim} on the truncated Fock "
-                f"space, got {g.shape}"
+                f"g must act on the {dim}-dimensional truncated Fock space, "
+                f"got the entries of a {g.dim}-dimensional model"
             )
-        columns = self.blocks.reshape(-1, self.blocks.shape[-1])  # K, rows (v, a)
-        return _sandwich(columns.conj(), g, self.blocks)
+        return g
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (dim, dim):
+        raise ValueError(
+            f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
+        )
+    return g
+
+
+def _entry_sandwich(left: np.ndarray, s: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_p s[p] left[p]^* right[p] over (P, d, d) stacks, one GEMM: the
+    sandwich of an observable whose entries s sit at the rows and columns
+    that gathered left and right."""
+    d = right.shape[-1]
+    return left.reshape(-1, d).conj().T @ (s[:, None, None] * right).reshape(-1, d)
 
 
 def _sandwich(left_bar: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -118,11 +154,12 @@ def berezin_transform_kernel(
     f: PositiveRegularFunction,
     m: int,
     t,
-    g: np.ndarray,
+    g,
     N: int,
     tol: float = EIGENVALUE_TOL,
 ) -> np.ndarray:
-    """Transform of g at T in kernel form: K^* (g (x) I) K."""
+    """Transform of g at T in kernel form: K^* (g (x) I) K, g dense or an
+    entry set (`BerezinKernel.transform`)."""
     return berezin_kernel(f, m, t, N, tol=tol).transform(g)
 
 
@@ -137,7 +174,7 @@ def berezin_transform_resolvent(
     f: PositiveRegularFunction,
     m: int,
     t,
-    g: np.ndarray,
+    g,
     N: int,
     tol: float = EIGENVALUE_TOL,
     with_diagnostics: bool = False,
@@ -152,18 +189,14 @@ def berezin_transform_resolvent(
     space.  Admits exactly the members the kernel form admits: the
     substitution is unit triangular, so it is finite for every T, and
     only its growth is checked.  The defect and the right shifts share
-    one support.
+    one support.  g is dense or an entry set, as in the kernel form.
     """
     t = as_operator_tuple(t)
     state = _point_state(f, m, t)
     table = weights_direct(f, m, N)
     index, b = table.index, table.values
     dim, d = index.dim, t.dim
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (dim, dim):
-        raise ValueError(
-            f"g must be {dim} x {dim} on the truncated Fock space, got {g.shape}"
-        )
+    g = _observable(g, dim)
     state.require_member(tol)
     _, delta_sq = state.root()
     _, coeffs, monos = state.support
@@ -186,8 +219,11 @@ def berezin_transform_resolvent(
         raise ValueError(
             f"resolvent solve is unstable; growth estimate {growth:.3e}"
         )
-    left = (delta_sq @ r).reshape(dim * d, d)
-    out = _sandwich(np.conjugate(left, out=left), g, r)
+    if isinstance(g, _PairEntries):
+        out = _entry_sandwich(delta_sq @ r[g.rows], g.values, r[g.cols])
+    else:
+        left = (delta_sq @ r).reshape(dim * d, d)
+        out = _sandwich(np.conjugate(left, out=left), g, r)
     if with_diagnostics:
         return out, ResolventDiagnostics(growth)
     return out

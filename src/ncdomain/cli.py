@@ -349,11 +349,11 @@ def _cmd_member(ns, cfg: DomainConfig, tol: float, report: Report) -> int:
 
 
 def _cmd_norm(ns, cfg: DomainConfig, tol: float, report: Report):
-    from .fock_model import hardy_norm_estimate
+    from .fock_model import _radial_grid, hardy_norm_estimate
 
     series = load_series(ns.series)
     try:
-        grid = [float(s) for s in ns.radii.split(",")]
+        grid = _radial_grid([float(s) for s in ns.radii.split(",")])
     except ValueError as exc:
         raise ValueError(f"--radii: {exc}") from None
     norms = hardy_norm_estimate(series, cfg.symbol, cfg.m, cfg.depth, grid)
@@ -397,20 +397,22 @@ def _cmd_compose(ns, cfg: None, tol: float, report: Report):
 def _cmd_berezin(ns, cfg: DomainConfig, tol: float, report: Report):
     from .berezin import berezin_transform_kernel, berezin_transform_resolvent
     from .cp_maps import _point_state, _radius_estimate
-    from .fock_model import build_model, monomial_pair
+    from .fock_model import _pair_entries, build_model
 
     eig_tol = cfg.tolerances["eigenvalue"]
     mats = load_tuple(ns.tuple_path)
+    report.inputs["tuple"] = mats
     if ns.g is not None:
         g = load_matrix(ns.g)
-        g_label = "matrix file"  # its bytes are in inputs_digest, its path is not
+        report.inputs["g"] = g  # its bytes are in inputs_digest, its path is not
+        g_label = "matrix file"
     else:
         alpha = parse_word(ns.alpha, cfg.n)
         beta = parse_word(ns.beta, cfg.n)
-        g = monomial_pair(build_model(cfg.symbol, cfg.m, cfg.depth), alpha, beta)
+        # the at most dim entries of V_alpha V_beta^*, digested by its words
+        g = _pair_entries(build_model(cfg.symbol, cfg.m, cfg.depth), alpha, beta)
+        report.inputs["g"] = {"alpha": word_text(alpha), "beta": word_text(beta)}
         g_label = f"V_{ns.alpha or 'unit'} V_{ns.beta or 'unit'}^*"
-    report.inputs["tuple"] = mats
-    report.inputs["g"] = g
     report.inputs["form"] = ns.form
     report.results["observable"] = g_label
     kv = rv = None

@@ -23,7 +23,12 @@ nonzero grade (`_series_sum`: `hardy_norm_estimate`,
 `rigidity.map_image_check`), a list of (alpha, beta, C) terms one part
 per term (`_hereditary_sum`: the model side of
 `cp_maps.von_neumann_gap`, complex), `monomial_pair` a complex one-term
-sum and `model_monomial` the real one-term sum V_w V_unit^*.  Distinct
+sum and `model_monomial` the real one-term sum V_w V_unit^*.  Each term's
+part is built from its entry set (`_pair_entries`): V_alpha V_beta^* has
+at most dim nonzeros, (alpha u, beta u, s_u) for the first basis vectors
+u, so a word observable takes one of two forms: the dense matrix above,
+checked against physical memory, or that O(dim) entry set, which the
+Berezin forms contract directly and which needs no such check.  Distinct
 columns of V_w land in distinct rows, so the completely positive map
 Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
 and acts on a diagonal as a sum of scaled index scatters, and the
@@ -37,6 +42,7 @@ up to floating-point roundoff.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,31 +103,56 @@ def build_model(
     return WeightTable(f, m, index, weight_table.values[: index.dim])
 
 
+def _pair_values(b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """s_u = sqrt(b_u / b_rows) sqrt(b_u / b_cols), u the first rows.shape[-1]
+    basis vectors: the entries of V_alpha V_beta^* at rows alpha u, cols beta u."""
+    u = b[: rows.shape[-1]]
+    return np.sqrt(u / b[rows]) * np.sqrt(u / b[cols])
+
+
+@dataclass(frozen=True, slots=True)
+class _PairEntries:
+    """The nonzero entries of V_alpha V_beta^* on a model of dimension dim:
+    values[p] at (rows[p], cols[p]), no position twice."""
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _pair_entries(model: WeightTable, alpha: Letters, beta: Letters) -> _PairEntries:
+    """V_alpha V_beta^* as its at most dim entries (alpha u, beta u, s_u),
+    over the u with |u| <= N - max(|alpha|, |beta|); none past depth N."""
+    t_a, t_b = _targets(model, alpha), _targets(model, beta)
+    q = min(t_a.size, t_b.size)
+    rows, cols = t_a[:q], t_b[:q]
+    return _PairEntries(model.index.dim, rows, cols, _pair_values(model.values, rows, cols))
+
+
 class _ModelSum:
     """sum_t r^k_t V_alpha_t V_beta_t^* (x) C_t on one model, dense at any r.
 
     V_alpha V_beta^* sends e_{beta u} to s_u e_{alpha u} for the first
-    basis vectors u, s_u = sqrt(b_u / b_{alpha u}) sqrt(b_u / b_{beta u}),
-    and k = |alpha| + |beta|.  A part holds terms of one k as flat indices
-    in the (dim e)^2 matrix, no entry twice, with s and the coefficients
-    aligned to them.  s is real, so the matrix has the dtype of the
-    coefficients: real exactly when they are.
+    basis vectors u (`_pair_values`), and k = |alpha| + |beta|.  A part
+    holds terms of one k as flat indices in the (dim e)^2 matrix, no entry
+    twice, with s and the coefficients aligned to them.  s is real, so the
+    matrix has the dtype of the coefficients: real exactly when they are.
     """
 
-    __slots__ = ("b", "size", "e", "dtype", "what", "parts")
+    __slots__ = ("size", "e", "dtype", "what", "parts")
 
     def __init__(self, model: WeightTable, e: int, dtype, what: str):
-        self.b, self.size, self.e = model.values, model.index.dim * e, e
+        self.size, self.e = model.index.dim * e, e
         self.dtype, self.what = dtype, what
         _require_dense(self.size, dtype, what)  # before any part is built
         self.parts = []
 
-    def add(self, k: int, rows: np.ndarray, cols: np.ndarray, c: np.ndarray) -> None:
-        """The part sum_p r^k V_{alpha_p} V_{beta_p}^* (x) c[p]; cols may be
-        one (Q,) row shared by every p."""
-        b, size, e = self.b, self.size, self.e
-        u = b[: rows.shape[-1]]
-        s = np.sqrt(u / b[rows]) * np.sqrt(u / b[cols])
+    def add(self, k: int, rows: np.ndarray, cols: np.ndarray, s: np.ndarray,
+            c: np.ndarray) -> None:
+        """The part sum_p r^k V_{alpha_p} V_{beta_p}^* (x) c[p], s from
+        `_pair_values`; cols may be one (Q,) row shared by every p."""
+        size, e = self.size, self.e
         if e == 1:
             self.parts.append((k, rows * size + cols, c[:, 0, :], s))
         else:
@@ -164,7 +195,8 @@ def _series_sum(series: FreeSeries, model: WeightTable) -> _ModelSum:
             np.arange(index.offset(L + k), index.offset(L + k + 1)).reshape(n**k, n**L)
             for L in range(top + 1)
         ])
-        out.add(k, rows, np.arange(index.offset(top + 1)), c)
+        cols = np.arange(index.offset(top + 1))
+        out.add(k, rows, cols, _pair_values(model.values, rows, cols), c)
     return out
 
 
@@ -175,9 +207,8 @@ def _hereditary_sum(model: WeightTable, terms, what: str) -> _ModelSum:
     dtype = np.result_type(*(c for _, _, c in terms))
     out = _ModelSum(model, terms[0][2].shape[0], dtype, what)
     for alpha, beta, c in terms:
-        t_a, t_b = _targets(model, alpha), _targets(model, beta)
-        q = min(t_a.size, t_b.size)
-        out.add(len(alpha) + len(beta), t_a[None, :q], t_b[None, :q], c[None])
+        p = _pair_entries(model, alpha, beta)
+        out.add(len(alpha) + len(beta), p.rows[None], p.cols[None], p.values[None], c[None])
     return out
 
 
@@ -257,6 +288,19 @@ def model_defect(model: WeightTable) -> np.ndarray:
     return out
 
 
+def _radial_grid(r_grid: Sequence[float]) -> list[float]:
+    """The radii as floats, checked nonempty, nondecreasing and in [0, 1)."""
+    grid = [float(r) for r in r_grid]
+    if not grid:
+        raise ValueError("must be nonempty")
+    for a, b in zip(grid, grid[1:]):
+        if b < a:
+            raise ValueError("must be nondecreasing")
+    if not all(0.0 <= r < 1.0 for r in grid):
+        raise ValueError("values must lie in [0, 1)")
+    return grid
+
+
 def hardy_norm_estimate(
     series: FreeSeries,
     f: PositiveRegularFunction,
@@ -273,14 +317,10 @@ def hardy_norm_estimate(
     serves every r.  The model is `build_model(f, m, N,
     weight_table)`, so a table of depth >= N is cut, not summed again.
     """
-    grid = [float(r) for r in r_grid]
-    if not grid:
-        raise ValueError("r_grid must be nonempty")
-    for a, b in zip(grid, grid[1:]):
-        if b < a:
-            raise ValueError("r_grid must be nondecreasing")
-    if not all(0.0 <= r < 1.0 for r in grid):
-        raise ValueError("r_grid values must lie in [0, 1)")
+    try:
+        grid = _radial_grid(r_grid)
+    except ValueError as exc:
+        raise ValueError(f"r_grid: {exc}") from None
     chi = _series_sum(series, build_model(f, m, N, weight_table))
     return [operator_norm(chi.at(r)) for r in grid]
 

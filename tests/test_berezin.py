@@ -8,6 +8,7 @@ the latter, on right shifts built a second way: the reversed symbol's
 model conjugated by word reversal.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -23,10 +24,11 @@ from ncdomain.cp_maps import (
     _point_state,
     membership,
     monomial_product,
+    sample_member,
     sample_nilpotent_member,
     spectral_radius_estimate,
 )
-from ncdomain.fock_model import build_model, model_monomial, monomial_pair
+from ncdomain.fock_model import _pair_entries, build_model, model_monomial, monomial_pair
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
 
 
@@ -296,3 +298,89 @@ def test_right_creation_commutes_with_left():
             left = model_monomial(model, (i,))
             right = rights[j - 1]
             assert np.max(np.abs(left @ right - right @ left)) < 1e-12
+
+
+FORMS = (berezin_transform_kernel, berezin_transform_resolvent)
+
+
+@st.composite
+def word_observable_cases(draw):
+    """(f, m, N, T, alpha, beta): T a d x d member, d <= 4, and words of
+    length up to N + 1, so some pairs reach past the truncation."""
+    n, m, N = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    coeff = st.integers(1, 96).map(lambda k: k / 97)
+    coeffs = {(i,): draw(coeff) for i in range(1, n + 1)}
+    if draw(st.booleans()):
+        coeffs[tuple(draw(st.lists(st.integers(1, n), min_size=2, max_size=3)))] = draw(coeff)
+    f = PositiveRegularFunction(n, coeffs)
+    t = sample_member(f, m, draw(st.integers(1, 4)),
+                      np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    word = st.lists(st.integers(1, n), max_size=N + 1).map(tuple)
+    return f, m, N, t, draw(word), draw(word)
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=word_observable_cases())
+def test_word_observable_entries_match_the_dense_pair_in_both_forms(case):
+    f, m, N, t, alpha, beta = case
+    model = build_model(f, m, N)
+    entries, dense = _pair_entries(model, alpha, beta), monomial_pair(model, alpha, beta)
+    for form in FORMS:
+        want = form(f, m, t, dense, N)
+        got = form(f, m, t, entries, N)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_unit_pair_entries_transform_as_the_identity():
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.5, "12": 0.125})
+    t = sample_member(f, 2, 3, np.random.default_rng(4))
+    model = build_model(f, 2, 4)
+    entries = _pair_entries(model, (), ())
+    dim = model.index.dim
+    assert np.array_equal(entries.rows, np.arange(dim))
+    assert np.array_equal(entries.cols, np.arange(dim))
+    assert np.array_equal(entries.values, np.ones(dim))
+    for form in FORMS:
+        want = form(f, 2, t, np.eye(dim), 4)
+        assert np.max(np.abs(form(f, 2, t, entries, 4) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, beta", [((1,) * 5, ()), ((2,), (1, 2) * 3)])
+def test_pair_longer_than_the_depth_transforms_to_zero(alpha, beta):
+    f = unit_ball_symbol(2)
+    t = sample_member(f, 1, 3, np.random.default_rng(9))
+    entries = _pair_entries(build_model(f, 1, 4), alpha, beta)
+    assert entries.rows.size == entries.cols.size == entries.values.size == 0
+    for form in FORMS:
+        assert np.array_equal(form(f, 1, t, entries, 4), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("form", FORMS, ids=["kernel", "resolvent"])
+def test_word_observable_forms_reject_non_members_and_wrong_sizes(form):
+    f = unit_ball_symbol(2)
+    entries = _pair_entries(build_model(f, 1, 3), (1,), (1,))
+    # nilpotent, but the defect has eigenvalue -3
+    outside = [np.array([[0.0, 2.0], [0.0, 0.0]]), np.zeros((2, 2))]
+    with pytest.raises(ValueError, match="outside the order-1 domain"):
+        form(f, 1, outside, entries, 3)
+    inside = [0.1 * np.eye(2), np.zeros((2, 2))]
+    with pytest.raises(ValueError, match="the 15-dimensional truncated Fock space"):
+        form(f, 1, inside, _pair_entries(build_model(f, 1, 2), (1,), (1,)), 3)
+
+
+def test_word_observable_transform_allocates_no_dense_matrix():
+    # n = 2, N = 10: dim 2047, where the dense complex g alone takes 67 MB
+    f = PositiveRegularFunction(2, {"1": 0.5, "2": 0.5, "21": 0.25})
+    t = sample_member(f, 2, 2, np.random.default_rng(3))
+    N = 10
+    dense_bytes = 16 * build_model(f, 2, N).index.dim ** 2
+    tracemalloc.start()
+    try:
+        entries = _pair_entries(build_model(f, 2, N), (1,), (2, 1))
+        kv, rv = (form(f, 2, t, entries, N) for form in FORMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(kv - rv)) < 1e-10
+    assert peak < dense_bytes / 50
