@@ -20,8 +20,7 @@ _EXPORTS = {
                 "berezin_transform_resolvent"),
     "cp_maps": ("OperatorTuple", "agler_consistency", "membership", "monomial_product",
                 "sample_member", "sample_nilpotent_member", "von_neumann_gap"),
-    "fock_model": ("build_model", "hardy_norm_estimate", "model_defect",
-                   "model_monomial", "monomial_pair"),
+    "fock_model": ("build_model", "hardy_norm_estimate", "model_defect", "model_monomial"),
     "rigidity": ("BiholoCertificate", "MapImageReport", "cartan_iteration_probe",
                  "check_linear_biholomorphism", "map_image_check"),
     "selftest": ("FAST", "FULL", "run_selftest"),

@@ -30,7 +30,7 @@ shared.  Each form admits T through `PointState.require_member`.
 Both forms read the observable g in either of two forms and end in the
 same contraction for each:
 
-  dense       a (dim, dim) array (a matrix file, `monomial_pair`):
+  dense       a (dim, dim) array (`berezin --g FILE`):
               two GEMMs (`_sandwich`), g against the (dim, d^2) blocks,
               then the sum over the Fock slot and one coefficient slot;
   entry set   the at most dim entries (alpha u, beta u, s_u) of a word
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_maps import OperatorTuple, _graded_monomials, _point_state, as_operator_tuple
+from .cp_maps import _graded_monomials, _point_state, as_operator_tuple
 from .defaults import EIGENVALUE_TOL
 from .fock_model import _PairEntries
 from .series import PositiveRegularFunction
@@ -63,10 +63,6 @@ class BerezinKernel:
     index v, namely sqrt(b_v) Delta T_v^*.
     """
 
-    f: PositiveRegularFunction
-    m: int
-    tuple: OperatorTuple
-    N: int
     index: WordIndex
     blocks: np.ndarray
 
@@ -147,7 +143,7 @@ def berezin_kernel(
     table = weights_direct(f, m, N)
     adjoints = _graded_monomials(t, N).conj().swapaxes(1, 2)
     blocks = np.sqrt(table.values)[:, None, None] * (root @ adjoints)
-    return BerezinKernel(f, m, t, N, table.index, blocks)
+    return BerezinKernel(table.index, blocks)
 
 
 def berezin_transform_kernel(

@@ -128,6 +128,8 @@ def parse_config(path) -> DomainConfig:
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: missing or malformed field 'symbol'")
     if "file" in raw:
+        if not isinstance(raw["file"], str):
+            raise FormatError(f"{path}: symbol: field 'file' must be a string")
         f = load_symbol(Path(path).parent / raw["file"])
     else:
         f = symbol_from_mapping(raw, where=f"{path}: symbol")

@@ -5,7 +5,8 @@ check lines) refers back to one of the names below, so the defaults live
 in a single place.  Commands and library calls accept explicit overrides.
 Each judged quantity is reported as one `CheckResult`; it lives in this
 leaf module so that a CLI command can report checks without loading the
-selftest battery.
+selftest battery.  So do both size limits, the basis cap `dim_cap` and
+the memory gate `require_bytes`; each raises `DimensionCapError`.
 """
 
 from __future__ import annotations
@@ -52,9 +53,23 @@ class CheckResult:
         return cls(name, value, tol, bool(value <= tol), detail)
 
 
+class DimensionCapError(ValueError):
+    """Raised when a requested basis exceeds the cap, or a dense array memory."""
+
+
 def physical_memory() -> int:
-    """Bytes of physical memory; dense matrices larger than this are refused."""
+    """Bytes of physical memory; dense arrays larger than this are refused."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_bytes(need: int, what: str) -> None:
+    """Refuse, before it is allocated, a dense `what` of need bytes that
+    exceeds physical memory."""
+    have = physical_memory()
+    if need > have:
+        raise DimensionCapError(
+            f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
+        )
 
 
 def dim_cap() -> int:

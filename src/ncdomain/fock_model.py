@@ -15,25 +15,23 @@ sqrt(b_u / b_{wu}) e_{wu}, and in the graded-lex index it sends grade L
 onto one contiguous run of grade L + |w| (`WordIndex.shift_block`); the
 targets of V_w are those runs.  Every dense model element is one
 `_ModelSum`, sum_t r^k_t V_alpha_t V_beta_t^* (x) C_t held as parts,
-whose `at(r)` returns a fresh matrix once its (dim e)^2 entries pass the
-physical-memory check.  The weights are real, so a dense model element
+whose `at(r)` returns a fresh matrix once `defaults.require_bytes` admits
+its (dim e)^2 entries.  The weights are real, so a dense model element
 is real exactly when its coefficients are: float64 at 8 (dim e)^2 bytes,
 else complex128 at 16 (dim e)^2.  A series is one complex part per
 nonzero grade (`_series_sum`: `hardy_norm_estimate`,
 `rigidity.map_image_check`), a list of (alpha, beta, C) terms one part
 per term (`_hereditary_sum`: the model side of
-`cp_maps.von_neumann_gap`, complex), `monomial_pair` a complex one-term
-sum and `model_monomial` the real one-term sum V_w V_unit^*.  Each term's
-part is built from its entry set (`_pair_entries`): V_alpha V_beta^* has
-at most dim nonzeros, (alpha u, beta u, s_u) for the first basis vectors
-u, so a word observable takes one of two forms: the dense matrix above,
-checked against physical memory, or that O(dim) entry set, which the
-Berezin forms contract directly and which needs no such check.  Distinct
-columns of V_w land in distinct rows, so the completely positive map
-Y -> sum_w a_w V_w Y V_w^* sends diagonal matrices to diagonal matrices
-and acts on a diagonal as a sum of scaled index scatters, and the
-grade-row sum over |w| = k of b_w V_w V_w^* is a gather: its diagonal
-at u is b_{u[:k]} b_{u[k:]} / b_u.
+`cp_maps.von_neumann_gap`, complex), and `model_monomial` the real
+one-term sum V_w V_unit^*.  Each term's part is built from its entry set
+(`_pair_entries`): V_alpha V_beta^* has at most dim nonzeros, (alpha u,
+beta u, s_u) for the first basis vectors u.  That O(dim) entry set is
+the one word observable of the package: the Berezin forms contract it
+directly, so it needs no memory check.  Distinct columns of V_w land in
+distinct rows, so the completely positive map Y -> sum_w a_w V_w Y V_w^*
+sends diagonal matrices to diagonal matrices and acts on a diagonal as a
+sum of scaled index scatters, and the grade-row sum over |w| = k of
+b_w V_w V_w^* is a gather: its diagonal at u is b_{u[:k]} b_{u[k:]} / b_u.
 
 The defining property of the truncation: applying (id - Phi_f)^m to the
 identity yields exactly the rank-one projection onto the vacuum vector,
@@ -47,11 +45,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .defaults import physical_memory
+from .defaults import require_bytes
 from .linalg import operator_norm
 from .series import FreeSeries, PositiveRegularFunction
 from .weights import WeightTable, _require_order, binomial_constant, weights_direct
-from .words import DimensionCapError, Letters, WordIndex, _as_letters
+from .words import Letters, WordIndex, _as_letters
 
 
 def _targets(model: WeightTable, word: Letters) -> np.ndarray:
@@ -63,13 +61,7 @@ def _targets(model: WeightTable, word: Letters) -> np.ndarray:
 def _require_dense(size: int, dtype, what: str) -> None:
     """Refuse a (size, size) matrix of dtype that exceeds physical memory."""
     dtype = np.dtype(dtype)
-    need = dtype.itemsize * size * size
-    have = physical_memory()
-    if need > have:
-        raise DimensionCapError(
-            f"{what} needs a dense {size} x {size} {dtype} matrix of {need} "
-            f"bytes, more than the {have} bytes of physical memory"
-        )
+    require_bytes(dtype.itemsize * size**2, f"{what} as a dense {size} x {size} {dtype} matrix")
 
 
 def _dense_zeros(size: int, dtype, what: str) -> np.ndarray:
@@ -216,23 +208,10 @@ def model_monomial(model: WeightTable, word) -> np.ndarray:
     """Dense real matrix of the product V_w (empty word gives the identity).
 
     V_w is a weighted shift with real weights, so it is float64 at
-    8 dim^2 bytes, equal bit for bit to the real part of the complex
-    `monomial_pair(model, word, ())`.
+    8 dim^2 bytes.
     """
     term = (_as_letters(word, model.f.n), (), np.ones((1, 1)))
     return _hereditary_sum(model, [term], "the model operator V_w").at()
-
-
-def monomial_pair(model: WeightTable, alpha, beta) -> np.ndarray:
-    """Dense complex V_alpha V_beta^*, a one-term `_hereditary_sum` at r = 1.
-
-    The pair is real, but it is a Berezin observable: the CLI digest and
-    both Berezin forms read g as complex, so a real pair would be copied
-    to complex by each of them (measured: more peak memory in `berezin`).
-    """
-    n = model.f.n
-    term = (_as_letters(alpha, n), _as_letters(beta, n), np.ones((1, 1), dtype=complex))
-    return _hereditary_sum(model, [term], "the model operator V_alpha V_beta^*").at()
 
 
 def _scatter_terms(

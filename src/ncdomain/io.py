@@ -155,7 +155,10 @@ def symbol_from_mapping(data: dict, where: str = "symbol") -> PositiveRegularFun
         key: _decode_scalar(value, f"{where}: coefficient {key!r}")
         for key, value in raw.items()
     }
-    return PositiveRegularFunction(n, coeffs)
+    try:
+        return PositiveRegularFunction(n, coeffs)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_symbol(path) -> PositiveRegularFunction:

@@ -41,12 +41,12 @@ from typing import Sequence
 import numpy as np
 
 from .cp_maps import MembershipVerdict, _nonfinite_ok, membership, sample_nilpotent_member
-from .defaults import EIGENVALUE_TOL, physical_memory
+from .defaults import EIGENVALUE_TOL, require_bytes
 from .fock_model import _series_sum, build_model
 from .linalg import hermitian_part, kron, min_eigenvalue
 from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
 from .weights import weights_direct
-from .words import DimensionCapError, Letters, grade_letters
+from .words import Letters, grade_letters
 
 
 class LinearMapCandidate:
@@ -126,14 +126,8 @@ def _grade_block_minima(
     every depth N >= L.  A block that overflows reads -inf.
     """
     n = f.n
-    need = _TOP_BLOCKS * 16 * n ** (2 * N)
-    have = physical_memory()
-    if need > have:
-        raise DimensionCapError(
-            f"the linear certificate at n={n}, N={N} needs {need} bytes for "
-            f"its {n**N} x {n**N} top grade blocks, more than the {have} bytes "
-            f"of physical memory"
-        )
+    require_bytes(_TOP_BLOCKS * 16 * n ** (2 * N), f"the linear certificate at n={n}, N={N} "
+                  f"({_TOP_BLOCKS} top grade blocks of {n**N} x {n**N} complex128)")
     table = weights_direct(f, m, N)
     grades = [table.values[table.index.offset(L) : table.index.offset(L + 1)]
               for L in range(N + 1)]

@@ -51,11 +51,11 @@ from .defaults import (
     CheckResult,
 )
 from .fock_model import (
+    _pair_entries,
     bound_excesses,
     build_model,
     defect_diagonal,
     hardy_norm_estimate,
-    monomial_pair,
     vacuum_gap,
 )
 from .rigidity import cartan_iteration_probe, check_linear_biholomorphism
@@ -266,8 +266,7 @@ def check_moment_nilpotent(profile: SelftestProfile, seed: int) -> CheckResult:
         for _ in range(4):
             alpha = _random_word(n, budget, rng)
             beta = _random_word(n, budget, rng)
-            g = monomial_pair(model, alpha, beta)
-            got = kernel.transform(g)
+            got = kernel.transform(_pair_entries(model, alpha, beta))
             want = monomial_product(t, alpha) @ monomial_product(t, beta).conj().T
             worst = max(worst, float(np.max(np.abs(got - want))))
     return CheckResult.at_most(
@@ -281,14 +280,14 @@ def check_moment_radial(profile: SelftestProfile, seed: int) -> CheckResult:
 
     At a scalar point lam the transform of the identity is 1 and the
     transform of (shift)(shift)^* is |lam|^2, both up to the geometric
-    tail |lam|^(2 depth + 2).
+    tail |lam|^(2 depth + 2).  The identity is the unit pair V_unit V_unit^*.
     """
     r = profile.moment_radius
     depth = profile.moment_depth
     f = unit_ball_symbol(1)
     model = build_model(f, 1, depth)
-    g_shift = monomial_pair(model, (1,), (1,))
-    g_eye = np.eye(model.index.dim, dtype=complex)
+    g_shift = _pair_entries(model, (1,), (1,))
+    g_eye = _pair_entries(model, (), ())
     worst = 0.0
     for lam in (r, -r, 0.5 * r, r * (1 + 1j) / np.sqrt(2.0)):
         t = [np.array([[lam]], dtype=complex)]

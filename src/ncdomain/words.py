@@ -35,11 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .defaults import DIM_CAP_ENV, dim_cap
-
-
-class DimensionCapError(ValueError):
-    """Raised when a requested basis exceeds the cap, or a dense matrix memory."""
+from .defaults import DIM_CAP_ENV, DimensionCapError, dim_cap
 
 
 Letters = tuple[int, ...]

@@ -28,7 +28,7 @@ from ncdomain.cp_maps import (
     sample_nilpotent_member,
     spectral_radius_estimate,
 )
-from ncdomain.fock_model import _pair_entries, build_model, model_monomial, monomial_pair
+from ncdomain.fock_model import _pair_entries, build_model, model_monomial
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
 
 
@@ -149,7 +149,7 @@ def transform_cases(draw):
     model = build_model(f, m, N)
     shape = (model.index.dim,) * 2
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    g = h + h.conj().T + monomial_pair(model, alpha, beta)
+    g = h + h.conj().T + model_monomial(model, alpha) @ model_monomial(model, beta).T
     return f, m, N, t, g
 
 
@@ -324,7 +324,8 @@ def word_observable_cases(draw):
 def test_word_observable_entries_match_the_dense_pair_in_both_forms(case):
     f, m, N, t, alpha, beta = case
     model = build_model(f, m, N)
-    entries, dense = _pair_entries(model, alpha, beta), monomial_pair(model, alpha, beta)
+    entries = _pair_entries(model, alpha, beta)
+    dense = model_monomial(model, alpha) @ model_monomial(model, beta).T
     for form in FORMS:
         want = form(f, m, t, dense, N)
         got = form(f, m, t, entries, N)

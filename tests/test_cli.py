@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ncdomain import FreeSeries, cli, compose, cp_maps, fock_model, rigidity, series
+from ncdomain import FreeSeries, cli, compose, cp_maps, defaults, fock_model, rigidity, series
 from ncdomain.cp_maps import spectral_radius_estimate
 from ncdomain.cli import COMMANDS, _digest, main, parse_config
 from ncdomain.io import FormatError
@@ -105,6 +105,21 @@ def test_parse_config_rejects_bad_seed_and_tolerances(tmp_path, capsys, extra):
     point = write_tuple(tmp_path, [[[0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
     assert main(["member", "--config", str(path), "--tuple", str(point)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("symbol, message", [
+    ({"file": 5}, "symbol: field 'file' must be a string"),
+    ({"file": ["sym.json"]}, "symbol: field 'file' must be a string"),
+    ({"n": 1, "coeffs": {"1": -1.0}},
+     "symbol: coefficient of word '1' must be nonnegative"),
+], ids=["file-int", "file-list", "inline-negative"])
+def test_malformed_symbol_exits_two_naming_the_config(tmp_path, capsys, symbol, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 1, "m": 1, "N": 3, "symbol": symbol}))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+        parse_config(path)
+    assert main(["model", "--config", str(path)]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
 
 
 def test_parse_config_symbol_file_reference(tmp_path):
@@ -718,7 +733,7 @@ def test_digest_of_array_free_inputs_is_their_json_hash():
 @pytest.mark.parametrize("row", [r for r in README_ROWS if r.split()[0] in ("berezin", "norm")],
                          ids=lambda row: row.split()[0])
 def test_dense_matrix_over_physical_memory_exits_two(readme_files, capsys, monkeypatch, row):
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: 1000)
+    monkeypatch.setattr(defaults, "physical_memory", lambda: 1000)
     if row.split()[0] == "berezin":
         # the V_alpha V_beta^* observable is its entries, never a dense matrix
         assert main(shlex.split(row)) == 0
@@ -733,9 +748,10 @@ def test_dense_matrix_over_physical_memory_exits_two(readme_files, capsys, monke
 def test_linear_certificate_over_physical_memory_exits_two(readme_files, capsys, monkeypatch):
     # the 2-ball at depth 3: top grade blocks of 8 x 8
     need = rigidity._TOP_BLOCKS * 16 * 8**2
-    monkeypatch.setattr(rigidity, "physical_memory", lambda: need - 1)
+    monkeypatch.setattr(defaults, "physical_memory", lambda: need - 1)
     row = next(r for r in README_ROWS if r.split()[0] == "biholo")
     assert main(shlex.split(row)) == 2
     err = capsys.readouterr().err
     assert f"needs {need} bytes" in err
+    assert "8 x 8 complex128" in err
     assert f"more than the {need - 1} bytes of physical memory" in err

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdomain import berezin, cp_maps, fock_model
+from ncdomain import berezin, cp_maps, defaults
 from ncdomain.cp_maps import (
     OperatorTuple,
     agler_consistency,
@@ -645,9 +645,9 @@ def test_von_neumann_model_side_checks_physical_memory(monkeypatch):
     x = [np.array([[0.25]]), np.array([[0.25]])]
     terms = [((1,), (2,), np.eye(2)), ((1, 1), (2, 1), np.ones((2, 2)))]
     need = 16 * 30**2
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: need - 1)
+    monkeypatch.setattr(defaults, "physical_memory", lambda: need - 1)
     with pytest.raises(DimensionCapError, match=f"model side .* {need} bytes"):
         von_neumann_gap(f, 1, x, terms, N=3)
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: need)
+    monkeypatch.setattr(defaults, "physical_memory", lambda: need)
     gap = von_neumann_gap(f, 1, x, terms, N=3)
     assert gap.lhs <= gap.rhs + 1e-12

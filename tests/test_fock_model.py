@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdomain import cp_maps, fock_model
+from ncdomain import cp_maps, defaults, fock_model
 from ncdomain.fock_model import (
     _hereditary_sum,
+    _pair_entries,
     _scatter_diagonal,
     _scatter_terms,
     _series_sum,
@@ -20,7 +21,6 @@ from ncdomain.fock_model import (
     hardy_norm_estimate,
     model_defect,
     model_monomial,
-    monomial_pair,
     symbol_row_diagonal,
 )
 from ncdomain.linalg import kron, operator_norm
@@ -102,9 +102,10 @@ def test_monomial_pair_equals_dense_product(n, N):
         # a real GEMM: each entry has at most one nonzero term, so it is exact
         want = model_monomial(model, alpha) @ model_monomial(model, beta).T
         assert want.dtype == np.float64
-        got = monomial_pair(model, alpha, beta)
-        assert got.dtype == np.complex128
-        assert got.tobytes() == want.astype(complex).tobytes()
+        pair = _pair_entries(model, alpha, beta)
+        got = np.zeros_like(want)
+        got[pair.rows, pair.cols] = pair.values
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -124,13 +125,12 @@ def test_model_monomial_is_the_real_part_of_the_complex_pair(case):
     model, word = case
     v = model_monomial(model, word)
     assert v.dtype == np.float64
-    assert v.astype(complex).tobytes() == monomial_pair(model, word, ()).tobytes()
+    assert v.astype(complex).tobytes() == _dense_pair(model, word, ()).tobytes()
 
 
 def test_observables_series_and_defect_stay_complex(monkeypatch):
     model = build_model(unit_ball_symbol(2), 2, 3)
     series = FreeSeries(2, 2, {"1": 0.5, "21": 0.25})
-    assert monomial_pair(model, "1", "2").dtype == np.complex128
     assert _series_sum(series, model).at(0.5).dtype == np.complex128
     assert model_defect(model).dtype == np.complex128
     real = _hereditary_sum(model, [((1,), (2,), np.ones((1, 1)))], "a real pair")
@@ -147,22 +147,19 @@ def test_observables_series_and_defect_stay_complex(monkeypatch):
 def test_dense_allocations_check_physical_memory(monkeypatch):
     model = build_model(unit_ball_symbol(2), 1, 3)  # dim 15
     series = FreeSeries(2, 1, {"1": 1.0}, coeff_dim=2)
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 30**2 - 1)
-    monomial_pair(model, "1", "2")
+    monkeypatch.setattr(defaults, "physical_memory", lambda: 16 * 30**2 - 1)
     model_monomial(model, "1")
     with pytest.raises(DimensionCapError, match=f"{16 * 30**2} bytes"):
         _series_sum(series, model)  # (dim * e)^2 entries, e = 2
     model_defect(model)
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: 16 * 15**2 - 1)
-    with pytest.raises(DimensionCapError, match=f"complex128 matrix of {16 * 15**2} bytes"):
-        monomial_pair(model, "1", "2")
-    with pytest.raises(DimensionCapError, match=f"complex128 matrix of {16 * 15**2} bytes"):
+    monkeypatch.setattr(defaults, "physical_memory", lambda: 16 * 15**2 - 1)
+    with pytest.raises(DimensionCapError, match=f"complex128 matrix needs {16 * 15**2} bytes"):
         model_defect(model)
     # V_w is real: 8 bytes an entry
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: 8 * 15**2)
+    monkeypatch.setattr(defaults, "physical_memory", lambda: 8 * 15**2)
     model_monomial(model, (1,))
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: 8 * 15**2 - 1)
-    with pytest.raises(DimensionCapError, match="float64 matrix of 1800 bytes"):
+    monkeypatch.setattr(defaults, "physical_memory", lambda: 8 * 15**2 - 1)
+    with pytest.raises(DimensionCapError, match="float64 matrix needs 1800 bytes"):
         model_monomial(model, (1,))
 
 
@@ -437,8 +434,8 @@ def test_hereditary_sum_matches_the_dense_kron_sum_bit_for_bit(case):
     want = _dense_hereditary(model, terms)
     assert got.tobytes() == want.tobytes()
     for alpha, beta, _ in terms:
-        want = _dense_pair(model, alpha, beta)
-        assert monomial_pair(model, alpha, beta).tobytes() == want.tobytes()
+        pair = model_monomial(model, alpha) @ model_monomial(model, beta).T
+        assert pair.astype(complex).tobytes() == _dense_pair(model, alpha, beta).tobytes()
 
 
 def test_hardy_norm_plans_once_over_the_grid(monkeypatch):
@@ -460,7 +457,7 @@ def test_hardy_norm_refuses_the_dense_matrix_before_allocating(monkeypatch):
     f = unit_ball_symbol(2)
     s = FreeSeries(2, 2, {"1": 1.0, "21": 0.5}, coeff_dim=2)
     need = 16 * 1022**2
-    monkeypatch.setattr(fock_model, "physical_memory", lambda: need - 1)
+    monkeypatch.setattr(defaults, "physical_memory", lambda: need - 1)
 
     def unplanned(self):
         raise AssertionError("the plan was built before the memory check")
@@ -469,8 +466,8 @@ def test_hardy_norm_refuses_the_dense_matrix_before_allocating(monkeypatch):
     weights_direct(f, 1, 8)  # the table may be allocated; the matrix may not
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionCapError, match=f"needs a dense 1022 x 1022 complex128 "
-                                                    f"matrix of {need} bytes"):
+        with pytest.raises(DimensionCapError, match=f"as a dense 1022 x 1022 complex128 "
+                                                    f"matrix needs {need} bytes"):
             hardy_norm_estimate(s, f, 1, 8, [0.0, 0.5])
         peak = tracemalloc.get_traced_memory()[1]
     finally:

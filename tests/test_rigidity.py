@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncdomain import cp_maps, fock_model, rigidity
+from ncdomain import cp_maps, defaults, fock_model, rigidity
 from ncdomain.rigidity import (
     LinearMapCandidate,
     _drift,
@@ -216,7 +216,7 @@ def test_certificate_allocates_grade_blocks_only():
 def test_certificate_over_physical_memory_raises(monkeypatch):
     f = unit_ball_symbol(2)
     need = rigidity._TOP_BLOCKS * 16 * 2 ** (2 * 5)
-    monkeypatch.setattr(rigidity, "physical_memory", lambda: need - 1)
+    monkeypatch.setattr(defaults, "physical_memory", lambda: need - 1)
     with pytest.raises(DimensionCapError, match=f"needs {need} bytes"):
         check_linear_biholomorphism(f, 1, f, 1, np.eye(2), 5)
     check_linear_biholomorphism(f, 1, f, 1, np.eye(2), 4)

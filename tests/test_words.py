@@ -3,6 +3,7 @@
 import gc
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ncdomain import (
     berezin_transform_resolvent,
     build_model,
     compose,
+    defaults,
     evaluate,
     fock_model,
     membership,
@@ -138,6 +140,18 @@ def test_dimension_cap_enforced(monkeypatch):
         enumerate_words(2, 10)
     # the error is a ValueError, so callers can catch broadly
     assert issubclass(DimensionCapError, ValueError)
+
+
+def test_defaults_holds_the_one_memory_gate(monkeypatch):
+    assert DimensionCapError is defaults.DimensionCapError
+    monkeypatch.setattr(defaults, "physical_memory", lambda: 99)
+    defaults.require_bytes(99, "an array")
+    with pytest.raises(DimensionCapError, match="^an array needs 100 bytes, more than "
+                                                "the 99 bytes of physical memory$"):
+        defaults.require_bytes(100, "an array")
+    package = Path(defaults.__file__).parent
+    readers = {p.name for p in package.glob("*.py") if "physical_memory" in p.read_text()}
+    assert readers == {"defaults.py"}
 
 
 @given(st.integers(1, 3), st.lists(st.integers(1, 3), max_size=5))
