@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "berezin": ("BerezinKernel", "berezin_kernel", "berezin_transform_kernel",
                 "berezin_transform_resolvent"),
-    "cp_maps": ("OperatorTuple", "agler_consistency", "membership", "monomial_product",
-                "sample_member", "sample_nilpotent_member", "von_neumann_gap"),
+    "cp_maps": ("agler_consistency", "membership", "monomial_product", "sample_member",
+                "sample_nilpotent_member", "von_neumann_gap"),
     "fock_model": ("build_model", "hardy_norm_estimate", "model_defect", "model_monomial"),
     "rigidity": ("BiholoCertificate", "MapImageReport", "cartan_iteration_probe",
                  "check_linear_biholomorphism", "map_image_check"),

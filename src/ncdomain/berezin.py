@@ -47,9 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_maps import _graded_monomials, _point_state, as_operator_tuple
+from .cp_maps import _graded_monomials, _point_state
 from .defaults import EIGENVALUE_TOL
 from .fock_model import _PairEntries
+from .linalg import as_tuple
 from .series import PositiveRegularFunction
 from .weights import weights_direct
 from .words import WordIndex
@@ -136,7 +137,7 @@ def berezin_kernel(
     T_w come grade by grade from `_graded_monomials`, one batched matmul
     per grade, so the word list of the index is never built.
     """
-    t = as_operator_tuple(t)
+    t = as_tuple(t)
     state = _point_state(f, m, t)
     state.require_member(tol)
     root, _ = state.root()
@@ -187,11 +188,11 @@ def berezin_transform_resolvent(
     only its growth is checked.  The defect and the right shifts share
     one support.  g is dense or an entry set, as in the kernel form.
     """
-    t = as_operator_tuple(t)
+    t = as_tuple(t)
     state = _point_state(f, m, t)
     table = weights_direct(f, m, N)
     index, b = table.index, table.values
-    dim, d = index.dim, t.dim
+    dim, d = index.dim, t.shape[-1]
     g = _observable(g, dim)
     state.require_member(tol)
     _, delta_sq = state.root()

@@ -107,18 +107,24 @@ def _check_tolerance(value, where: str) -> float:
     return float(value)
 
 
+_CONFIG_KEYS = ("n", "m", "N", "symbol", "tolerances", "seed")
+
+
 def parse_config(path) -> DomainConfig:
     """Read and validate a domain config file.
 
     The file is a JSON object with fields n, m, N, symbol (inline
-    {"n", "coeffs"} or {"file": relative path}), and optional
-    tolerances and seed.  Symbol validation reports the violated
-    regularity condition by name.
+    {"n", "coeffs"} or {"file": relative path}, not both), and optional
+    tolerances and seed; any other field is refused.  Symbol validation
+    reports the violated regularity condition by name.
     """
     data = _read_json(path)
     n = _require_int(data, "n", path)
     m = _require_int(data, "m", path)
     depth = _require_int(data, "N", path)
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            raise FormatError(f"{path}: unknown field {key!r}; known: {list(_CONFIG_KEYS)}")
     if n < 1:
         raise FormatError(f"{path}: n must be >= 1, got {n}")
     if m < 1:
@@ -128,6 +134,10 @@ def parse_config(path) -> DomainConfig:
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: missing or malformed field 'symbol'")
     if "file" in raw:
+        if raw.keys() & {"n", "coeffs"}:
+            raise FormatError(
+                f"{path}: symbol: give either 'file' or inline 'n' and 'coeffs', not both"
+            )
         if not isinstance(raw["file"], str):
             raise FormatError(f"{path}: symbol: field 'file' must be a string")
         f = load_symbol(Path(path).parent / raw["file"])
@@ -372,7 +382,7 @@ def _cmd_norm(ns, cfg: DomainConfig, tol: float, report: Report):
 
 
 def _cmd_compose(ns, cfg: None, tol: float, report: Report):
-    from .cp_maps import _gaussian_tuple
+    from .linalg import _gaussian_tuple
     from .series import compose, nested_evaluation_gap
 
     outer = load_series(ns.outer)
@@ -385,7 +395,7 @@ def _cmd_compose(ns, cfg: None, tol: float, report: Report):
     # evaluation must reproduce the truncated composition itself
     rng = np.random.default_rng([report.seed, 97])
     d = composed.degree + 1
-    x = [np.triu(a, k=1) / 2.0 for a in _gaussian_tuple(composed.n, d, rng)]
+    x = np.triu(_gaussian_tuple(composed.n, d, rng), k=1) / 2.0
     # the report embeds the series file payloads, so they can be reused
     report.inputs["outer"] = series_payload(outer)
     report.inputs["inner"] = [series_payload(s) for s in inner]

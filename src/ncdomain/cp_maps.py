@@ -1,7 +1,8 @@
 """Completely positive maps attached to a symbol, and membership tests.
 
-For a symbol f = sum_w a_w Z_w and an n-tuple X of operators on C^d, the
-basic object is
+For a symbol f = sum_w a_w Z_w and an n-tuple X of operators on C^d,
+read as one complex (n, d, d) array (`linalg.as_tuple`, the form the
+samplers return), the basic object is
 
     Phi_{f,X}(Y) = sum over |w| >= 1 of a_w X_w Y X_w^*.
 
@@ -60,7 +61,9 @@ import numpy as np
 
 from .defaults import EIGENVALUE_TOL
 from .fock_model import _hereditary_sum, build_model
-from .linalg import hermitian_part, kron, min_eigenvalue, operator_norm, psd_root
+from .linalg import (
+    _gaussian_tuple, as_tuple, hermitian_part, kron, min_eigenvalue, operator_norm, psd_root,
+)
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .weights import _require_order
 from .words import WordIndex, _as_letters, word_products
@@ -68,59 +71,11 @@ from .words import WordIndex, _as_letters, word_products
 Support = tuple[np.ndarray, np.ndarray, np.ndarray]  # |w| (s,), a_w (s,), X_w (s, d, d)
 
 
-class OperatorTuple:
-    """An n-tuple of square matrices acting on a common C^d."""
-
-    __slots__ = ("mats",)
-
-    def __init__(self, mats: Sequence[np.ndarray]):
-        fixed = []
-        for x in mats:
-            a = np.asarray(x, dtype=complex)
-            if a.ndim == 0:
-                a = a.reshape(1, 1)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ValueError("tuple entries must be square matrices")
-            fixed.append(a)
-        if not fixed:
-            raise ValueError("tuple must have at least one entry")
-        d = fixed[0].shape[0]
-        if any(a.shape[0] != d for a in fixed):
-            raise ValueError("tuple entries act on different spaces")
-        self.mats = tuple(fixed)
-
-    @property
-    def n(self) -> int:
-        return len(self.mats)
-
-    @property
-    def dim(self) -> int:
-        return self.mats[0].shape[0]
-
-    def scaled(self, s: complex) -> "OperatorTuple":
-        return OperatorTuple([s * a for a in self.mats])
-
-    def __iter__(self):
-        return iter(self.mats)
-
-    def __len__(self) -> int:
-        return len(self.mats)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.mats[i]
-
-
-def as_operator_tuple(x) -> OperatorTuple:
-    if isinstance(x, OperatorTuple):
-        return x
-    return OperatorTuple(list(x))
-
-
-def monomial_product(x: OperatorTuple | Sequence[np.ndarray], word) -> np.ndarray:
+def monomial_product(x, word) -> np.ndarray:
     """X_w = X_{i1} .. X_{ik} for w = (i1, .., ik); identity for the unit."""
-    t = as_operator_tuple(x)
-    unit = {(): np.eye(t.dim, dtype=complex)}
-    return word_products([_as_letters(word, t.n)], t.mats, np.matmul, unit)[0]
+    t = as_tuple(x)
+    unit = {(): np.eye(t.shape[-1], dtype=complex)}
+    return word_products([_as_letters(word, len(t))], t, np.matmul, unit)[0]
 
 
 def _nonfinite_ok(func):
@@ -135,9 +90,9 @@ def _nonfinite_ok(func):
     return quiet
 
 
-def _require_arity(f: PositiveRegularFunction, t: OperatorTuple) -> None:
-    if t.n != f.n:
-        raise ValueError(f"symbol over n={f.n} applied to a {t.n}-tuple")
+def _require_arity(f: PositiveRegularFunction, t: np.ndarray) -> None:
+    if len(t) != f.n:
+        raise ValueError(f"symbol over n={f.n} applied to a {len(t)}-tuple")
 
 
 @_nonfinite_ok
@@ -146,23 +101,23 @@ def _support(f: PositiveRegularFunction, x) -> Support:
 
     X_w comes from `word_products`, one product per suffix, so sparse
     high-degree symbols stay cheap."""
-    t = as_operator_tuple(x)
+    t = as_tuple(x)
     _require_arity(f, t)
     words, coeffs = zip(*f.items())
-    monos = word_products(words, t.mats, np.matmul, {(): np.eye(t.dim, dtype=complex)})
+    monos = word_products(words, t, np.matmul, {(): np.eye(t.shape[-1], dtype=complex)})
     return np.array([len(w) for w in words]), np.array(coeffs), np.array(monos)
 
 
-def _graded_monomials(t: OperatorTuple, N: int) -> np.ndarray:
+def _graded_monomials(t: np.ndarray, N: int) -> np.ndarray:
     """X_w for every |w| <= N in `WordIndex` order, one batched matmul per grade.
 
     Grade k + 1 is X_i times grade k for each letter i, the product order
     of `word_products`, so the entries agree with it bit for bit.
     """
-    d, mats = t.dim, np.array(t.mats)
+    d = t.shape[-1]
     grades = [np.eye(d, dtype=complex)[None]]
     for _ in range(N):
-        grades.append(np.matmul(mats[:, None], grades[-1][None]).reshape(-1, d, d))
+        grades.append(np.matmul(t[:, None], grades[-1][None]).reshape(-1, d, d))
     return np.concatenate(grades)
 
 
@@ -230,10 +185,10 @@ def _point_state(f: PositiveRegularFunction, m: int, x) -> PointState:
     hits and a matrix changed in place misses.  The arity of X and m are
     checked on every call, before the lookup.
     """
-    t = as_operator_tuple(x)
+    t = as_tuple(x)
     _require_arity(f, t)
     m = _require_order(m)
-    return _cached_point(f, m, t.dim, b"".join([a.tobytes() for a in t.mats]))
+    return _cached_point(f, m, t.shape[-1], t.tobytes())
 
 
 @lru_cache(maxsize=1)
@@ -268,10 +223,10 @@ def membership(
     """Decide whether X lies in the order-m domain of f, within tol.
 
     A non-finite row sum sum_i X_i X_i^* has norm inf."""
-    t = as_operator_tuple(x)
+    t = as_tuple(x)
     state = _point_state(f, m, t)
     member = all(v >= -tol for v in state.min_eigenvalues)
-    rows = sum(a @ a.conj().T for a in t.mats)
+    rows = sum(a @ a.conj().T for a in t)
     row = operator_norm(rows) if np.isfinite(rows).all() else math.inf
     bound = 1.0 / f.min_linear_coefficient
     return MembershipVerdict(
@@ -296,23 +251,14 @@ class SpectralRadiusEstimate:
 _RADIUS_STEPS = 12  # Phi steps of a radius estimate unless the caller says
 
 
-def spectral_radius_estimate(
-    f: PositiveRegularFunction, x, kmax: int = _RADIUS_STEPS
-) -> SpectralRadiusEstimate:
-    """Estimate the joint spectral radius of X relative to f.
+def _radius_estimate(support: Support, kmax: int = _RADIUS_STEPS) -> SpectralRadiusEstimate:
+    """Estimate the joint spectral radius of X relative to f from f's
+    support at X, such as the one a `PointState` holds.
 
     Phi steps run up to the first non-finite or zero iterate, then one
     batched SVD gives every norm.  No extrapolation is applied: the
     caller sees the raw sequence.  Overflow is reported, not raised.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    return _radius_estimate(_support(f, x), kmax)
-
-
-def _radius_estimate(support: Support, kmax: int = _RADIUS_STEPS) -> SpectralRadiusEstimate:
-    """`spectral_radius_estimate` on a support already built, such as the
-    one a `PointState` holds."""
     d = support[2].shape[-1]
     iterates, y = [], np.eye(d, dtype=complex)
     while len(iterates) < kmax and y.any():
@@ -345,14 +291,14 @@ def agler_consistency(m: int, x) -> float:
     gap reads inf.
     """
     m = _require_order(m)
-    t = as_operator_tuple(x)
-    d = t.dim
-    linear = _support(unit_ball_symbol(t.n), t)
+    t = as_tuple(x)
+    n, d = t.shape[:2]
+    linear = _support(unit_ball_symbol(n), t)
     iterated = np.eye(d, dtype=complex)
     for _ in range(m):
         iterated = iterated - _phi(linear, iterated)
 
-    index = WordIndex(t.n, m)
+    index = WordIndex(n, m)
     monos = _graded_monomials(t, m)
     expanded = np.zeros((d, d), dtype=complex)
     for k in range(m + 1):
@@ -408,11 +354,12 @@ def von_neumann_gap(
     if not parsed:
         raise ValueError("hereditary expression needs at least one term")
     e = parsed[0][2].shape[0]
-    t = as_operator_tuple(x)
+    t = as_tuple(x)
     _point_state(f, m, t).require_member(tol)
     model = build_model(f, m, N)
     rhs = _hereditary_sum(model, parsed, "the model side of a hereditary expression")
-    lhs_sum = np.zeros((t.dim * e, t.dim * e), dtype=complex)
+    d = t.shape[-1]
+    lhs_sum = np.zeros((d * e, d * e), dtype=complex)
     for a, b, cm in parsed:
         xa = monomial_product(t, a) @ monomial_product(t, b).conj().T
         lhs_sum += kron(xa, cm)
@@ -478,9 +425,9 @@ def _ray_inside(coeffs: np.ndarray, t: float, tol: float, bounded: bool) -> bool
 def _scale_into_domain(
     f: PositiveRegularFunction,
     m: int,
-    base: OperatorTuple,
+    base: np.ndarray,
     tol: float,
-) -> OperatorTuple:
+) -> np.ndarray:
     """Bisect the ray through base for the boundary, then pull inside.
 
     Along a ray from the origin membership flips once for the starlike
@@ -510,7 +457,7 @@ def _scale_into_domain(
             raise RuntimeError("found no member on the ray near the origin")
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-    return base.scaled(_SAFETY * lo)
+    return _SAFETY * lo * base
 
 
 def _require_sample(m, dim) -> int:
@@ -520,22 +467,14 @@ def _require_sample(m, dim) -> int:
     return _require_order(m)
 
 
-def _gaussian_tuple(n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """n complex Gaussian dim x dim matrices, real parts drawn first."""
-    return [
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for _ in range(n)
-    ]
-
-
 def sample_member(
     f: PositiveRegularFunction,
     m: int,
     dim: int,
     rng: np.random.Generator,
     tol: float = EIGENVALUE_TOL,
-) -> OperatorTuple:
-    """Draw a random tuple and scale it into the order-m domain of f.
+) -> np.ndarray:
+    """Draw a random (n, dim, dim) tuple and scale it into the order-m domain of f.
 
     A random direction is bisected along its ray to within 2^-7 of the
     boundary radius, then pulled inside to between 0.893 and 0.9 of that
@@ -545,8 +484,7 @@ def sample_member(
     before anything is drawn from rng.
     """
     m = _require_sample(m, dim)
-    base = OperatorTuple(_gaussian_tuple(f.n, dim, rng))
-    return _scale_into_domain(f, m, base, tol)
+    return _scale_into_domain(f, m, _gaussian_tuple(f.n, dim, rng), tol)
 
 
 def sample_nilpotent_member(
@@ -555,14 +493,14 @@ def sample_nilpotent_member(
     dim: int,
     rng: np.random.Generator,
     tol: float = EIGENVALUE_TOL,
-) -> OperatorTuple:
+) -> np.ndarray:
     """Like `sample_member` but strictly upper triangular (jointly nilpotent).
 
     Products of dim or more factors vanish, so the sampled tuple has
     nilpotency order at most dim.
     """
     m = _require_sample(m, dim)
-    base = OperatorTuple([np.triu(a, k=1) for a in _gaussian_tuple(f.n, dim, rng)])
-    if all(np.max(np.abs(a)) == 0 for a in base.mats):
+    base = np.triu(_gaussian_tuple(f.n, dim, rng), k=1)
+    if not base.any():
         raise ValueError("nilpotent sample degenerated to zero; need dim >= 2")
     return _scale_into_domain(f, m, base, tol)

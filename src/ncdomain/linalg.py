@@ -1,10 +1,12 @@
 """Small linear-algebra helpers with a fixed numerical policy.
 
-Operator norms are largest singular values; spectra of Hermitian matrices
-go through the symmetric eigensolver after explicit symmetrization, and a
-matrix with a non-finite entry has least eigenvalue -inf.  Any
-clipping of slightly negative eigenvalues happens against an explicit
-tolerance, never silently.
+An operator tuple is one complex (n, d, d) array: `as_tuple` is the one
+check that n square matrices act on a common C^d, and every layer that
+takes a tuple calls it.  Operator norms are largest singular values;
+spectra of Hermitian matrices go through the symmetric eigensolver after
+explicit symmetrization, and a matrix with a non-finite entry has least
+eigenvalue -inf.  Any clipping of slightly negative eigenvalues happens
+against an explicit tolerance, never silently.
 """
 
 from __future__ import annotations
@@ -12,6 +14,34 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def as_tuple(x) -> np.ndarray:
+    """An n-tuple of square matrices on one C^d as a complex (n, d, d) array.
+
+    A 0-d entry reads as 1 x 1, and an (n, d, d) complex array is
+    returned as it is, without a copy.  Raises ValueError for an empty
+    tuple, a non-square entry or entries of different sizes.
+    """
+    if not (isinstance(x, np.ndarray) and x.ndim == 3):
+        x = [np.reshape(a, (1, 1)) if np.ndim(a) == 0 else a for a in x]
+    shapes = {np.shape(a) for a in x}
+    if any(len(s) != 2 or s[0] != s[1] for s in shapes):
+        raise ValueError("tuple entries must be square matrices")
+    if not shapes:
+        raise ValueError("tuple must have at least one entry")
+    if len(shapes) > 1:
+        raise ValueError("tuple entries act on different spaces")
+    return np.asarray(x, dtype=complex)
+
+
+def _gaussian_tuple(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n complex Gaussian dim x dim matrices as one (n, dim, dim) array,
+    real parts drawn first."""
+    return np.array([
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for _ in range(n)
+    ])
 
 
 def operator_norm(a: np.ndarray) -> float:

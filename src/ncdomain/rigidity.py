@@ -2,10 +2,12 @@
 
 Three computational angles on the same theme:
 
-  * linear candidates [X]U, certified in both directions at a finite
-    model depth (`check_linear_biholomorphism`).  With X_j = sum_i U_ij V_i
-    on the depth-N model, X_w = sum_{|v|=|w|} U^(x)|w|[v, w] V_v, so
-    Phi_{g,X} keeps grade-block-diagonal matrices grade-block-diagonal.
+  * linear candidates [X]U, U an invertible matrix that `_candidate`
+    returns with its checked inverse, certified in both directions at a
+    finite model depth (`check_linear_biholomorphism`).  With
+    X_j = sum_i U_ij V_i on the depth-N model,
+    X_w = sum_{|v|=|w|} U^(x)|w|[v, w] V_v, so Phi_{g,X} keeps
+    grade-block-diagonal matrices grade-block-diagonal.
     In the coordinates Z_L = D_L Y_L D_L, D_L = diag(sqrt(b_u) : |u| = L),
     one step is Z_J -> sum_k M_k (x) Z_{J-k} with
     M_k = U^(x)k diag(a_w : |w| = k) U^(x)k*, free of the weights.  The
@@ -49,35 +51,27 @@ from .weights import weights_direct
 from .words import Letters, grade_letters
 
 
-class LinearMapCandidate:
-    """An invertible n x n matrix acting on tuples by row multiplication."""
-
-    __slots__ = ("matrix", "inverse")
-
-    def __init__(self, matrix):
-        u = np.asarray(matrix, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"candidate must be a square matrix, got {u.shape}")
-        if not np.isfinite(u).all():
-            raise ValueError("candidate matrix has a non-finite entry")
-        try:
-            inv = np.linalg.inv(u)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("candidate matrix is singular") from exc
-        cond = float(np.linalg.cond(u, 2))
-        if not np.isfinite(cond):
-            raise ValueError("candidate matrix is singular")
-        gap = float(np.max(np.abs(u @ inv - np.eye(u.shape[0]))))
-        if gap > 1e-10 * cond:
-            raise ValueError(
-                f"inverse check failed: residual {gap:.3e} at condition {cond:.3e}"
-            )
-        self.matrix = u
-        self.inverse = inv
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+def _candidate(u) -> tuple[np.ndarray, np.ndarray]:
+    """An invertible n x n matrix U, acting on tuples by row
+    multiplication, as (U, U^-1) once both pass the inverse check."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"candidate must be a square matrix, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("candidate matrix has a non-finite entry")
+    try:
+        inv = np.linalg.inv(u)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("candidate matrix is singular") from exc
+    cond = float(np.linalg.cond(u, 2))
+    if not np.isfinite(cond):
+        raise ValueError("candidate matrix is singular")
+    gap = float(np.max(np.abs(u @ inv - np.eye(u.shape[0]))))
+    if gap > 1e-10 * cond:
+        raise ValueError(
+            f"inverse check failed: residual {gap:.3e} at condition {cond:.3e}"
+        )
+    return u, inv
 
 
 @dataclass(frozen=True)
@@ -176,11 +170,11 @@ def check_linear_biholomorphism(
         raise ValueError(
             f"domains must share the generator count, got {f.n} and {g.n}"
         )
-    cand = u if isinstance(u, LinearMapCandidate) else LinearMapCandidate(u)
-    if cand.n != f.n:
-        raise ValueError(f"candidate is {cand.n} x {cand.n}, domains have n={f.n}")
-    forward = _grade_block_minima(f, m, g, l, cand.matrix, N).min(axis=1)
-    backward = _grade_block_minima(g, l, f, m, cand.inverse, N).min(axis=1)
+    u, inv = _candidate(u)
+    if len(u) != f.n:
+        raise ValueError(f"candidate is {len(u)} x {len(u)}, domains have n={f.n}")
+    forward = _grade_block_minima(f, m, g, l, u, N).min(axis=1)
+    backward = _grade_block_minima(g, l, f, m, inv, N).min(axis=1)
     return BiholoCertificate(
         forward_member=bool(np.all(forward >= -tol)),
         backward_member=bool(np.all(backward >= -tol)),
@@ -263,7 +257,7 @@ def map_image_check(
     rng = np.random.default_rng(0) if rng is None else rng
     samples = (sample_nilpotent_member(f, m, N + 1, rng, tol=tol) for _ in range(5))
     sample_verdicts = tuple(
-        membership(g, l, [evaluate(s, x.mats) for s in maps], tol=tol) for x in samples
+        membership(g, l, [evaluate(s, x) for s in maps], tol=tol) for x in samples
     )
     return MapImageReport(grid, model_verdicts, sample_verdicts)
 

@@ -35,8 +35,6 @@ from .berezin import (
     berezin_transform_resolvent,
 )
 from .cp_maps import (
-    OperatorTuple,
-    _gaussian_tuple,
     agler_consistency,
     monomial_product,
     sample_member,
@@ -58,6 +56,7 @@ from .fock_model import (
     hardy_norm_estimate,
     vacuum_gap,
 )
+from .linalg import _gaussian_tuple
 from .rigidity import cartan_iteration_probe, check_linear_biholomorphism
 from .series import (
     FreeSeries,
@@ -185,10 +184,6 @@ def random_polynomial(
 def _random_word(n: int, max_len: int, rng: np.random.Generator) -> tuple[int, ...]:
     k = int(rng.integers(0, max_len + 1))
     return tuple(int(rng.integers(1, n + 1)) for _ in range(k))
-
-
-def _random_tuple(n: int, d: int, rng: np.random.Generator) -> OperatorTuple:
-    return OperatorTuple([a / (2.0 * np.sqrt(d)) for a in _gaussian_tuple(n, d, rng)])
 
 
 def _grid_symbols(profile: SelftestProfile, rng: np.random.Generator):
@@ -400,7 +395,7 @@ def check_composition_coherence(profile: SelftestProfile, seed: int) -> CheckRes
             for _ in range(p)
         ]
         d = int(rng.integers(1, 4))
-        x = [a / 2.0 for a in _gaussian_tuple(n, d, rng)]
+        x = _gaussian_tuple(n, d, rng) / 2.0
         gap = nested_evaluation_gap(outer, inner, compose(outer, inner), x)
         worst = max(worst, gap)
     return CheckResult.at_most(
@@ -513,7 +508,7 @@ def check_agler_identity(profile: SelftestProfile, seed: int) -> CheckResult:
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
-        x = _random_tuple(n, d, rng)
+        x = _gaussian_tuple(n, d, rng) / (2.0 * np.sqrt(d))
         worst = max(worst, agler_consistency(m, x))
     return CheckResult.at_most(
         "agler_identity", worst, 1e-12,

@@ -11,8 +11,8 @@ arguments is exact up to the common truncation, so no hidden tails ever
 enter a computation.
 
 Evaluation sends a series F = sum_w Z_w C_w to sum_w X_w (x) C_w for an
-n-tuple X of square matrices, with the operator factor first in every
-tensor product.  All accumulations run in graded order (grade by grade,
+n-tuple X of square matrices (`linalg.as_tuple`), with the operator
+factor first in every tensor product.  All accumulations run in graded order (grade by grade,
 lexicographic within a grade) so identical inputs reproduce results
 bit-for-bit.
 """
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import as_tuple, kron
 from .words import (
     Letters,
     _as_letters,
@@ -260,23 +260,19 @@ def compose(outer: FreeSeries, inner: Sequence[FreeSeries]) -> FreeSeries:
     return FreeSeries._from_grades(n, e_out, grades)
 
 
-def evaluate(series: FreeSeries, point: Sequence[np.ndarray]) -> np.ndarray:
+def evaluate(series: FreeSeries, point) -> np.ndarray:
     """Evaluate sum_w X_w (x) C_w at an n-tuple of square matrices.
 
-    The result acts on C^d (x) C^e with the operator factor first.  Terms
-    are accumulated grade by grade in lexicographic order.
+    The point is read by `linalg.as_tuple`; only its arity is checked
+    here.  The result acts on C^d (x) C^e with the operator factor first.
+    Terms are accumulated grade by grade in lexicographic order.
     """
-    mats = [np.asarray(x, dtype=complex) for x in point]
+    mats = as_tuple(point)
     if len(mats) != series.n:
         raise ShapeMismatchError(
             f"series over {series.n} letters evaluated at a {len(mats)}-tuple"
         )
-    for x in mats:
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise ShapeMismatchError("evaluation points must be square matrices")
-        if x.shape != mats[0].shape:
-            raise ShapeMismatchError("evaluation tuple has mixed dimensions")
-    d = mats[0].shape[0] if mats else 1
+    d = mats.shape[-1]
     e = series.coeff_dim
     out = np.zeros((d * e, d * e), dtype=complex)
     items = series.items()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncdomain import cli, selftest, weights
-from ncdomain.cp_maps import _gaussian_tuple
+from ncdomain.linalg import _gaussian_tuple
 from ncdomain.fock_model import (
     bound_excesses,
     build_model,

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ncdomain import FreeSeries, cli, compose, cp_maps, defaults, fock_model, rigidity, series
-from ncdomain.cp_maps import spectral_radius_estimate
 from ncdomain.cli import COMMANDS, _digest, main, parse_config
 from ncdomain.io import FormatError
 
@@ -70,6 +69,17 @@ def test_parse_config_rejects_unknown_tolerance(tmp_path):
         parse_config(path)
 
 
+def test_unknown_config_field_exits_two_listing_the_known_ones(tmp_path, capsys):
+    # a misspelled field would otherwise leave the default tolerances in force
+    path = write_config(tmp_path, extra={"tolerence": {"eigenvalue": 1e-3}})
+    message = (f"{path}: unknown field 'tolerence'; "
+               "known: ['n', 'm', 'N', 'symbol', 'tolerances', 'seed']")
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+    assert main(["model", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_parse_config_reads_overrides(tmp_path):
     path = write_config(
         tmp_path, extra={"seed": 3, "tolerances": {"eigenvalue": 1e-7}}
@@ -112,8 +122,11 @@ def test_parse_config_rejects_bad_seed_and_tolerances(tmp_path, capsys, extra):
     ({"file": ["sym.json"]}, "symbol: field 'file' must be a string"),
     ({"n": 1, "coeffs": {"1": -1.0}},
      "symbol: coefficient of word '1' must be nonnegative"),
-], ids=["file-int", "file-list", "inline-negative"])
+    ({"file": "s2.json", "n": 1, "coeffs": {"1": 0.5}},
+     "symbol: give either 'file' or inline 'n' and 'coeffs', not both"),
+], ids=["file-int", "file-list", "inline-negative", "file-and-inline"])
 def test_malformed_symbol_exits_two_naming_the_config(tmp_path, capsys, symbol, message):
+    (tmp_path / "s2.json").write_text(json.dumps({"n": 1, "coeffs": {"1": 1.0}}))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 1, "m": 1, "N": 3, "symbol": symbol}))
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}"):
@@ -593,8 +606,8 @@ def test_berezin_both_builds_the_support_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     mats = [np.array(x, dtype=complex) for x in json.loads(point.read_text())["matrices"]]
     report = json.loads(out.read_text())["report"]
-    assert report["results"]["radius_estimate"] == spectral_radius_estimate(
-        parse_config(cfg).symbol, mats).final
+    assert report["results"]["radius_estimate"] == cp_maps._radius_estimate(
+        cp_maps._support(parse_config(cfg).symbol, mats)).final
     capsys.readouterr()
 
 

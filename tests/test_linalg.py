@@ -1,10 +1,62 @@
-"""Linear-algebra helpers."""
+"""Linear-algebra helpers, and the one operator-tuple check."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdomain.linalg import hermitian_part, kron, min_eigenvalue, operator_norm
+from ncdomain import linalg
+from ncdomain.berezin import berezin_transform_kernel, berezin_transform_resolvent
+from ncdomain.cp_maps import membership, monomial_product, von_neumann_gap
+from ncdomain.linalg import as_tuple, hermitian_part, kron, min_eigenvalue, operator_norm
+from ncdomain.series import FreeSeries, evaluate, unit_ball_symbol
+
+TUPLE_ERRORS = {
+    "empty": ([], "tuple must have at least one entry"),
+    "non-square": ([np.ones((2, 3))], "tuple entries must be square matrices"),
+    "mixed-size": ([np.eye(2), np.eye(3)], "tuple entries act on different spaces"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TUPLE_ERRORS))
+def test_every_entry_point_refuses_a_bad_tuple_with_one_message(case):
+    x, message = TUPLE_ERRORS[case]
+    f = unit_ball_symbol(2)
+    g = np.eye(7)  # the depth-2 Fock space over two letters
+    calls = [
+        lambda: as_tuple(x),
+        lambda: evaluate(FreeSeries(2, 1, {(1,): 1.0}), x),
+        lambda: membership(f, 1, x),
+        lambda: monomial_product(x, "1"),
+        lambda: berezin_transform_kernel(f, 1, x, g, 2),
+        lambda: berezin_transform_resolvent(f, 1, x, g, 2),
+        lambda: von_neumann_gap(f, 1, x, [((), (), 1.0)], N=2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_the_tuple_messages_live_in_linalg_alone():
+    src = Path(linalg.__file__).parent
+    for _, message in TUPLE_ERRORS.values():
+        owners = [p.name for p in sorted(src.glob("*.py")) if message in p.read_text()]
+        assert owners == ["linalg.py"]
+
+
+def test_evaluate_reads_a_zero_dimensional_entry_as_one_by_one():
+    series = FreeSeries(1, 2, {(1,): 1.0, (1, 1): 2.0})
+    assert np.array_equal(evaluate(series, [np.array(0.5)]), np.array([[1.0 + 0j]]))
+    assert np.array_equal(evaluate(series, [0.5]), evaluate(series, [[[0.5]]]))
+
+
+def test_as_tuple_stacks_entries_and_passes_a_complex_stack_through():
+    x = np.arange(18, dtype=complex).reshape(2, 3, 3)
+    assert as_tuple(x) is x
+    got = as_tuple([x[0].real, x[1]])
+    assert got.dtype == complex and np.array_equal(got, x)
 
 
 def _complex(rng, shape):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncdomain import cp_maps, defaults, fock_model, rigidity
 from ncdomain.rigidity import (
-    LinearMapCandidate,
+    _candidate,
     _drift,
     _first_violation,
     _witness_differences,
@@ -23,14 +23,10 @@ from ncdomain.rigidity import (
     check_linear_biholomorphism,
     map_image_check,
 )
-from ncdomain.cp_maps import (
-    OperatorTuple,
-    as_operator_tuple,
-    membership,
-    sample_nilpotent_member,
-)
+from ncdomain.cp_maps import membership, sample_nilpotent_member
 from ncdomain.defaults import EIGENVALUE_TOL
 from ncdomain.fock_model import _series_sum, build_model, model_monomial
+from ncdomain.linalg import as_tuple
 from ncdomain.series import (
     FreeSeries,
     PositiveRegularFunction,
@@ -44,9 +40,9 @@ from ncdomain.words import DimensionCapError
 
 def test_candidate_rejects_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
-        LinearMapCandidate(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        _candidate(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(ValueError):
-        LinearMapCandidate(np.ones((2, 3)))
+        _candidate(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -54,37 +50,38 @@ def test_candidate_rejects_a_non_finite_entry(bad):
     u = np.eye(2)
     u[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        LinearMapCandidate(u)
+        _candidate(u)
     with pytest.raises(ValueError, match="non-finite"):
         check_linear_biholomorphism(unit_ball_symbol(2), 1, unit_ball_symbol(2), 1, u, 2)
 
 
-def apply_row(x, u) -> OperatorTuple:
+def apply_row(x, u) -> np.ndarray:
     """Row action [X]U: component j is sum_i U[i, j] X_i."""
-    t = as_operator_tuple(x)
-    mat = u.matrix if isinstance(u, LinearMapCandidate) else np.asarray(u, dtype=complex)
-    if mat.shape != (t.n, t.n):
+    t = as_tuple(x)
+    n, d = t.shape[:2]
+    mat = np.asarray(u, dtype=complex)
+    if mat.shape != (n, n):
         raise ValueError(
-            f"row action needs a {t.n} x {t.n} matrix, got {mat.shape}"
+            f"row action needs a {n} x {n} matrix, got {mat.shape}"
         )
     out = []
-    for j in range(t.n):
-        comp = np.zeros((t.dim, t.dim), dtype=complex)
-        for i in range(t.n):
+    for j in range(n):
+        comp = np.zeros((d, d), dtype=complex)
+        for i in range(n):
             c = mat[i, j]
             if c != 0:
-                comp += c * t.mats[i]
+                comp += c * t[i]
         out.append(comp)
-    return OperatorTuple(out)
+    return np.array(out)
 
 
 def test_apply_row_columns():
-    x = OperatorTuple([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    x = as_tuple([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     u = np.array([[1.0, 2.0], [3.0, 4.0]])
     y = apply_row(x, u)
     # component j is sum_i U[i, j] X_i
-    assert np.allclose(y.mats[0], x.mats[0] + 3.0 * x.mats[1])
-    assert np.allclose(y.mats[1], 2.0 * x.mats[0] + 4.0 * x.mats[1])
+    assert np.allclose(y[0], x[0] + 3.0 * x[1])
+    assert np.allclose(y[1], 2.0 * x[0] + 4.0 * x[1])
     with pytest.raises(ValueError):
         apply_row(x, np.eye(3))
 
@@ -161,10 +158,10 @@ def certificate_cases(draw, depths=st.integers(1, 4)):
 def test_grade_block_certificate_matches_dense_oracle(case):
     f, m, g, l, u, N = case
     cert = check_linear_biholomorphism(f, m, g, l, u, N)
-    cand = LinearMapCandidate(u)
+    mat, inv = _candidate(u)
     for got, want in (
-        (cert.forward_eigenvalues, _dense_minima(f, m, g, l, cand.matrix, N)),
-        (cert.backward_eigenvalues, _dense_minima(g, l, f, m, cand.inverse, N)),
+        (cert.forward_eigenvalues, _dense_minima(f, m, g, l, mat, N)),
+        (cert.backward_eigenvalues, _dense_minima(g, l, f, m, inv, N)),
     ):
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -299,7 +296,7 @@ def _former_nilpotent_image_check(maps, f, m, g, l, p, tol=EIGENVALUE_TOL, rng=N
     sample_verdicts = []
     for _ in range(5):
         x = sample_nilpotent_member(f, m, p + 1, rng, tol=tol)
-        sample_verdicts.append(membership(g, l, [evaluate(s, x.mats) for s in maps], tol=tol))
+        sample_verdicts.append(membership(g, l, [evaluate(s, x) for s in maps], tol=tol))
     return model_verdict, tuple(sample_verdicts)
 
 

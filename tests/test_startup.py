@@ -58,6 +58,21 @@ def test_subcommand_loads_only_its_layers(tmp_path, command, layer):
     assert loaded & HEAVY <= allowed
 
 
+def test_compose_loads_no_point_layer(tmp_path):
+    # its verification tuple comes from `linalg`, not from the point layer
+    paths = []
+    for name, coeffs in (("outer", {"1": 1.0, "12": 0.5}), ("g1", {"1": 1.0}),
+                         ("g2", {"2": 0.5, "11": 1.0})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 2, "degree": 2, "coeffs": coeffs}))
+        paths.append(str(path))
+    argv = ["compose", "--outer", paths[0], "--inner", *paths[1:],
+            "--out", str(tmp_path / "r.txt")]
+    loaded = _loaded_after(f"from ncdomain.cli import main\nassert main({argv!r}) == 0")
+    assert "series" in loaded
+    assert loaded & (HEAVY | {"fock_model", "weights"}) == set()
+
+
 def test_every_export_is_its_modules_object():
     for module, names in ncdomain._EXPORTS.items():
         owner = importlib.import_module(f"ncdomain.{module}")

@@ -179,7 +179,7 @@ def test_word_products_leave_no_cycles():
     gc.collect()
     gc.disable()
     try:
-        evaluate(outer, x.mats)
+        evaluate(outer, x)
         compose(outer, inner)
         membership(f, 2, x)
         model = build_model(f, 2, 4)
