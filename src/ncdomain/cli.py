@@ -14,7 +14,8 @@ their reports carry a seed; a config's ``seed`` key is checked (an
 integer >= 0) and then dropped.
 Input values pass one gate whether they come from a config file or a
 flag: `_check_depth` (>= 1, basis under the cap), `_check_seed` (>= 0) and
-`_check_tolerance` (finite and > 0).
+`_check_tolerance` (finite and > 0).  Every input file, the config and
+its symbol included, is read through its layout in `io._fields`.
 
 Each handler imports the layers it runs when it is called, so a process
 running one subcommand loads only those layers; at module level this
@@ -52,8 +53,8 @@ from .defaults import (
 )
 from .io import (
     FormatError,
+    _fields,
     _read_json,
-    _require_int,
     load_matrix,
     load_series,
     load_symbol,
@@ -107,49 +108,30 @@ def _check_tolerance(value, where: str) -> float:
     return float(value)
 
 
-_CONFIG_KEYS = ("n", "m", "N", "symbol", "tolerances", "seed")
-
-
 def parse_config(path) -> DomainConfig:
     """Read and validate a domain config file.
 
     The file is a JSON object with fields n, m, N, symbol (inline
-    {"n", "coeffs"} or {"file": relative path}, not both), and optional
-    tolerances and seed; any other field is refused.  Symbol validation
-    reports the violated regularity condition by name.
+    {"n", "coeffs"} or {"file": path relative to the config}), and
+    optional tolerances and seed; `io._fields` refuses any other field at
+    every level.  Symbol validation names the violated regularity condition.
     """
-    data = _read_json(path)
-    n = _require_int(data, "n", path)
-    m = _require_int(data, "m", path)
-    depth = _require_int(data, "N", path)
-    for key in data:
-        if key not in _CONFIG_KEYS:
-            raise FormatError(f"{path}: unknown field {key!r}; known: {list(_CONFIG_KEYS)}")
-    if n < 1:
-        raise FormatError(f"{path}: n must be >= 1, got {n}")
-    if m < 1:
-        raise FormatError(f"{path}: m must be >= 1, got {m}")
+    data = _fields(_read_json(path), path, {"n": int, "m": int, "N": int, "symbol": dict},
+                   {"tolerances": dict, "seed": int})
+    n, m, depth, raw = data["n"], data["m"], data["N"], data["symbol"]
+    for key in ("n", "m"):
+        if data[key] < 1:
+            raise FormatError(f"{path}: {key} must be >= 1, got {data[key]}")
     _check_depth(n, depth, f"{path}: N")
-    raw = data.get("symbol")
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: missing or malformed field 'symbol'")
     if "file" in raw:
-        if raw.keys() & {"n", "coeffs"}:
-            raise FormatError(
-                f"{path}: symbol: give either 'file' or inline 'n' and 'coeffs', not both"
-            )
-        if not isinstance(raw["file"], str):
-            raise FormatError(f"{path}: symbol: field 'file' must be a string")
+        _fields(raw, f"{path}: symbol", {"file": str})
         f = load_symbol(Path(path).parent / raw["file"])
     else:
         f = symbol_from_mapping(raw, where=f"{path}: symbol")
     if f.n != n:
         raise FormatError(f"{path}: symbol has n={f.n} but the config says n={n}")
     tolerances = dict(TOLERANCE_DEFAULTS)
-    given = data.get("tolerances") or {}
-    if not isinstance(given, dict):
-        raise FormatError(f"{path}: field 'tolerances' must be an object")
-    for name, value in given.items():
+    for name, value in data.get("tolerances", {}).items():
         if name not in TOLERANCE_DEFAULTS:
             raise FormatError(
                 f"{path}: unknown tolerance {name!r}; "
@@ -157,7 +139,7 @@ def parse_config(path) -> DomainConfig:
             )
         tolerances[name] = _check_tolerance(value, f"{path}: tolerance {name!r}")
     if "seed" in data:
-        _check_seed(_require_int(data, "seed", path), f"{path}: seed")
+        _check_seed(data["seed"], f"{path}: seed")
     return DomainConfig(n, m, depth, f, tolerances)
 
 
@@ -287,8 +269,6 @@ def _emit(body: dict, wall: float, fmt: str, out: str | None) -> None:
         lines = _human_lines(body)
         lines.append(f"  wall_time_s: {wall:.3f}")
         _write_output("\n".join(lines) + "\n", out)
-
-
 
 
 def _config_inputs(cfg: DomainConfig) -> dict:

@@ -9,7 +9,14 @@ Conventions shared with the CLI:
   * a series file carries {"n", "degree", "coeff_dim", "coeffs"},
   * a symbol file carries {"n", "coeffs"} with real coefficients,
   * a matrix file carries {"matrix": rows}, a tuple file
-    {"matrices": [rows, ..]}.
+    {"matrices": [rows, ..]},
+  * a domain config (read by `cli.parse_config`) carries {"n", "m", "N",
+    "symbol"} and optionally "tolerances" and "seed"; its symbol is an
+    inline symbol {"n", "coeffs"} or {"file": path relative to the config}.
+
+Each layout is declared once, through `_fields`: a missing field, a field
+the layout does not list (at any level of any file) or a mistyped one is
+a `FormatError` naming it; an unlisted one also names the fields accepted.
 """
 
 from __future__ import annotations
@@ -88,28 +95,35 @@ def _read_json(path) -> dict:
     return data
 
 
-def _require_int(data: dict, key: str, path) -> int:
-    if key not in data:
-        raise FormatError(f"{path}: missing field {key!r}")
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{path}: field {key!r} must be an integer")
-    return value
+_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a nonempty list"}
+
+
+def _fields(data: dict, where, required: dict, optional: dict | None = None) -> dict:
+    """Check `data` against its layout, {key: kind} for required and optional keys.
+
+    A kind is int (a bool is not one), str, dict or list (nonempty).
+    Refuses a missing required key, then (in file order) a key the
+    layout does not declare, then a value of the wrong kind; returns `data`.
+    """
+    known = {**required, **(optional or {})}
+    for key in [*required, *data]:
+        if key not in data:
+            raise FormatError(f"{where}: missing field {key!r}")
+        if key not in known:
+            raise FormatError(f"{where}: unknown field {key!r}; known: {list(known)}")
+    for key, value in data.items():
+        if isinstance(value, bool) or not isinstance(value, known[key]) or value == []:
+            raise FormatError(f"{where}: field {key!r} must be {_KINDS[known[key]]}")
+    return data
 
 
 def load_series(path) -> FreeSeries:
     """Read a FreeSeries from its JSON file."""
-    data = _read_json(path)
-    n = _require_int(data, "n", path)
-    degree = _require_int(data, "degree", path)
+    data = _fields(_read_json(path), path, {"n": int, "degree": int},
+                   {"coeff_dim": int, "coeffs": dict})
     e = data.get("coeff_dim", 1)
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise FormatError(f"{path}: field 'coeff_dim' must be an integer")
-    raw = data.get("coeffs", {})
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: field 'coeffs' must be an object")
     coeffs = {}
-    for key, value in raw.items():
+    for key, value in data.get("coeffs", {}).items():
         where = f"{path}: coefficient {key!r}"
         if e == 1:
             mat = np.array([[_decode_scalar(value, where)]])
@@ -119,7 +133,7 @@ def load_series(path) -> FreeSeries:
                 raise FormatError(f"{where}: expected shape ({e}, {e})")
         coeffs[key] = mat
     try:
-        return FreeSeries(n, degree, coeffs, e)
+        return FreeSeries(data["n"], data["degree"], coeffs, e)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -147,16 +161,13 @@ def save_series(series: FreeSeries, path) -> None:
 
 def symbol_from_mapping(data: dict, where: str = "symbol") -> PositiveRegularFunction:
     """Build a symbol from {"n": .., "coeffs": {word: real}}."""
-    n = _require_int(data, "n", where)
-    raw = data.get("coeffs", {})
-    if not isinstance(raw, dict):
-        raise FormatError(f"{where}: field 'coeffs' must be an object")
+    _fields(data, where, {"n": int}, {"coeffs": dict})
     coeffs = {
         key: _decode_scalar(value, f"{where}: coefficient {key!r}")
-        for key, value in raw.items()
+        for key, value in data.get("coeffs", {}).items()
     }
     try:
-        return PositiveRegularFunction(n, coeffs)
+        return PositiveRegularFunction(data["n"], coeffs)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
@@ -167,17 +178,10 @@ def load_symbol(path) -> PositiveRegularFunction:
 
 
 def load_matrix(path) -> np.ndarray:
-    data = _read_json(path)
-    if "matrix" not in data:
-        raise FormatError(f"{path}: missing field 'matrix'")
+    data = _fields(_read_json(path), path, {"matrix": list})
     return _decode_matrix(data["matrix"], f"{path}: matrix")
 
 
 def load_tuple(path) -> list[np.ndarray]:
-    data = _read_json(path)
-    raw = data.get("matrices")
-    if not isinstance(raw, list) or not raw:
-        raise FormatError(f"{path}: field 'matrices' must be a nonempty list")
-    return [
-        _decode_matrix(rows, f"{path}: matrices[{k}]") for k, rows in enumerate(raw)
-    ]
+    raw = _fields(_read_json(path), path, {"matrices": list})["matrices"]
+    return [_decode_matrix(rows, f"{path}: matrices[{k}]") for k, rows in enumerate(raw)]

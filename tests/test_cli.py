@@ -14,7 +14,7 @@ import pytest
 
 from ncdomain import FreeSeries, cli, compose, cp_maps, defaults, fock_model, rigidity, series
 from ncdomain.cli import COMMANDS, _digest, main, parse_config
-from ncdomain.io import FormatError
+from ncdomain.io import FormatError, load_series
 
 
 def write_config(tmp_path, name="config.json", n=1, m=2, depth=5, coeffs=None,
@@ -103,9 +103,15 @@ def test_parse_config_reads_overrides(tmp_path):
     {"tolerances": {"eigenvalue": -1e-9}},
     {"tolerances": {"eigenvalue": 10**400}},
     {"tolerances": [1e-9]},
+    {"tolerances": []},
+    {"tolerances": None},
+    {"tolerances": 0},
+    {"tolerances": ""},
+    {"tolerances": False},
 ], ids=["seed-float", "seed-bool", "seed-string", "seed-negative",
         "tol-bool", "tol-infinity", "tol-nan", "tol-string", "tol-zero",
-        "tol-negative", "tol-beyond-float", "tol-not-object"])
+        "tol-negative", "tol-beyond-float", "tol-not-object", "tols-empty-list",
+        "tols-null", "tols-zero", "tols-empty-string", "tols-false"])
 def test_parse_config_rejects_bad_seed_and_tolerances(tmp_path, capsys, extra):
     # the 2-ball non-member would exit 0 (member) or 1 if the value were coerced
     path = write_config(tmp_path, n=2, m=1, depth=3,
@@ -114,7 +120,9 @@ def test_parse_config_rejects_bad_seed_and_tolerances(tmp_path, capsys, extra):
         parse_config(path)
     point = write_tuple(tmp_path, [[[0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
     assert main(["member", "--config", str(path), "--tuple", str(point)]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if not isinstance(extra.get("tolerances", {}), dict):
+        assert f"{path}: field 'tolerances' must be an object" in err
 
 
 @pytest.mark.parametrize("symbol, message", [
@@ -123,7 +131,7 @@ def test_parse_config_rejects_bad_seed_and_tolerances(tmp_path, capsys, extra):
     ({"n": 1, "coeffs": {"1": -1.0}},
      "symbol: coefficient of word '1' must be nonnegative"),
     ({"file": "s2.json", "n": 1, "coeffs": {"1": 0.5}},
-     "symbol: give either 'file' or inline 'n' and 'coeffs', not both"),
+     "symbol: unknown field 'n'; known: ['file']"),
 ], ids=["file-int", "file-list", "inline-negative", "file-and-inline"])
 def test_malformed_symbol_exits_two_naming_the_config(tmp_path, capsys, symbol, message):
     (tmp_path / "s2.json").write_text(json.dumps({"n": 1, "coeffs": {"1": 1.0}}))
@@ -180,6 +188,15 @@ def test_config_without_n_key_exits_two(tmp_path, capsys):
     ))
     assert main(["weights", "--config", str(path)]) == 2
     assert "missing field 'N'" in capsys.readouterr().err
+
+
+def test_member_refuses_a_stray_tuple_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, m=1, depth=4)
+    point = tmp_path / "tuple.json"
+    point.write_text(json.dumps({"matrices": [[[0.5]]], "matrix": [[[9.0]]]}))
+    assert main(["member", "--config", str(cfg), "--tuple", str(point)]) == 2
+    assert (f"{point}: unknown field 'matrix'; known: ['matrices']"
+            in capsys.readouterr().err)
 
 
 def test_member_verdict_exit_codes(tmp_path, capsys):
@@ -402,6 +419,14 @@ def test_compose_saves_series(tmp_path, capsys):
     assert code == 0
     data = json.loads(saved.read_text())
     assert data["coeffs"]["11"] == [4.0, 0.0]
+    # the package reads back what it writes
+    cfg = write_config(tmp_path)
+    assert main(["norm", "--config", str(cfg), "--series", str(saved)]) == 0
+    back = load_series(saved)
+    want = compose(load_series(outer), [load_series(inner)])
+    assert (back.n, back.degree, back.coeff_dim) == (want.n, want.degree, want.coeff_dim)
+    assert ([(w, c.tolist()) for w, c in back.items()]
+            == [(w, c.tolist()) for w, c in want.items()])
     capsys.readouterr()
 
 

@@ -1,10 +1,12 @@
 """JSON file formats for series, symbols, matrices, and tuples."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from ncdomain.cli import parse_config
 from ncdomain.io import (
     FormatError,
     load_matrix,
@@ -114,3 +116,43 @@ def test_bad_scalar_rejected(tmp_path):
     path.write_text('{"matrix": [[true]]}')
     with pytest.raises(FormatError):
         load_matrix(path)
+
+
+SYMBOL = {"n": 1, "coeffs": {"1": 1.0}}
+
+
+@pytest.mark.parametrize("read, payload, prefix, key, known", [
+    (parse_config, {"n": 1, "m": 1, "N": 3, "symbol": {**SYMBOL, "coef": {"11": 0.5}}},
+     "symbol: ", "coef", ["n", "coeffs"]),
+    (load_symbol, {**SYMBOL, "coef": {"11": 0.5}}, "", "coef", ["n", "coeffs"]),
+    (load_series, {"n": 1, "degree": 1, "coeffs": {"1": 1.0}, "coef_dim": 2}, "",
+     "coef_dim", ["n", "degree", "coeff_dim", "coeffs"]),
+    (load_matrix, {"matrix": [[1.0]], "note": 1}, "", "note", ["matrix"]),
+    (load_tuple, {"matrices": [[[0.5]]], "matrix": [[[9.0]]]}, "", "matrix",
+     ["matrices"]),
+    (parse_config, {"n": 1, "m": 1, "N": 3, "symbol": {"file": "sym.json", "extra": 1}},
+     "symbol: ", "extra", ["file"]),
+], ids=["inline-symbol", "symbol-file", "series", "matrix", "tuple", "symbol-reference"])
+def test_unknown_field_at_any_level_is_refused(tmp_path, read, payload, prefix, key,
+                                               known):
+    # a misspelled field would otherwise be dropped and its value never read
+    _write(tmp_path / "sym.json", SYMBOL)
+    path = _write(tmp_path / "in.json", payload)
+    message = f"{path}: {prefix}unknown field {key!r}; known: {known}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read(path)
+
+
+@pytest.mark.parametrize("read, payload, message", [
+    (load_series, {"degree": 1, "depth": 1}, "missing field 'n'"),
+    (load_series, {"n": True, "degree": 1}, "field 'n' must be an integer"),
+    (load_series, {"n": 1, "degree": 1, "coeffs": []}, "field 'coeffs' must be an object"),
+    (load_tuple, {"matrices": []}, "field 'matrices' must be a nonempty list"),
+    (load_symbol, {"n": 1, "degree": 1, "coeff_dim": 1, "coeffs": {"1": 1.0}},
+     "unknown field 'degree'; known: ['n', 'coeffs']"),
+], ids=["missing-before-unknown", "bool-is-not-int", "coeffs-list", "empty-tuple",
+        "series-as-symbol"])
+def test_layout_refusal_messages(tmp_path, read, payload, message):
+    path = _write(tmp_path / "in.json", payload)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read(path)
