@@ -38,13 +38,13 @@ raises on the tuples `membership` calls non-members.  The order m passes
 one gate, `weights._require_order`.  The model side of `von_neumann_gap`
 is one `fock_model._hereditary_sum`.
 
-Overflow has one policy (`_nonfinite_ok`): the support, the Phi step, the
+Overflow has one policy, kept in `linalg`: the support, the Phi step, the
 defect recursion, `membership`, `agler_consistency`, the sampler's
 bisection and the grade blocks of `rigidity` run with numpy's overflow and
-invalid-value warnings off, and their non-finite results are read as
-verdicts instead: a non-finite defect has minimum eigenvalue -inf
-(`linalg.min_eigenvalue`; a probe reads it as outside), a
-non-finite row sum has norm inf, a non-finite Agler gap is inf, and the
+invalid-value warnings off (`_nonfinite_ok`), and their non-finite results
+are read as verdicts instead: a non-finite defect has least eigenvalue
+-inf (`least_eigenvalues`; a probe reads it as outside), a non-finite row
+sum has norm inf (`operator_norm`), a non-finite Agler gap is inf, and the
 radius estimate stops at the first non-finite iterate.
 """
 
@@ -54,7 +54,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +62,8 @@ import numpy as np
 from .defaults import EIGENVALUE_TOL
 from .fock_model import _hereditary_sum, build_model
 from .linalg import (
-    _gaussian_tuple, as_tuple, hermitian_part, kron, min_eigenvalue, operator_norm, psd_root,
+    _gaussian_tuple, _nonfinite_ok, as_tuple, hermitian_part, kron, least_eigenvalues,
+    operator_norm, psd_root,
 )
 from .series import PositiveRegularFunction, unit_ball_symbol
 from .weights import _require_order
@@ -76,18 +77,6 @@ def monomial_product(x, word) -> np.ndarray:
     t = as_tuple(x)
     unit = {(): np.eye(t.shape[-1], dtype=complex)}
     return word_products([_as_letters(word, len(t))], t, np.matmul, unit)[0]
-
-
-def _nonfinite_ok(func):
-    """Run func with numpy's overflow and invalid-value warnings off; each
-    call enters its own context, so nested calls restore the caller's state."""
-
-    @wraps(func)
-    def quiet(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return func(*args, **kwargs)
-
-    return quiet
 
 
 def _require_arity(f: PositiveRegularFunction, t: np.ndarray) -> None:
@@ -140,9 +129,9 @@ class PointState:
     Delta_k = Delta_{k-1} - Phi(Delta_{k-1}) for k = 1..m, each
     Hermitian-symmetrized so roundoff cannot leak non-Hermitian parts into
     the spectra; ``min_eigenvalues`` are their least eigenvalues for
-    k = 1..m, -inf for a non-finite Delta_k.  `root` gives (root, clipped)
-    of Delta_m from `psd_root`, computed on first request.  Every array is
-    read-only.
+    k = 1..m from one `least_eigenvalues` call, -inf for a non-finite
+    Delta_k.  `root` gives (root, clipped) of Delta_m from `psd_root`,
+    computed on first request.  Every array is read-only.
     """
 
     __slots__ = ("support", "deltas", "min_eigenvalues", "_root")
@@ -155,7 +144,7 @@ class PointState:
         for a in (*support, *deltas):
             a.setflags(write=False)
         self.support, self.deltas, self._root = support, tuple(deltas), None
-        self.min_eigenvalues = tuple(min_eigenvalue(a) for a in deltas[1:])
+        self.min_eigenvalues = tuple(least_eigenvalues(deltas[1:]).tolist())
 
     @property
     def order(self) -> int:
@@ -220,14 +209,11 @@ class MembershipVerdict:
 def membership(
     f: PositiveRegularFunction, m: int, x, tol: float = EIGENVALUE_TOL
 ) -> MembershipVerdict:
-    """Decide whether X lies in the order-m domain of f, within tol.
-
-    A non-finite row sum sum_i X_i X_i^* has norm inf."""
+    """Decide whether X lies in the order-m domain of f, within tol."""
     t = as_tuple(x)
     state = _point_state(f, m, t)
     member = all(v >= -tol for v in state.min_eigenvalues)
-    rows = sum(a @ a.conj().T for a in t)
-    row = operator_norm(rows) if np.isfinite(rows).all() else math.inf
+    row = operator_norm(sum(a @ a.conj().T for a in t))
     bound = 1.0 / f.min_linear_coefficient
     return MembershipVerdict(
         member=member,
@@ -407,18 +393,11 @@ def _ray_at(coeffs: np.ndarray, t: float) -> np.ndarray:
     return acc
 
 
-def _ray_inside(coeffs: np.ndarray, t: float, tol: float, bounded: bool) -> bool:
+def _ray_inside(coeffs: np.ndarray, t: float, tol: float) -> bool:
     """The `membership` verdict at t = s^2: every least eigenvalue of the m
-    defects >= -tol, from one eigensolve of the stack.
-
-    A non-finite defect reads as outside.  ``bounded`` says the absolute
-    sum of the coefficients is far below overflow; then no Horner step at
-    t <= 1 can overflow, and the finiteness test is skipped there.
-    """
-    deltas = _ray_at(coeffs, t)
-    if (t > 1.0 or not bounded) and not np.isfinite(deltas).all():
-        return False
-    return bool(np.linalg.eigvalsh(deltas).min() >= -tol)
+    defects >= -tol, from one `least_eigenvalues` call on the stack, so a
+    non-finite defect reads as outside."""
+    return bool(least_eigenvalues(_ray_at(coeffs, t)).min() >= -tol)
 
 
 @_nonfinite_ok
@@ -440,10 +419,9 @@ def _scale_into_domain(
     0.9 / (1 + 2^-7) and 0.9 of the boundary radius.
     """
     coeffs = _ray_coefficients(_support(f, base), m)
-    bounded = bool(np.abs(coeffs).sum() < 1e300)
 
     def inside(s: float) -> bool:
-        return _ray_inside(coeffs, s * s, tol, bounded)
+        return _ray_inside(coeffs, s * s, tol)
 
     lo, hi = 0.0, 1.0
     for _ in range(60):

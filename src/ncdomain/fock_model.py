@@ -64,12 +64,6 @@ def _require_dense(size: int, dtype, what: str) -> None:
     require_bytes(dtype.itemsize * size**2, f"{what} as a dense {size} x {size} {dtype} matrix")
 
 
-def _dense_zeros(size: int, dtype, what: str) -> np.ndarray:
-    """A (size, size) zero matrix of dtype, refused if it exceeds physical memory."""
-    _require_dense(size, dtype, what)
-    return np.zeros((size, size), dtype=dtype)
-
-
 def build_model(
     f: PositiveRegularFunction,
     m: int,
@@ -132,12 +126,11 @@ class _ModelSum:
     matrix has the dtype of the coefficients: real exactly when they are.
     """
 
-    __slots__ = ("size", "e", "dtype", "what", "parts")
+    __slots__ = ("size", "e", "dtype", "parts")
 
     def __init__(self, model: WeightTable, e: int, dtype, what: str):
-        self.size, self.e = model.index.dim * e, e
-        self.dtype, self.what = dtype, what
-        _require_dense(self.size, dtype, what)  # before any part is built
+        self.size, self.e, self.dtype = model.index.dim * e, e, dtype
+        _require_dense(self.size, dtype, what)  # once, before any part is built
         self.parts = []
 
     def add(self, k: int, rows: np.ndarray, cols: np.ndarray, s: np.ndarray,
@@ -158,7 +151,7 @@ class _ModelSum:
         """A fresh dense matrix at r, the parts added in order, each in the
         arithmetic order of a per-word sum: (r^k c) s for e = 1, (r^k s) c
         for e > 1.  Adding onto 0.0 turns a -0.0 product into 0.0."""
-        out = _dense_zeros(self.size, self.dtype, self.what)
+        out = np.zeros((self.size, self.size), dtype=self.dtype)
         flat = out.reshape(-1)
         for k, target, c, s in self.parts:
             scale = r**k
@@ -262,9 +255,8 @@ def model_defect(model: WeightTable) -> np.ndarray:
     measured slower to build at dim 511 and up, and `defect_diagonal` is
     the real, cheap form.
     """
-    out = _dense_zeros(model.index.dim, complex, "the model defect")
-    np.fill_diagonal(out, defect_diagonal(model))
-    return out
+    _require_dense(model.index.dim, complex, "the model defect")
+    return np.diag(defect_diagonal(model).astype(complex))
 
 
 def _radial_grid(r_grid: Sequence[float]) -> list[float]:

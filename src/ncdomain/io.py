@@ -122,6 +122,8 @@ def load_series(path) -> FreeSeries:
     data = _fields(_read_json(path), path, {"n": int, "degree": int},
                    {"coeff_dim": int, "coeffs": dict})
     e = data.get("coeff_dim", 1)
+    if e < 1:  # before any coefficient is decoded against shape (e, e)
+        raise FormatError(f"{path}: coeff_dim must be >= 1, got {e}")
     coeffs = {}
     for key, value in data.get("coeffs", {}).items():
         where = f"{path}: coefficient {key!r}"

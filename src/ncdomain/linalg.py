@@ -2,18 +2,32 @@
 
 An operator tuple is one complex (n, d, d) array: `as_tuple` is the one
 check that n square matrices act on a common C^d, and every layer that
-takes a tuple calls it.  Operator norms are largest singular values;
-spectra of Hermitian matrices go through the symmetric eigensolver after
-explicit symmetrization, and a matrix with a non-finite entry has least
-eigenvalue -inf.  Any clipping of slightly negative eigenvalues happens
-against an explicit tolerance, never silently.
+takes a tuple calls it.  Operator norms are largest singular values, and
+Hermitian spectra are read here alone, on the input as given.  The
+overflow policy lives here too (`_nonfinite_ok`): a matrix with a
+non-finite entry has norm inf and least eigenvalue -inf.  Any clipping of
+slightly negative eigenvalues happens against an explicit tolerance,
+never silently.
 """
 
 from __future__ import annotations
 
 import math
+from functools import wraps
 
 import numpy as np
+
+
+def _nonfinite_ok(func):
+    """Run func with numpy's overflow and invalid-value warnings off; each
+    call enters its own context, so nested calls restore the caller's state."""
+
+    @wraps(func)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return func(*args, **kwargs)
+
+    return quiet
 
 
 def as_tuple(x) -> np.ndarray:
@@ -45,10 +59,12 @@ def _gaussian_tuple(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of ``a``."""
+    """Largest singular value of ``a``; inf when ``a`` has a non-finite entry."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
+    if not np.isfinite(a).all():
+        return math.inf
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
@@ -65,24 +81,28 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``a``; -inf when ``a``
-    has a non-finite entry, which LAPACK may read as positive."""
-    if not np.isfinite(a).all():
-        return -math.inf
-    return float(np.linalg.eigvalsh(hermitian_part(a))[0])
+def least_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of a Hermitian matrix, or of each in a stack, from one
+    `eigvalsh` call on the input as given; a matrix with a non-finite entry,
+    which LAPACK may read as positive, enters it as zeros and reads -inf."""
+    h = np.asarray(h)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(h)[..., 0]
+    least = np.linalg.eigvalsh(np.where(finite[..., None, None], h, 0))[..., 0]
+    return np.where(finite, least, -math.inf)
 
 
 def psd_root(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root of a nearly-PSD Hermitian matrix.
+    """Principal square root of a nearly-PSD Hermitian matrix, read as given.
 
-    Returns ``(root, clipped)``: the root of the Hermitian part with every
-    negative eigenvalue clipped to zero, and the PSD matrix actually
-    rooted.  Whether the clipping is admissible is for the caller to
+    Returns ``(root, clipped)``: the root of ``a`` with every negative
+    eigenvalue clipped to zero, and the PSD matrix actually rooted, each
+    symmetrized.  Whether the clipping is admissible is for the caller to
     judge against an explicit tolerance (for a defect, `membership`'s
     rule via `cp_maps.PointState.require_member`).
     """
-    eigs, vecs = np.linalg.eigh(hermitian_part(a))
+    eigs, vecs = np.linalg.eigh(a)
     clipped_eigs = np.clip(eigs, 0.0, None)
     root = (vecs * np.sqrt(clipped_eigs)) @ vecs.conj().T
     clipped = (vecs * clipped_eigs) @ vecs.conj().T

@@ -42,10 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cp_maps import MembershipVerdict, _nonfinite_ok, membership, sample_nilpotent_member
+from .cp_maps import MembershipVerdict, membership, sample_nilpotent_member
 from .defaults import EIGENVALUE_TOL, require_bytes
 from .fock_model import _series_sum, build_model
-from .linalg import hermitian_part, kron, min_eigenvalue
+from .linalg import _nonfinite_ok, hermitian_part, kron, least_eigenvalues
 from .series import FreeSeries, PositiveRegularFunction, compose, evaluate
 from .weights import weights_direct
 from .words import Letters, grade_letters
@@ -147,7 +147,7 @@ def _grade_block_minima(
                 z[J] -= kron(mk, z[J - k])
             z[J] = hermitian_part(z[J])
             root = np.sqrt(grades[J])
-            out[step, J] = min_eigenvalue(z[J] / np.outer(root, root))
+            out[step, J] = least_eigenvalues(z[J] / np.outer(root, root))
     return out
 
 

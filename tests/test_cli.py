@@ -449,6 +449,17 @@ def test_non_finite_coefficient_exits_two(readme_files, tmp_path, capsys, where,
         assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff_dim", [0, -1])
+def test_norm_refuses_a_series_below_coeff_dim_one(tmp_path, capsys, coeff_dim):
+    # checked before the coefficient is decoded against shape (coeff_dim, coeff_dim)
+    series = tmp_path / "s.json"
+    series.write_text(json.dumps({"n": 1, "degree": 1, "coeff_dim": coeff_dim,
+                                  "coeffs": {"1": [[1.0]]}}))
+    cfg = write_config(tmp_path)
+    assert main(["norm", "--config", str(cfg), "--series", str(series)]) == 2
+    assert f"coeff_dim must be >= 1, got {coeff_dim}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "[0.5, NaN]",
                                    "1" + "0" * 400],
                          ids=["nan", "inf", "-inf", "nan-pair", "int-beyond-float"])
@@ -683,6 +694,32 @@ def test_biholo_reads_an_overflowing_image_as_minus_inf(tmp_path, capsys):
     assert not checks["forward"]["passed"]
     assert checks["backward"]["passed"]
     assert "Warning" not in capsys.readouterr().err
+
+
+def test_biholo_reports_a_finite_eigenvalue_near_overflow(tmp_path, capsys):
+    # the image's least defect eigenvalue is near -1.18e308, finite; a second
+    # symmetrization of its Hermitian grade blocks would overflow a + a* and
+    # report NaN, which strict JSON parsers refuse
+    source = write_config(tmp_path, "source.json", n=2, m=1, depth=1,
+                          coeffs={"1": 0.125, "2": 0.125})
+    ball = write_config(tmp_path, "ball.json", n=2, m=1, depth=1,
+                        coeffs={"1": 1.0, "2": 1.0})
+    c = 10.0**153.3755
+    umap = tmp_path / "u.json"
+    umap.write_text(json.dumps({"matrix": [[c, c], [0.0, c]]}))
+    out = tmp_path / "r.json"
+    code = main(["biholo", "--config", str(source), "--target-config", str(ball),
+                 "--map", str(umap), "--format", "json", "--out", str(out)])
+    assert code == 1
+
+    def refuse(constant):
+        raise ValueError(f"report holds {constant}")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)["report"]
+    forward = next(c for c in report["checks"] if c["name"] == "forward")
+    assert np.isfinite(forward["value"]) and forward["value"] < -1e308
+    assert not forward["passed"]
+    capsys.readouterr()
 
 
 def test_probe_cartan_flags_quadratic(tmp_path, capsys):

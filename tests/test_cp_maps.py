@@ -26,7 +26,7 @@ from ncdomain.cp_maps import (
     sample_nilpotent_member,
     von_neumann_gap,
 )
-from ncdomain.linalg import as_tuple, hermitian_part, min_eigenvalue, operator_norm
+from ncdomain.linalg import as_tuple, hermitian_part, least_eigenvalues, operator_norm
 from ncdomain.series import PositiveRegularFunction, unit_ball_symbol
 from ncdomain.words import DimensionCapError, enumerate_words, word_products
 
@@ -293,12 +293,14 @@ def _horner(coeffs, t):
 
 
 def _per_k_scale_into_domain(f, m, base, tol):
-    """The sampler's bisection with one Horner pass and one `min_eigenvalue`
-    per k at each probe, stopping at the first k below -tol."""
+    """The sampler's bisection with one Horner pass, one symmetrization and
+    one `least_eigenvalues` per k at each probe, stopping at the first k
+    below -tol."""
     defects = _per_k_ray_defects(f, m, base)
 
     def inside(s):
-        return all(min_eigenvalue(_horner(c, s * s)) >= -tol for c in defects)
+        return all(least_eigenvalues(hermitian_part(_horner(c, s * s))) >= -tol
+                   for c in defects)
 
     return _bisect_ray(inside) * base
 

@@ -150,8 +150,12 @@ def test_unknown_field_at_any_level_is_refused(tmp_path, read, payload, prefix, 
     (load_tuple, {"matrices": []}, "field 'matrices' must be a nonempty list"),
     (load_symbol, {"n": 1, "degree": 1, "coeff_dim": 1, "coeffs": {"1": 1.0}},
      "unknown field 'degree'; known: ['n', 'coeffs']"),
+    (load_series, {"n": 1, "degree": 1, "coeff_dim": 0, "coeffs": {"1": [[1]]}},
+     "coeff_dim must be >= 1, got 0"),
+    (load_series, {"n": 1, "degree": 1, "coeff_dim": -1, "coeffs": {"1": [[1]]}},
+     "coeff_dim must be >= 1, got -1"),
 ], ids=["missing-before-unknown", "bool-is-not-int", "coeffs-list", "empty-tuple",
-        "series-as-symbol"])
+        "series-as-symbol", "coeff-dim-zero", "coeff-dim-negative"])
 def test_layout_refusal_messages(tmp_path, read, payload, message):
     path = _write(tmp_path / "in.json", payload)
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):

@@ -1,5 +1,6 @@
 """Linear-algebra helpers, and the one operator-tuple check."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ncdomain import linalg
 from ncdomain.berezin import berezin_transform_kernel, berezin_transform_resolvent
 from ncdomain.cp_maps import membership, monomial_product, von_neumann_gap
-from ncdomain.linalg import as_tuple, hermitian_part, kron, min_eigenvalue, operator_norm
+from ncdomain.linalg import (
+    as_tuple, hermitian_part, kron, least_eigenvalues, operator_norm,
+)
 from ncdomain.series import FreeSeries, evaluate, unit_ball_symbol
 
 TUPLE_ERRORS = {
@@ -117,11 +120,66 @@ def test_hermitian_part_of_a_stack_is_each_matrix_bit_for_bit():
         assert h.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
 
 
-@pytest.mark.parametrize("a", [
+NON_FINITE = [
     [[np.nan, 0.0], [0.0, 1.0]],  # LAPACK's eigvalsh gives [0, -0] here
     [[1.0, 0.0], [0.0, np.inf]],
     [[1.0, -np.inf], [0.0, 1.0]],
     [[1.0, complex(0.0, np.nan)], [0.0, 1.0]],
-])
+]
+
+
+@pytest.mark.parametrize("a", NON_FINITE)
 def test_min_eigenvalue_reads_a_non_finite_matrix_as_minus_inf(a):
-    assert min_eigenvalue(np.array(a)) == -np.inf
+    assert least_eigenvalues(np.array(a)) == -np.inf
+    assert least_eigenvalues(np.array([a], dtype=complex)).tolist() == [-np.inf]
+
+
+@pytest.mark.parametrize("a", NON_FINITE)
+def test_operator_norm_of_a_non_finite_matrix_is_inf(a):
+    assert operator_norm(np.array(a)) == np.inf
+
+
+def _hermitian(rng, d, scale, peak):
+    """A random Hermitian d x d matrix of entries near scale, one of them
+    (and its mirror) peak, built without a sum that could overflow."""
+    a = scale * _complex(rng, (d, d))
+    i, j = sorted(rng.integers(0, d, size=2))
+    a[i, j] = peak
+    upper = np.triu(a, 1)
+    return upper + upper.conj().T + np.diag(a.diagonal().real)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    d=st.integers(1, 8),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(-20, 20).map(lambda e: 10.0**e),
+    peak=st.floats(-1.7e308, 1.7e308),
+    spoiled=st.lists(st.booleans(), min_size=4, max_size=4),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf)]),
+)
+def test_least_eigenvalues_are_eigvalsh_per_matrix(d, count, seed, scale, peak, spoiled,
+                                                    bad):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_hermitian(rng, d, scale, peak) for _ in range(count)])
+    got = least_eigenvalues(stack)
+    assert got.shape == (count,) and not np.isnan(got).any()
+    assert [v.tobytes() for v in got] == [np.linalg.eigvalsh(h)[0].tobytes() for h in stack]
+    assert least_eigenvalues(stack[0]).tobytes() == got[0].tobytes()
+    # a mixed stack: -inf exactly on the matrices with a non-finite entry
+    spoiled = np.array(spoiled[:count])
+    for k in np.flatnonzero(spoiled):
+        stack[k][tuple(rng.integers(0, d, size=2))] = bad
+    mixed = least_eigenvalues(stack)
+    assert not np.isnan(mixed).any()
+    assert np.array_equal(np.isneginf(mixed), spoiled)
+    assert [v.tobytes() for v in mixed[~spoiled]] == [v.tobytes() for v in got[~spoiled]]
+
+
+def test_only_linalg_reads_hermitian_spectra():
+    # one reader for Hermitian spectra and one home for the overflow policy
+    package = Path(linalg.__file__).parent
+    readers = {p.name for p in package.glob("*.py")
+               if re.search(r"\beig(valsh|h)\b|def _nonfinite_ok\b", p.read_text())}
+    assert readers == {"linalg.py"}

@@ -18,7 +18,7 @@ def test_moment_criteria_build_no_dense_model_element(monkeypatch):
     def dense(*args):
         raise AssertionError("a dense model element was built")
 
-    monkeypatch.setattr(fock_model, "_dense_zeros", dense)
+    monkeypatch.setattr(fock_model, "_require_dense", dense)
     monkeypatch.setattr(fock_model._ModelSum, "__init__", dense)
     for check in (check_moment_nilpotent, check_moment_radial):
         assert check(FAST, 0).passed
